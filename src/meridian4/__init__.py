@@ -21,9 +21,9 @@ from .fields import (RHO_MIN, MeridionalProfile, MeridionalField, SeparableParam
                      verify_epd, verify_stream, verify_stokes_beltrami,
                      verify_weinstein, verify_axial_hyperbolic,
                      verify_general_system, criterion_check, axial_symmetry_check)
-from .spectral import (SpectralReport, jacobian, invariants, eigen_closed,
-                       eigen_numeric, degenerate_set, zero_divergence_scan,
-                       critical_points, CriticalPoint, LevelChain)
+from .spectral import (SpectralReport, jacobian, jacobian_stack, invariants,
+                       closed_spectrum, eigen_closed, eigen_numeric, degenerate_set,
+                       zero_divergence_scan, critical_points, CriticalPoint, LevelChain)
 from .dynsys import Trajectory, StabilityVerdict, flow, classify, monotonicity_audit
 
 __version__ = "0.1.0"

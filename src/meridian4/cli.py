@@ -16,6 +16,8 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from .errors import MeridianError
 from .quaternion import Quaternion
 from .holomorphic import elementary, moebius_potential
@@ -33,7 +35,10 @@ from .fields import (
     criterion_check,
     axial_symmetry_check,
 )
-from .spectral import eigen_closed, eigen_numeric, jacobian
+# eigen_closed and jacobian stay bound here for bench/tracing.py, which wraps
+# the spectral layer at the names the CLI binds
+from .spectral import (closed_spectrum, eigen_closed, eigen_numeric,  # noqa: F401
+                       jacobian, jacobian_stack)
 from .dynsys import flow
 from .specfun import bessel_j, bessel_y, bessel_j_quat
 from .transforms import (
@@ -90,6 +95,41 @@ def _emit_json(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+_BLOCK_ROWS = 4096
+
+
+def _emit_table(fmt: str, columns: dict):
+    """Write named columns as CSV (header row) or as a JSON array of row objects.
+
+    A column is a float array (shortest repr, -0.0 flushed to 0.0), a boolean
+    array (true/false) or a string repeated on every row.  Cells are formatted
+    column by column for one block of rows at a time, and each block is
+    written before the next is formatted, so only one block of cell strings
+    is alive at a time.
+    """
+    rows = len(next(c for c in columns.values() if not isinstance(c, str)))
+
+    def cells(col, lo, hi):
+        if isinstance(col, str):
+            return [json.dumps(col) if fmt == "json" else col] * (hi - lo)
+        if col.dtype == bool:
+            return np.where(col[lo:hi], "true", "false").tolist()
+        return list(map(repr, (col[lo:hi] + 0.0).tolist()))
+
+    if fmt == "json":
+        head, sep, tail = "[", ", ", "]\n"
+        line = ("{" + ", ".join(f'"{name}": %s' for name in columns) + "}").__mod__
+    else:
+        head, sep, tail = ",".join(columns) + "\n", "\n", "\n"
+        line = ",".join
+    sys.stdout.write(head)
+    for lo in range(0, rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, rows)
+        block = zip(*(cells(col, lo, hi) for col in columns.values()))
+        sys.stdout.write((sep if lo else "") + sep.join(map(line, block)))
+    sys.stdout.write(tail)
+
+
 # ---------------------------------------------------------------------------
 # spec parsing
 # ---------------------------------------------------------------------------
@@ -116,9 +156,12 @@ def _take(params: dict, key: str, conv, default=None, required=False):
         return default
     raw = params.pop(key)
     try:
-        return conv(raw)
+        val = conv(raw)
     except (TypeError, ValueError):
         raise SpecError(f"parameter {key}={raw!r} is not a valid {conv.__name__}")
+    if conv is float and not math.isfinite(val):
+        raise SpecError(f"parameter {key}={raw!r} must be finite")
+    return val
 
 
 def _reject_extras(params: dict, kind: str):
@@ -274,78 +317,45 @@ def _parse_point(text: str, count: int, label: str):
 # commands
 # ---------------------------------------------------------------------------
 
+def _grid_points(text: str):
+    """Flat (x0, rho) arrays of a grid spec, x0-major."""
+    x0s, rhos = parse_grid(text)
+    return np.repeat(np.array(x0s), len(rhos)), np.tile(np.array(rhos), len(x0s))
+
+
 def cmd_eval(args) -> int:
     field = parse_field_spec(args.field)
-    x0s, rhos = parse_grid(args.grid)
-    log.info("eval: %d x %d grid on %s", len(x0s), len(rhos), args.field)
+    x0, rho = _grid_points(args.grid)
+    log.info("eval: %d grid points on %s", len(x0), args.field)
 
-    rows = []
-    for x0 in x0s:
-        for rho in rhos:
-            rows.append({
-                "x0": _norm(x0),
-                "rho": _norm(rho),
-                "V0": _norm(field.V0(x0, rho)),
-                "Vrho": _norm(field.Vrho(x0, rho)),
-                "dVrho_dx0": _norm(field.dVrho_dx0(x0, rho)),
-                "dVrho_drho": _norm(field.dVrho_drho(x0, rho)),
-            })
-
-    if args.format == "json":
-        _emit_json(rows)
-    else:
-        lines = [EVAL_HEADER]
-        for r in rows:
-            lines.append(",".join(_fmt(r[k]) for k in EVAL_HEADER.split(",")))
-        _emit(lines)
+    columns = {"x0": x0, "rho": rho}
+    for name in EVAL_HEADER.split(",")[2:]:
+        columns[name] = field.evaluate(name, x0, rho)
+    _emit_table(args.format, columns)
     return 0
-
-
-SPECTRUM_COLS = ["x0", "rho", "l0", "l1", "l2", "l3",
-                 "I", "II", "III", "IV", "degenerate", "method"]
-ORACLE_COLS = ["n0", "n1", "n2", "n3", "deviation"]
 
 
 def cmd_spectrum(args) -> int:
     field = parse_field_spec(args.field)
-    x0s, rhos = parse_grid(args.grid)
-    log.info("spectrum: %d x %d grid on %s (oracle=%s)",
-             len(x0s), len(rhos), args.field, args.oracle)
+    x0, rho = _grid_points(args.grid)
+    log.info("spectrum: %d grid points on %s (oracle=%s)",
+             len(x0), args.field, args.oracle)
 
-    cols = SPECTRUM_COLS + (ORACLE_COLS if args.oracle else [])
-    rows = []
-    for x0 in x0s:
-        for rho in rhos:
-            x = Quaternion(x0, rho, 0.0, 0.0)
-            rep = eigen_closed(field, x)
-            row = {"x0": _norm(x0), "rho": _norm(rho)}
-            for i, lam in enumerate(rep.lambdas):
-                row[f"l{i}"] = _norm(lam)
-            for key, val in zip(("I", "II", "III", "IV"), rep.invariants):
-                row[key] = _norm(val)
-            row["degenerate"] = rep.degenerate
-            row["method"] = rep.method
-            if args.oracle:
-                num = eigen_numeric(jacobian(field, x))
-                for i, lam in enumerate(num.lambdas):
-                    row[f"n{i}"] = _norm(lam)
-                row["deviation"] = _norm(max(
-                    abs(a - b) for a, b in zip(rep.lambdas, num.lambdas)))
-            rows.append(row)
-
-    if args.format == "json":
-        _emit_json(rows)
-    else:
-        def cell(v):
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, str):
-                return v
-            return _fmt(v)
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(cell(r[k]) for k in cols))
-        _emit(lines)
+    q = field.evaluate("Vrho", x0, rho) / rho
+    p01 = field.evaluate("dVrho_dx0", x0, rho)
+    p11 = field.evaluate("dVrho_drho", x0, rho)
+    lams, inv, degenerate = closed_spectrum(field.alpha, q, p01, p11)
+    columns = {"x0": x0, "rho": rho}
+    columns.update((f"l{i}", lams[:, i]) for i in range(4))
+    columns.update(zip(("I", "II", "III", "IV"), inv.T))
+    columns["degenerate"] = degenerate
+    columns["method"] = "closed"
+    if args.oracle:
+        # grid points lie on the e1 axis of R^4: x = (x0, rho, 0, 0)
+        num = eigen_numeric(jacobian_stack(field.alpha, q, p01, p11, (1.0, 0.0, 0.0)))
+        columns.update((f"n{i}", num.lambdas[:, i]) for i in range(4))
+        columns["deviation"] = np.max(np.abs(lams - num.lambdas), axis=1)
+    _emit_table(args.format, columns)
     return 0
 
 
@@ -375,6 +385,8 @@ def _run_suite(args):
     suite = args.suite
     rng = random.Random(args.seed)
     n = args.samples
+    if n < 1:
+        raise SpecError(f"--samples must be at least 1, got {n}")
 
     field_suites = {"epd", "stokes", "system", "symmetry"}
     if suite in field_suites and args.field is None:
@@ -567,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--oracle", action="store_true",
-                   help="add Jacobi-eigensolver columns and max deviation")
+                   help="add LAPACK eigvalsh columns and max deviation")
     add_format(p)
     p.set_defaults(fn=cmd_spectrum)
 
@@ -643,7 +655,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MeridianError as exc:
+    except (MeridianError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

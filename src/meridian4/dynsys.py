@@ -56,8 +56,8 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     step would leave the domain rho > rho_min (the offending step is
     rejected and the trajectory reports 'left_domain').
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise DomainError("dt and horizon must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+        raise DomainError(f"dt = {dt:g} and horizon = {horizon:g} must be positive and finite")
     if x_init.rho() < RHO_MIN:
         raise DomainError(f"initial point has rho = {x_init.rho():g} below the floor")
 

@@ -46,7 +46,7 @@ class DomainError(MeridianError):
 
 
 class ConvergenceFailure(MeridianError):
-    """An iteration (series, quadrature refinement, Jacobi sweep) did not converge."""
+    """An iteration (series, quadrature refinement) did not converge."""
 
 
 class IntegerOrderUnsupported(MeridianError):

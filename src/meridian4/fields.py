@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import (DomainError, IntegerOrderUnsupported, NoStream,
                      NotHolomorphic, StepTooLarge)
 from .holomorphic import RadialFunction, antiholomorphy_residual, default_fd_step
@@ -55,6 +57,7 @@ class MeridionalProfile:
 
     The callables take (x0, rho).  stream, when present, is the Stokes
     stream function paired with g by the generalized Stokes-Beltrami system.
+    vectorized marks callables that also map float arrays elementwise.
     """
     alpha: float
     g: Scalar2
@@ -65,6 +68,12 @@ class MeridionalProfile:
     d2g_drhorho: Scalar2
     stream: Optional[Scalar2] = None
     label: str = ""
+    vectorized: bool = False
+
+
+# field quantity (a MeridionalField method name) -> profile callable
+_QUANTITY = {"g": "g", "V0": "dg_dx0", "Vrho": "dg_drho", "dV0_dx0": "d2g_dx0x0",
+             "dVrho_dx0": "d2g_dx0rho", "dVrho_drho": "d2g_drhorho"}
 
 
 class MeridionalField:
@@ -110,6 +119,30 @@ class MeridionalField:
         self._check(rho)
         return self.profile.d2g_drhorho(x0, rho)
 
+    def evaluate(self, name: str, x0: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """The quantity `name` (g, V0, Vrho, dV0_dx0, dVrho_dx0, dVrho_drho)
+        at the points of the flat float arrays x0 and rho.
+
+        The domain floor is checked once for the whole array.  Vectorized
+        profiles take the arrays directly; the others (Bessel series,
+        adaptive quadrature) are called point by point.  Raises DomainError
+        when any value is not finite.
+        """
+        if rho.size and rho.min() < RHO_MIN:
+            raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
+        fn = getattr(self.profile, _QUANTITY[name])
+        out = np.empty(x0.shape)
+        if self.profile.vectorized:
+            with np.errstate(all="ignore"):
+                out[...] = fn(x0, rho)
+        else:
+            out[...] = [fn(a, b) for a, b in zip(x0.tolist(), rho.tolist())]
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"{name} = {out[i]:g} at (x0, rho) = ({x0[i]:g}, {rho[i]:g})")
+        return out
+
     def stream_value(self, x0: float, rho: float) -> float:
         if self.profile.stream is None:
             raise NoStream(f"profile {self.label!r} carries no stream function")
@@ -151,22 +184,23 @@ def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
     F = G.derivative()
     F2 = F.derivative()
 
-    def make(part: str, fn) -> Scalar2:
-        def ev(x0: float, rho: float) -> float:
-            w = fn(complex(x0, rho))
-            return w.real if part == "re" else w.imag
+    def part(fn, sign: float, imag: bool) -> Scalar2:
+        def ev(x0, rho):
+            w = fn(x0 + 1j * rho)
+            return sign * (w.imag if imag else w.real)
         return ev
 
     profile = MeridionalProfile(
         alpha=2.0,
-        g=make("re", G.lift),
-        dg_dx0=make("re", F.lift),
-        dg_drho=lambda x0, rho: -F.lift(complex(x0, rho)).imag,
-        d2g_dx0x0=make("re", F2.lift),
-        d2g_dx0rho=lambda x0, rho: -F2.lift(complex(x0, rho)).imag,
-        d2g_drhorho=lambda x0, rho: -F2.lift(complex(x0, rho)).real,
-        stream=make("im", G.lift),
+        g=part(G.lift, 1.0, False),
+        dg_dx0=part(F.lift, 1.0, False),
+        dg_drho=part(F.lift, -1.0, True),
+        d2g_dx0x0=part(F2.lift, 1.0, False),
+        d2g_dx0rho=part(F2.lift, -1.0, True),
+        d2g_drhorho=part(F2.lift, -1.0, False),
+        stream=part(G.lift, 1.0, True),
         label=f"holo:{G.name}",
+        vectorized=G.vectorized and F.vectorized and F2.vectorized,
     )
     return MeridionalField(profile)
 

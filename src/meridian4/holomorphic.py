@@ -8,8 +8,11 @@ arbitrary real-linear combinations of them stay inside the table.
 
 The radial derivative f' = (1/2)(d/dx0 - I d/drho)f coincides with the
 complex derivative of the lift, so each RadialFunction carries its lift's
-derivative both as a callable (dlift) and, where registered, as another
-RadialFunction (derivative()).
+derivative, where registered, as another RadialFunction (derivative()).
+
+The lifts of the table accept a complex ndarray as well as a complex scalar:
+arrays go through numpy, scalars through cmath (and come back as a Python
+complex).  The flag RadialFunction.vectorized records which lifts do.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import BranchCut, OnAxis, Pole, StepTooLarge, Unsupported
 from .quaternion import Quaternion, axial_split
@@ -56,16 +61,16 @@ class MeridianValue:
 class RadialFunction:
     """A radially holomorphic function presented through its complex lift.
 
-    lift   : z -> w(z), the defining analytic function
-    dlift  : z -> w'(z), or None when no analytic derivative is registered
-    deriv  : thunk producing the derivative as a RadialFunction, if registered
-    prim   : thunk producing a primitive (constant 0), if registered
+    lift       : z -> w(z), the defining analytic function
+    deriv      : thunk producing the derivative as a RadialFunction, if registered
+    prim       : thunk producing a primitive (constant 0), if registered
+    vectorized : lift also maps a complex ndarray elementwise
     """
     name: str
     lift: Callable[[complex], complex]
-    dlift: Optional[Callable[[complex], complex]] = None
     deriv: Optional[Callable[[], "RadialFunction"]] = field(default=None, repr=False)
     prim: Optional[Callable[[], "RadialFunction"]] = field(default=None, repr=False)
+    vectorized: bool = False
 
     def derivative(self) -> "RadialFunction":
         if self.deriv is None:
@@ -84,12 +89,11 @@ class RadialFunction:
         return RadialFunction(
             name=f"({f.name} + {g.name})",
             lift=lambda z: f.lift(z) + g.lift(z),
-            dlift=(None if f.dlift is None or g.dlift is None
-                   else lambda z: f.dlift(z) + g.dlift(z)),
             deriv=(None if f.deriv is None or g.deriv is None
                    else lambda: f.derivative() + g.derivative()),
             prim=(None if f.prim is None or g.prim is None
                   else lambda: f.primitive() + g.primitive()),
+            vectorized=f.vectorized and g.vectorized,
         )
 
     def __sub__(self, other: "RadialFunction") -> "RadialFunction":
@@ -104,9 +108,9 @@ class RadialFunction:
         return RadialFunction(
             name=f"{c:g}*{f.name}",
             lift=lambda z: c * f.lift(z),
-            dlift=None if f.dlift is None else (lambda z: c * f.dlift(z)),
             deriv=None if f.deriv is None else (lambda: c * f.derivative()),
             prim=None if f.prim is None else (lambda: c * f.primitive()),
+            vectorized=f.vectorized,
         )
 
 
@@ -119,14 +123,32 @@ def default_fd_step(x0: float, rho: float) -> float:
 # atoms: shifted powers, shifted log, exp, trig
 # ---------------------------------------------------------------------------
 
-def _pow_guard(z: complex, n: float, d: float) -> complex:
+def _dual(scalar_fn, array_fn):
+    """One elementary function over a complex scalar (cmath) or ndarray (numpy)."""
+    def fn(z):
+        return array_fn(z) if isinstance(z, np.ndarray) else scalar_fn(z)
+    return fn
+
+
+_exp = _dual(cmath.exp, np.exp)
+_cos = _dual(cmath.cos, np.cos)
+_sin = _dual(cmath.sin, np.sin)
+_log = _dual(cmath.log, np.log)
+
+
+def _hits(mask) -> bool:
+    """A guard condition at a scalar, or at any entry of an array."""
+    return bool(np.any(mask)) if isinstance(mask, np.ndarray) else mask
+
+
+def _pow_guard(z, n: float, d: float):
     zz = z + d
-    if zz == 0:
+    if _hits(zz == 0):
         if n < 0:
             raise Pole(f"pole of (x + {d:g})^{n:g} at x = {-d:g}")
         if n != int(n):
             raise BranchCut("non-integer power at its branch point")
-    if n != int(n) and zz.imag == 0.0 and zz.real < 0.0:
+    if n != int(n) and _hits((zz.imag == 0.0) & (zz.real < 0.0)):
         raise BranchCut("non-integer power on the negative real half axis")
     return zz
 
@@ -138,17 +160,11 @@ def _spow(d: float, n: float, c: float) -> RadialFunction:
     else:
         name = f"{c:g}*(x + {d:g})^{n:g}"
 
-    def lift(z: complex, _d=d, _n=n, _c=c) -> complex:
+    def lift(z, _d=d, _n=n, _c=c):
         zz = _pow_guard(z, _n, _d)
         if _n == 0:
-            return complex(_c)
+            return np.full(zz.shape, complex(_c)) if isinstance(zz, np.ndarray) else complex(_c)
         return _c * zz ** _n
-
-    def dlift(z: complex, _d=d, _n=n, _c=c) -> complex:
-        if _n == 0:
-            return 0j
-        zz = _pow_guard(z, _n - 1, _d)
-        return _c * _n * zz ** (_n - 1)
 
     def deriv(_d=d, _n=n, _c=c) -> RadialFunction:
         if _n == 0:
@@ -160,12 +176,12 @@ def _spow(d: float, n: float, c: float) -> RadialFunction:
             return _sln(_d, _c)
         return _spow(_d, _n + 1, _c / (_n + 1))
 
-    return RadialFunction(name, lift, dlift, deriv, prim)
+    return RadialFunction(name, lift, deriv, prim, vectorized=True)
 
 
-def _ln_guard(z: complex, d: float) -> complex:
+def _ln_guard(z, d: float):
     zz = z + d
-    if zz.imag == 0.0 and zz.real <= 0.0:
+    if _hits((zz.imag == 0.0) & (zz.real <= 0.0)):
         raise BranchCut("ln on the closed negative real half axis")
     return zz
 
@@ -175,10 +191,10 @@ def _sln(d: float, c: float) -> RadialFunction:
     name = f"{c:g}*ln(x + {d:g})" if d != 0.0 else (f"{c:g}*ln(x)" if c != 1.0 else "ln(x)")
     return RadialFunction(
         name,
-        lift=lambda z, _d=d, _c=c: _c * cmath.log(_ln_guard(z, _d)),
-        dlift=lambda z, _d=d, _c=c: _c / _ln_guard(z, _d),
+        lift=lambda z, _d=d, _c=c: _c * _log(_ln_guard(z, _d)),
         deriv=lambda _d=d, _c=c: _spow(_d, -1, _c),
         prim=lambda _d=d, _c=c: _xlnx(_d, _c),
+        vectorized=True,
     )
 
 
@@ -186,16 +202,16 @@ def _xlnx(d: float, c: float) -> RadialFunction:
     """c*((x+d)ln(x+d) - (x+d)): the registered primitive of c*ln(x+d)."""
     name = f"{c:g}*((x+{d:g})ln(x+{d:g}) - (x+{d:g}))"
 
-    def lift(z: complex, _d=d, _c=c) -> complex:
+    def lift(z, _d=d, _c=c):
         zz = _ln_guard(z, _d)
-        return _c * (zz * cmath.log(zz) - zz)
+        return _c * (zz * _log(zz) - zz)
 
     return RadialFunction(
         name,
         lift=lift,
-        dlift=lambda z, _d=d, _c=c: _c * cmath.log(_ln_guard(z, _d)),
         deriv=lambda _d=d, _c=c: _sln(_d, _c),
         prim=None,
+        vectorized=True,
     )
 
 
@@ -207,23 +223,22 @@ def qpow(n: float) -> RadialFunction:
 def _trig(phase: int) -> RadialFunction:
     """The cos/sin derivative four-cycle; phase 0 = cos, 1 = -sin, 2 = -cos, 3 = sin."""
     names = {0: "cos(x)", 1: "-sin(x)", 2: "-cos(x)", 3: "sin(x)"}
-    fns = {0: cmath.cos, 2: cmath.cos, 1: cmath.sin, 3: cmath.sin}
+    fns = {0: _cos, 2: _cos, 1: _sin, 3: _sin}
     sgn = {0: 1.0, 1: -1.0, 2: -1.0, 3: 1.0}
     p = phase % 4
     return RadialFunction(
         names[p],
         lift=lambda z, _p=p: sgn[_p] * fns[_p](z),
-        dlift=lambda z, _p=p: sgn[(_p + 1) % 4] * fns[(_p + 1) % 4](z),
         deriv=lambda _p=p: _trig(_p + 1),
         prim=lambda _p=p: _trig(_p + 3),
+        vectorized=True,
     )
 
 
 def qexp() -> RadialFunction:
     """e^x = e^{x0}(cos rho + I sin rho)."""
-    f = RadialFunction("exp(x)", lift=cmath.exp, dlift=cmath.exp,
-                       deriv=lambda: qexp(), prim=lambda: qexp())
-    return f
+    return RadialFunction("exp(x)", lift=_exp, deriv=lambda: qexp(), prim=lambda: qexp(),
+                          vectorized=True)
 
 
 def qcos() -> RadialFunction:
@@ -263,7 +278,7 @@ def conjugate(f: RadialFunction) -> RadialFunction:
     return RadialFunction(
         name=f"conj({f.name})",
         lift=lambda z: f.lift(z).conjugate(),
-        dlift=None, deriv=None, prim=None,
+        deriv=None, prim=None, vectorized=f.vectorized,
     )
 
 
@@ -287,18 +302,18 @@ def _mob_pow(c: float, d: float, n: int, coeff: float) -> RadialFunction:
     """coeff/(c x + d)^n with its full derivative chain (c != 0)."""
     name = f"{coeff:g}/({c:g}x + {d:g})^{n}"
 
-    def lift(z: complex) -> complex:
+    def lift(z):
         den = c * z + d
-        if den == 0:
+        if _hits(den == 0):
             raise Pole(f"pole at x = {-d / c:g}")
         return coeff / den ** n
 
     return RadialFunction(
         name,
         lift=lift,
-        dlift=lambda z: _mob_pow(c, d, n + 1, -n * c * coeff).lift(z),
         deriv=lambda: _mob_pow(c, d, n + 1, -n * c * coeff),
         prim=None,
+        vectorized=True,
     )
 
 
@@ -309,9 +324,9 @@ def moebius(m: MoebiusRealCoeffs) -> RadialFunction:
         # affine map (a x + b)/d
         return _spow(0.0, 1, a / d) + _spow(0.0, 0, b / d)
 
-    def lift(z: complex) -> complex:
+    def lift(z):
         den = c * z + d
-        if den == 0:
+        if _hits(den == 0):
             raise Pole(f"pole at x = {-d / c:g}")
         return (a * z + b) / den
 
@@ -319,9 +334,9 @@ def moebius(m: MoebiusRealCoeffs) -> RadialFunction:
     return RadialFunction(
         name=f"({a:g}x + {b:g})({c:g}x + {d:g})^-1",
         lift=lift,
-        dlift=lambda z: _mob_pow(c, d, 2, 1.0).lift(z),
         deriv=lambda: _mob_pow(c, d, 2, 1.0),
         prim=None,
+        vectorized=True,
     )
 
 
@@ -357,9 +372,7 @@ def eval_lift(f: RadialFunction, x: Quaternion) -> Quaternion:
 
 def radial_derivative(f: RadialFunction, x0: float, rho: float) -> MeridianValue:
     """f'(x) = (1/2)(d/dx0 - I d/drho) f as a meridian-plane value."""
-    if f.dlift is None:
-        raise Unsupported(f"no registered derivative for {f.name}")
-    w = f.dlift(complex(x0, rho))
+    w = f.derivative().lift(complex(x0, rho))
     return MeridianValue(w.real, w.imag)
 
 

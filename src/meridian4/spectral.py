@@ -14,8 +14,10 @@ Its spectrum is known in closed form: q is a double eigenvalue and
 
     lambda_{2,3} = (alpha-2)/2 q +- sqrt( ((alpha-2)/2 q - p11)^2 + p01^2 ),
 
-so no quartic ever needs to be solved numerically.  The numeric route kept
-alongside as an oracle is a plain cyclic Jacobi iteration.
+so no quartic ever needs to be solved numerically.  The closed form is
+written once over arrays of (q, p01, p11); the numeric route kept alongside
+as an oracle is LAPACK's symmetric eigensolver (numpy.linalg.eigvalsh), which
+takes a whole stack of Jacobians at once.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (AlphaZero, ConvergenceFailure, DomainError, EmptyWindow,
-                     NotSymmetric)
+from .errors import AlphaZero, DomainError, EmptyWindow, NotSymmetric
 from .fields import RHO_MIN, MeridionalField
 from .quaternion import Quaternion
 
@@ -35,7 +36,9 @@ __all__ = [
     "SpectralReport",
     "Jacobian4",
     "jacobian",
+    "jacobian_stack",
     "invariants",
+    "closed_spectrum",
     "eigen_closed",
     "eigen_numeric",
     "degenerate_set",
@@ -57,7 +60,9 @@ class SpectralReport:
 
     pair_eigenvalue records the closed-form double eigenvalue Vrho/rho
     (multiplicity 2); it is None on the numeric route, which cannot
-    attribute multiplicity exactly.
+    attribute multiplicity exactly.  For a stack of matrices (eigen_numeric
+    on an (..., 4, 4) array) lambdas and invariants are (..., 4) arrays and
+    degenerate is a boolean array.
     """
     lambdas: Tuple[float, float, float, float]
     invariants: Tuple[float, float, float, float]
@@ -86,43 +91,51 @@ def _meridian_data(f: MeridionalField, x: Quaternion):
     return rho, q, p01, p11
 
 
-def jacobian(f: MeridionalField, x: Quaternion) -> Jacobian4:
-    """Assemble the symmetric 4x4 Jacobian of the lifted field at x."""
-    rho, q, p01, p11 = _meridian_data(f, x)
-    alpha = f.alpha
-    xm = (x.x1, x.x2, x.x3)
-    J = np.empty((4, 4), dtype=float)
-    J[0, 0] = -p11 + (alpha - 2.0) * q
-    for m in range(3):
-        J[0, m + 1] = J[m + 1, 0] = p01 * xm[m] / rho
-        for n in range(3):
-            if m == n:
-                J[m + 1, m + 1] = (p11 * xm[m] ** 2 / rho ** 2
-                                   + q * (rho ** 2 - xm[m] ** 2) / rho ** 2)
-            else:
-                J[m + 1, n + 1] = (p11 - q) * xm[m] * xm[n] / rho ** 2
+def jacobian_stack(alpha: float, q, p01, p11, axis) -> np.ndarray:
+    """Symmetric Jacobians (..., 4, 4) from meridian data arrays q, p01, p11.
+
+    axis holds the components (..., 3) of the unit vector x_m / rho of each
+    point (broadcast against the data).
+    """
+    u = np.asarray(axis, dtype=float)
+    q, p01, p11 = (np.asarray(v, dtype=float)[..., None] for v in (q, p01, p11))
+    J = np.empty(np.broadcast_shapes(q.shape[:-1], u.shape[:-1]) + (4, 4))
+    J[..., 0, 0] = (-p11 + (alpha - 2.0) * q)[..., 0]
+    J[..., 0, 1:] = J[..., 1:, 0] = p01 * u
+    J[..., 1:, 1:] = (p11 - q)[..., None] * (u[..., :, None] * u[..., None, :])
+    J[..., [1, 2, 3], [1, 2, 3]] = p11 * u * u + q * (1.0 - u * u)
     return J
 
 
-def _check_symmetric(J: Jacobian4) -> None:
+def jacobian(f: MeridionalField, x: Quaternion) -> Jacobian4:
+    """Assemble the symmetric 4x4 Jacobian of the lifted field at x."""
+    rho, q, p01, p11 = _meridian_data(f, x)
+    return jacobian_stack(f.alpha, q, p01, p11, (x.x1 / rho, x.x2 / rho, x.x3 / rho))
+
+
+def _check_symmetric(J) -> np.ndarray:
     J = np.asarray(J, dtype=float)
-    if J.shape != (4, 4):
-        raise NotSymmetric("expected a 4x4 matrix")
-    scale = max(1.0, float(np.max(np.abs(J))))
-    if float(np.max(np.abs(J - J.T))) > 1e-12 * scale:
+    if J.shape[-2:] != (4, 4):
+        raise NotSymmetric("expected a 4x4 matrix or a stack of them")
+    if not np.all(np.isfinite(J)):
+        raise DomainError("matrix has non-finite entries")
+    scale = np.maximum(1.0, np.max(np.abs(J), axis=(-2, -1)))
+    if np.any(np.max(np.abs(J - np.swapaxes(J, -1, -2)), axis=(-2, -1)) > 1e-12 * scale):
         raise NotSymmetric("matrix is not symmetric")
+    return J
 
 
-def invariants(J: Jacobian4) -> Tuple[float, float, float, float]:
+def invariants(J):
     """Principal invariants (I, II, III, IV) of a symmetric 4x4 matrix.
 
     These are the elementary symmetric functions of the eigenvalues,
     written as explicit polynomials in the entries: trace, the sum of 2x2
     principal minors, the sum of 3x3 principal minors, and the determinant.
+    On an (..., 4, 4) stack each invariant is an array over the stack.
     """
-    _check_symmetric(J)
-    d = [float(J[i, i]) for i in range(4)]
-    o = {(i, j): float(J[i, j]) for i in range(4) for j in range(i + 1, 4)}
+    J = _check_symmetric(J)
+    d = [J[..., i, i] for i in range(4)]
+    o = {(i, j): J[..., i, j] for i in range(4) for j in range(i + 1, 4)}
 
     inv1 = d[0] + d[1] + d[2] + d[3]
 
@@ -150,75 +163,57 @@ def invariants(J: Jacobian4) -> Tuple[float, float, float, float]:
                      + J02 * J03 * J12 * J13)
             - J00 * J11 * J23 ** 2 - J00 * J22 * J13 ** 2 - J00 * J33 * J12 ** 2
             - J11 * J22 * J03 ** 2 - J11 * J33 * J02 ** 2 - J22 * J33 * J01 ** 2)
-    return (inv1, inv2, inv3, inv4)
+    out = (inv1, inv2, inv3, inv4)
+    return tuple(float(v) for v in out) if J.ndim == 2 else out
 
 
-def _degenerate(lams, scale: float) -> bool:
-    return min(abs(l) for l in lams) <= DEGENERACY_RTOL * max(1.0, scale)
+def _degenerate(lams: np.ndarray) -> np.ndarray:
+    """min |lambda| <= DEGENERACY_RTOL * max(1, ||lambda||) along the last axis."""
+    frob = np.linalg.norm(lams, axis=-1)
+    return np.min(np.abs(lams), axis=-1) <= DEGENERACY_RTOL * np.maximum(1.0, frob)
+
+
+def closed_spectrum(alpha: float, q, p01, p11):
+    """Closed-form spectrum over arrays of meridian data q, p01, p11.
+
+    Returns the eigenvalues (..., 4) in ascending order, the invariants
+    (..., 4) and the degeneracy mask (...).  Raises DomainError when any of
+    them is not finite.
+    """
+    q, p01, p11 = (np.asarray(v, dtype=float) for v in (q, p01, p11))
+    with np.errstate(all="ignore"):
+        half = 0.5 * (alpha - 2.0) * q
+        rad = np.sqrt((half - p11) ** 2 + p01 ** 2)
+        lams = np.sort(np.stack((q, q, half - rad, half + rad), axis=-1), axis=-1)
+        s = p01 ** 2 + p11 ** 2
+        inv = np.stack((
+            alpha * q,
+            -s + (alpha - 2.0) * q * p11 + (2.0 * alpha - 3.0) * q ** 2,
+            -2.0 * q * s + (alpha - 2.0) * q ** 2 * (2.0 * p11 + q),
+            -q ** 2 * s + (alpha - 2.0) * q ** 3 * p11), axis=-1)
+        degenerate = _degenerate(lams)
+    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(inv))):
+        raise DomainError("closed-form spectrum overflows")
+    return lams, inv, degenerate
 
 
 def eigen_closed(f: MeridionalField, x: Quaternion) -> SpectralReport:
     """Closed-form spectrum of the meridional Jacobian at x."""
     _, q, p01, p11 = _meridian_data(f, x)
-    alpha = f.alpha
-    half = 0.5 * (alpha - 2.0) * q
-    rad = math.sqrt((half - p11) ** 2 + p01 ** 2)
-    lams = sorted((q, q, half - rad, half + rad))
-
-    inv = (alpha * q,
-           -(p01 ** 2 + p11 ** 2) + (alpha - 2.0) * q * p11 + (2.0 * alpha - 3.0) * q ** 2,
-           -2.0 * q * (p01 ** 2 + p11 ** 2) + (alpha - 2.0) * q ** 2 * (2.0 * p11 + q),
-           -q ** 2 * (p01 ** 2 + p11 ** 2) + (alpha - 2.0) * q ** 3 * p11)
-
-    frob = math.sqrt(sum(l * l for l in lams))
-    return SpectralReport(tuple(lams), inv, _degenerate(lams, frob),
+    lams, inv, degenerate = closed_spectrum(f.alpha, q, p01, p11)
+    return SpectralReport(tuple(lams.tolist()), tuple(inv.tolist()), bool(degenerate),
                           "closed", pair_eigenvalue=q)
 
 
-def _jacobi_rotate(A: np.ndarray) -> None:
-    """One cyclic sweep of Jacobi rotations, in place."""
-    n = A.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = A[p, q]
-            if apq == 0.0:
-                continue
-            app, aqq = A[p, p], A[q, q]
-            theta = 0.5 * (aqq - app) / apq
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            # apply the rotation G(p,q) on both sides
-            for k in range(n):
-                akp, akq = A[k, p], A[k, q]
-                A[k, p] = c * akp - s * akq
-                A[k, q] = s * akp + c * akq
-            for k in range(n):
-                apk, aqk = A[p, k], A[q, k]
-                A[p, k] = c * apk - s * aqk
-                A[q, k] = s * apk + c * aqk
-
-
-def _offdiag_norm(A: np.ndarray) -> float:
-    mask = ~np.eye(A.shape[0], dtype=bool)
-    return float(np.sqrt(np.sum(A[mask] ** 2)))
-
-
-def eigen_numeric(J: Jacobian4) -> SpectralReport:
-    """Cyclic Jacobi spectrum of a symmetric 4x4 matrix (independent oracle)."""
-    _check_symmetric(J)
-    A = np.array(J, dtype=float)
-    frob = float(np.sqrt(np.sum(A * A)))
-    target = 1e-13 * max(frob, 1e-300)
-    sweeps = 0
-    while _offdiag_norm(A) > target:
-        _jacobi_rotate(A)
-        sweeps += 1
-        if sweeps > 60:
-            raise ConvergenceFailure("Jacobi sweep limit reached")
-    lams = sorted(float(A[i, i]) for i in range(4))
-    inv = invariants(np.asarray(J, dtype=float))
-    return SpectralReport(tuple(lams), inv, _degenerate(lams, frob), "jacobi")
+def eigen_numeric(J) -> SpectralReport:
+    """LAPACK eigvalsh spectrum (independent oracle) of a symmetric 4x4
+    matrix, or of each matrix of an (..., 4, 4) stack."""
+    J = _check_symmetric(J)
+    lams = np.linalg.eigvalsh(J)
+    inv = invariants(J)
+    if J.ndim == 2:
+        return SpectralReport(tuple(lams.tolist()), inv, bool(_degenerate(lams)), "eigvalsh")
+    return SpectralReport(lams, np.stack(inv, axis=-1), _degenerate(lams), "eigvalsh")
 
 
 # ---------------------------------------------------------------------------

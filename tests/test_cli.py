@@ -91,6 +91,8 @@ def test_eval_is_byte_deterministic():
     ("holo:name=qpow,n=2", "1:0:2,1:2:2"),           # lo >= hi
     ("holo:name=qpow,n=2", "0:1:2,1e-9:2:2"),        # rho below the floor
     ("holo:name=qpow,n=2", "0:1:2"),                 # missing rho axis
+    ("separable:alpha=3,beta=nan", "0:1:2,1:2:2"),   # non-finite parameter
+    ("holo:name=qpow,n=inf", "0:1:2,1:2:2"),         # non-finite parameter
 ])
 def test_spec_errors_exit_2(field, grid):
     r = run_cli("eval", "--field", field, "--grid", grid)
@@ -179,6 +181,14 @@ def test_verify_seed_changes_samples_but_not_verdict():
     assert "seed=1" in a.stdout and "seed=2" in b.stdout
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_empty_sample_set(samples):
+    r = run_cli("verify", "epd", "--field", "holo:name=qexp", "--samples", samples)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
+
+
 def test_verify_requires_target():
     assert run_cli("verify", "epd").returncode == 2
     assert run_cli("verify", "weinstein").returncode == 2
@@ -264,6 +274,29 @@ def test_flow_rejects_bad_start():
     r = run_cli("flow", "--field", "holo:name=qexp", "--start", "1,0,0,0",
                 "--dt", "0.01", "--horizon", "1")
     assert r.returncode == 3  # rho = 0 start is a domain error
+
+
+@pytest.mark.parametrize("dt,horizon", [("nan", "0.5"), ("0.01", "inf"),
+                                        ("0.01", "nan"), ("inf", "1")])
+def test_flow_rejects_non_finite_step_or_horizon(dt, horizon):
+    r = run_cli("flow", "--field", "holo:name=qexp", "--start", "0.5,0.1,0,0",
+                "--dt", dt, "--horizon", horizon)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert "DomainError" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--field", "holo:name=qexp", "--grid=700:720:2,0.1:1:2"),
+    ("spectrum", "--field", "holo:name=qpow,n=3", "--grid=1e200:2e200:2,0.1:1:2"),
+    ("flow", "--field", "holo:name=qexp", "--start", "0.5,0.1,0.2,0",
+     "--dt", "0.001", "--horizon", "1"),
+], ids=["eval-qexp", "spectrum-qpow", "flow-qexp"])
+def test_overflow_exits_3_without_output(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

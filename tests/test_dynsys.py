@@ -136,6 +136,13 @@ def test_flow_argument_guards():
         flow(f, Quaternion(0.5, 0, 0, 0), dt=1e-3, horizon=1.0)
 
 
+@pytest.mark.parametrize("dt,horizon", [(math.nan, 1.0), (1e-3, math.inf),
+                                        (1e-3, math.nan), (math.inf, 1.0)])
+def test_flow_rejects_non_finite_step_or_horizon(dt, horizon):
+    with pytest.raises(DomainError):
+        flow(_saddle_field(), Quaternion(0.5, 0.1, 0, 0), dt=dt, horizon=horizon)
+
+
 def test_converged_speed_constant():
     assert CONVERGED_SPEED == 1e-10
 

@@ -157,7 +157,7 @@ def test_char_residuals_small():
 
 def test_numeric_reports_no_pair():
     rep = eigen_numeric(np.diag([4.0, 3.0, 2.0, 1.0]))
-    assert rep.method == "jacobi"
+    assert rep.method == "eigvalsh"
     assert rep.pair_eigenvalue is None
     assert rep.lambdas == (1.0, 2.0, 3.0, 4.0)
 
