@@ -268,7 +268,7 @@ def parse_potential_spec(text: str, default_alpha: float):
         _reject_extras(params, name)
         return lambda x: x.x0 ** 2 - x.x3 ** 2
 
-    raise SpecError(f"unknown potential {name!r} (x3pow, rho3, x0sq-x3sq)")
+    raise SpecError(f"unknown potential {name!r} (x3pow, rhopow, rho3, x0sq-x3sq)")
 
 
 def parse_grid(text: str):
@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", help="field spec (epd, stokes, system, symmetry, criterion)")
     p.add_argument("--potential",
                    help="scalar potential spec (weinstein, axial, criterion): "
-                        "x3pow[:alpha=A] | rho3 | x0sq-x3sq")
+                        "x3pow[:alpha=A] | rhopow:e=E | rho3 | x0sq-x3sq")
     p.add_argument("--alpha", type=float, default=2.0,
                    help="operator parameter for weinstein/axial (default 2)")
     p.add_argument("--samples", type=int, default=100)

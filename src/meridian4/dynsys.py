@@ -81,7 +81,8 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
         except DomainError:
             termination = "left_domain"
             break
-        if x_next.rho() <= RHO_MIN:
+        # signed distance along the initial axis (a step through the axis lands below 0)
+        if axis0.x1 * x_next.x1 + axis0.x2 * x_next.x2 + axis0.x3 * x_next.x3 <= RHO_MIN:
             termination = "left_domain"
             break
         axis1 = axial_split(x_next).axis

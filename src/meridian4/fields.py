@@ -9,9 +9,12 @@ where g satisfies the degenerate-elliptic meridian equation
 
     rho (g_x0x0 + g_rhorho) - (alpha - 2) g_rho = 0.
 
-Two closed-form constructors are provided (radially holomorphic potentials,
-alpha = 2; separable Bessel-type solutions, any alpha) together with the
-finite-difference verifiers for the underlying PDE family.
+Fields of radially holomorphic potentials G (alpha = 2) share one builder,
+lifted_field, which reads g, the field and its partials off the complex
+lifts of G, G' and G''.  Both the table functions (from_holomorphic_potential)
+and the transform fields of the transforms module go through it.  Separable
+Bessel-type solutions (any alpha) have their own constructor.  The module
+also holds the finite-difference verifiers for the underlying PDE family.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "MeridionalField",
     "SeparableParams",
     "from_holomorphic_potential",
+    "lifted_field",
     "from_separable",
     "lift_to_r4",
     "verify_epd",
@@ -49,6 +53,7 @@ __all__ = [
 RHO_MIN = 1e-6
 
 Scalar2 = Callable[[float, float], float]
+Lift = Callable[[complex], complex]
 
 
 @dataclass
@@ -163,8 +168,8 @@ _PROBES = ((0.5, 0.7), (1.3, 0.4), (-0.8, 1.1))
 def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
     """alpha = 2 field of a radially holomorphic potential G = g + I*gh.
 
-    V0 and Vrho come from the radial derivative G' (V0 = Re G', Vrho = -Im G'),
-    the second partials from G''.  G is probed for antiholomorphy before use.
+    G is probed for antiholomorphy, then its lift and the lifts of G' and G''
+    go to lifted_field.
     """
     probed = 0
     for px, pr in _PROBES:
@@ -183,8 +188,19 @@ def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
 
     F = G.derivative()
     F2 = F.derivative()
+    return lifted_field(G.lift, F.lift, F2.lift, f"holo:{G.name}",
+                        G.vectorized and F.vectorized and F2.vectorized)
 
-    def part(fn, sign: float, imag: bool) -> Scalar2:
+
+def lifted_field(G: Lift, F: Lift, F2: Lift, label: str,
+                 vectorized: bool) -> MeridionalField:
+    """alpha = 2 field of a potential whose complex lift is G, with F = G', F2 = G''.
+
+    At z = x0 + i*rho: g = Re G, stream = Im G, V0 = Re G', Vrho = -Im G',
+    d2g_dx0x0 = Re G'', d2g_dx0rho = -Im G'', d2g_drhorho = -Re G''.
+    vectorized says that the three lifts also map complex ndarrays.
+    """
+    def part(fn: Lift, sign: float, imag: bool) -> Scalar2:
         def ev(x0, rho):
             w = fn(x0 + 1j * rho)
             return sign * (w.imag if imag else w.real)
@@ -192,15 +208,15 @@ def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
 
     profile = MeridionalProfile(
         alpha=2.0,
-        g=part(G.lift, 1.0, False),
-        dg_dx0=part(F.lift, 1.0, False),
-        dg_drho=part(F.lift, -1.0, True),
-        d2g_dx0x0=part(F2.lift, 1.0, False),
-        d2g_dx0rho=part(F2.lift, -1.0, True),
-        d2g_drhorho=part(F2.lift, -1.0, False),
-        stream=part(G.lift, 1.0, True),
-        label=f"holo:{G.name}",
-        vectorized=G.vectorized and F.vectorized and F2.vectorized,
+        g=part(G, 1.0, False),
+        dg_dx0=part(F, 1.0, False),
+        dg_drho=part(F, -1.0, True),
+        d2g_dx0x0=part(F2, 1.0, False),
+        d2g_dx0rho=part(F2, -1.0, True),
+        d2g_drhorho=part(F2, -1.0, False),
+        stream=part(G, 1.0, True),
+        label=label,
+        vectorized=vectorized,
     )
     return MeridionalField(profile)
 

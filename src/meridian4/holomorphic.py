@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BranchCut, OnAxis, Pole, StepTooLarge, Unsupported
-from .quaternion import Quaternion, axial_split
+from .quaternion import Quaternion, axial_split, from_lift
 
 __all__ = [
     "MeridianValue",
@@ -46,8 +46,6 @@ __all__ = [
     "primitive",
     "default_fd_step",
 ]
-
-_ONAXIS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -361,13 +359,7 @@ def eval_lift(f: RadialFunction, x: Quaternion) -> Quaternion:
     otherwise the axial direction would be ambiguous and OnAxis is raised.
     """
     split = axial_split(x)
-    w = f.lift(complex(split.a, split.b))
-    if split.axis is None:
-        if abs(w.imag) > _ONAXIS_TOL * (1.0 + abs(w)):
-            raise OnAxis(f"{f.name} has no real limit at x0 = {split.a:g}")
-        return Quaternion(w.real, 0.0, 0.0, 0.0)
-    ax = split.axis
-    return Quaternion(w.real, w.imag * ax.x1, w.imag * ax.x2, w.imag * ax.x3)
+    return from_lift(f.lift(complex(split.a, split.b)), x)
 
 
 def radial_derivative(f: RadialFunction, x0: float, rho: float) -> MeridianValue:

@@ -12,6 +12,7 @@ on that plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,7 @@ __all__ = [
     "mul",
     "axial_split",
     "from_axial",
+    "from_lift",
     "angles",
 ]
 
@@ -75,7 +77,8 @@ class Quaternion:
 
     def rho(self) -> float:
         """Distance from the real axis, |(x1, x2, x3)|."""
-        return math.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+        # hypot scales internally, so components below 1e-154 do not underflow
+        return math.hypot(self.x1, self.x2, self.x3)
 
     def components(self) -> tuple:
         return (self.x0, self.x1, self.x2, self.x3)
@@ -108,6 +111,11 @@ def axial_split(x: Quaternion) -> AxialForm:
     b = x.rho()
     if b == 0.0:
         return AxialForm(x.x0, 0.0, None)
+    if b < sys.float_info.min:
+        # a subnormal b has lost relative precision: rescale by a power of
+        # two, which is exact, and normalise the rescaled imaginary part
+        u = x.scale(2.0 ** 600)
+        return AxialForm(x.x0, b, axial_split(u).axis)
     axis = Quaternion(0.0, x.x1 / b, x.x2 / b, x.x3 / b)
     return AxialForm(x.x0, b, axis)
 
@@ -121,6 +129,19 @@ def from_axial(a: float, b: float, axis: Quaternion) -> Quaternion:
     if abs(axis.norm() - 1.0) > 1e-12:
         raise ValueError("axis must have unit norm")
     return Quaternion(a, b * axis.x1, b * axis.x2, b * axis.x3)
+
+
+def from_lift(w: complex, x: Quaternion) -> Quaternion:
+    """Re-embed a lift value w = u + i*v as u + v*I along the axis I of x.
+
+    On the real axis I is undefined, so w must be real to 1e-12 (1 + |w|)."""
+    split = axial_split(x)
+    if split.axis is None:
+        if abs(w.imag) > 1e-12 * (1.0 + abs(w)):
+            raise OnAxis(f"value {w} has no real limit on the axis at x0 = {x.x0:g}")
+        return Quaternion(w.real, 0.0, 0.0, 0.0)
+    ax = split.axis
+    return Quaternion(w.real, w.imag * ax.x1, w.imag * ax.x2, w.imag * ax.x3)
 
 
 @dataclass(frozen=True)

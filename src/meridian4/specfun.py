@@ -18,11 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .errors import ConvergenceFailure, DomainError, IntegerOrderUnsupported, OnAxis
-from .quaternion import Quaternion, axial_split
-
-# re-exported here because the integral-representation machinery consumes them
-from .transforms import OriginalFunction, cheb_original, chebyshev_kernel  # noqa: F401
+from .errors import ConvergenceFailure, DomainError, IntegerOrderUnsupported
+from .quaternion import Quaternion, axial_split, from_lift
 
 __all__ = [
     "factorial",
@@ -33,9 +30,6 @@ __all__ = [
     "bessel_y",
     "bessel_j_quat",
     "power_to_bessel_partial",
-    "OriginalFunction",
-    "cheb_original",
-    "chebyshev_kernel",
 ]
 
 MAX_ABS_Z = 30.0
@@ -154,16 +148,6 @@ def bessel_y(nu: float, z: float) -> float:
     return (jp * math.cos(nu * math.pi) - jm) / math.sin(nu * math.pi)
 
 
-def _reembed(w: complex, x: Quaternion) -> Quaternion:
-    split = axial_split(x)
-    if split.axis is None:
-        if abs(w.imag) > 1e-12 * (1.0 + abs(w)):
-            raise OnAxis("no real limit on the axis")
-        return Quaternion(w.real, 0.0, 0.0, 0.0)
-    ax = split.axis
-    return Quaternion(w.real, w.imag * ax.x1, w.imag * ax.x2, w.imag * ax.x3)
-
-
 def bessel_j_quat(n: Union[int, float], x: Quaternion) -> Quaternion:
     """J_n at a quaternion argument through the complex lift (entire function)."""
     split = axial_split(x)
@@ -174,7 +158,7 @@ def bessel_j_quat(n: Union[int, float], x: Quaternion) -> Quaternion:
     if not _is_int(nu) and split.b == 0.0 and split.a < 0.0:
         raise DomainError("non-integer order on the negative real axis")
     val, _ = _jv_reduced(nu, z)
-    return _reembed(val, x)
+    return from_lift(val, x)
 
 
 def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
@@ -192,4 +176,4 @@ def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
         coeff = (m + 2 * n) * factorial(m + n - 1) / factorial(n)
         jv, _ = _jv_ascending(float(m + 2 * n), z)
         total += coeff * jv
-    return _reembed(total, x)
+    return from_lift(total, x)

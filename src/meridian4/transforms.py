@@ -3,9 +3,9 @@
 An original function eta lives on [0, T] (or [0, inf)) and is pushed through
 one of three kernels at a quaternionic parameter x = x0 + rho*I:
 
-    laplace :  integral eta(tau) exp(-x tau) dtau
-    ffc     :  integral eta(tau) cos(x tau) dtau
-    ffs     :  integral eta(tau) sin(x tau) dtau
+    lf   :  integral eta(tau) exp(-x tau) dtau
+    ffc  :  integral eta(tau) cos(x tau) dtau
+    ffs  :  integral eta(tau) sin(x tau) dtau
 
 All kernels are evaluated at z = x0 + i*rho and re-embedded along the axis.
 Quadrature is composite Gauss-Legendre with panel doubling until two
@@ -13,6 +13,15 @@ successive refinements agree below tol.  Originals with an inverse-square-
 root endpoint singularity (the Chebyshev family) are integrated after the
 tau = sin(u) substitution, which removes the weight exactly when the smooth
 numerator eta(tau)*sqrt(1-tau^2) is supplied.
+
+A transform field (alpha = 2) is the field of the radially holomorphic
+potential G whose derivative G' is the ffc or ffs transform.  The lifts of
+G (with G(0) = 0), G' and G'' integrate eta against the kernels
+
+    ffc :  sin(z t)/t          cos(z t)    -t sin(z t)
+    ffs :  (1 - cos(z t))/t    sin(z t)     t cos(z t)
+
+and go to fields.lifted_field.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import (AbscissaViolation, ConvergenceFailure, DomainError,
-                     KernelGrowth, OnAxis, Unsupported)
-from .quaternion import Quaternion, axial_split
+                     KernelGrowth, Unsupported)
+from .fields import MeridionalField, lifted_field
+from .quaternion import Quaternion, axial_split, from_lift
 
 __all__ = [
     "OriginalFunction",
@@ -35,6 +45,7 @@ __all__ = [
     "cheb_original",
     "unit_original",
     "exp_decay_original",
+    "transform_detail",
     "laplace_fueter",
     "ff_cos",
     "ff_sin",
@@ -141,72 +152,55 @@ def _truncation(gap: float, bound_m: float, tol: float) -> float:
     return max(1.0, math.log(arg) / gap)
 
 
-def _reembed(w: complex, x: Quaternion) -> Quaternion:
-    split = axial_split(x)
-    if split.axis is None:
-        if abs(w.imag) > 1e-12 * (1.0 + abs(w)):
-            raise OnAxis("transform value has no real limit on the axis")
-        return Quaternion(w.real, 0.0, 0.0, 0.0)
-    ax = split.axis
-    return Quaternion(w.real, w.imag * ax.x1, w.imag * ax.x2, w.imag * ax.x3)
+# kernel factories: z -> (tau -> kernel(z, tau))
+_KERNEL = {
+    "lf": lambda z: lambda t: cmath.exp(-z * t),
+    "ffc": lambda z: lambda t: cmath.cos(z * t),
+    "ffs": lambda z: lambda t: cmath.sin(z * t),
+}
 
 
-def laplace_fueter_detail(eta: OriginalFunction, x: Quaternion,
-                          tol: float = DEFAULT_TOL) -> Tuple[Quaternion, QuadratureSpec]:
-    split = axial_split(x)
-    z = complex(split.a, split.b)
+def _upper(kind: str, eta: OriginalFunction, z: complex, tol: float) -> float:
+    """The support, or where the tail drops below tol/2: lf needs Re z right of
+    the abscissa, ffc/ffs a decay faster than the kernel's e^(|Im z| tau)."""
     if eta.compact():
-        upper = eta.support_t
-    else:
-        gap = split.a - eta.growth_rate_s0
+        return eta.support_t
+    if kind == "lf":
+        gap = z.real - eta.growth_rate_s0
         if gap <= 0.0:
             raise AbscissaViolation(
-                f"x0 = {split.a:g} not right of the abscissa s0 = {eta.growth_rate_s0:g}")
-        upper = _truncation(gap, eta.bound_m, tol)
-    val, spec = _integrate_original(eta, lambda t: cmath.exp(-z * t), upper, tol)
-    return _reembed(val, x), spec
+                f"x0 = {z.real:g} not right of the abscissa s0 = {eta.growth_rate_s0:g}")
+    else:
+        gap = eta.decay_rate - abs(z.imag)
+        if gap <= 0.0:
+            raise KernelGrowth(
+                f"kernel grows like e^(rho tau) with rho = {abs(z.imag):g}; original "
+                f"decays at rate {eta.decay_rate:g} — integral not dominated")
+    return _truncation(gap, eta.bound_m, tol)
+
+
+def transform_detail(kind: str, eta: OriginalFunction, x: Quaternion,
+                     tol: float = DEFAULT_TOL) -> Tuple[Quaternion, QuadratureSpec]:
+    """The lf, ffc or ffs transform of eta at x, with its quadrature record."""
+    if kind not in _KERNEL:
+        raise DomainError(f"transform kind must be 'lf', 'ffc' or 'ffs', got {kind!r}")
+    split = axial_split(x)
+    z = complex(split.a, split.b)
+    val, spec = _integrate_original(eta, _KERNEL[kind](z), _upper(kind, eta, z, tol), tol)
+    return from_lift(val, x), spec
 
 
 def laplace_fueter(eta: OriginalFunction, x: Quaternion,
                    tol: float = DEFAULT_TOL) -> Quaternion:
-    return laplace_fueter_detail(eta, x, tol)[0]
-
-
-def _ff_upper(eta: OriginalFunction, rho: float, tol: float) -> float:
-    if eta.compact():
-        return eta.support_t
-    gap = eta.decay_rate - rho
-    if gap <= 0.0:
-        raise KernelGrowth(
-            f"kernel grows like e^(rho tau) with rho = {rho:g}; original decays "
-            f"at rate {eta.decay_rate:g} — integral not dominated")
-    return _truncation(gap, eta.bound_m, tol)
-
-
-def ff_cos_detail(eta: OriginalFunction, x: Quaternion,
-                  tol: float = DEFAULT_TOL) -> Tuple[Quaternion, QuadratureSpec]:
-    split = axial_split(x)
-    z = complex(split.a, split.b)
-    upper = _ff_upper(eta, split.b, tol)
-    val, spec = _integrate_original(eta, lambda t: cmath.cos(z * t), upper, tol)
-    return _reembed(val, x), spec
+    return transform_detail("lf", eta, x, tol)[0]
 
 
 def ff_cos(eta: OriginalFunction, x: Quaternion, tol: float = DEFAULT_TOL) -> Quaternion:
-    return ff_cos_detail(eta, x, tol)[0]
-
-
-def ff_sin_detail(eta: OriginalFunction, x: Quaternion,
-                  tol: float = DEFAULT_TOL) -> Tuple[Quaternion, QuadratureSpec]:
-    split = axial_split(x)
-    z = complex(split.a, split.b)
-    upper = _ff_upper(eta, split.b, tol)
-    val, spec = _integrate_original(eta, lambda t: cmath.sin(z * t), upper, tol)
-    return _reembed(val, x), spec
+    return transform_detail("ffc", eta, x, tol)[0]
 
 
 def ff_sin(eta: OriginalFunction, x: Quaternion, tol: float = DEFAULT_TOL) -> Quaternion:
-    return ff_sin_detail(eta, x, tol)[0]
+    return transform_detail("ffs", eta, x, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,52 +286,48 @@ def bessel_integral_rep(n: int, parity: str, x: Quaternion,
 # transform-backed meridional fields (alpha = 2)
 # ---------------------------------------------------------------------------
 
-def transform_field(kind: str, eta: OriginalFunction, tol: float = DEFAULT_TOL):
-    """Meridional field (alpha = 2) from a cosine- or sine-type transform.
+# kind -> kernel factories of the potential's lifts G, G' and G''
+_FIELD_KERNELS = {
+    "ffc": (lambda z: lambda t: cmath.sin(z * t) / t if t != 0.0 else z,
+            _KERNEL["ffc"],
+            lambda z: lambda t: -t * cmath.sin(z * t)),
+    "ffs": (lambda z: lambda t: (1.0 - cmath.cos(z * t)) / t if t != 0.0 else 0j,
+            _KERNEL["ffs"],
+            lambda z: lambda t: t * cmath.cos(z * t)),
+}
 
-    ffc:  V0 =  ∫ eta cosh(rho t) cos(x0 t) dt,  Vrho =  ∫ eta sinh(rho t) sin(x0 t) dt
-    ffs:  V0 =  ∫ eta cosh(rho t) sin(x0 t) dt,  Vrho = -∫ eta sinh(rho t) cos(x0 t) dt
 
-    The potential g and stream gh are the gauge-fixed primitives (finite
-    integrands at t = 0); differentiation under the integral sign supplies
-    the second partials.
+def _transform_lift(kind: str, kernel, eta: OriginalFunction, tol: float):
+    """z -> integral of eta(t) kernel(z)(t) dt at a complex scalar or ndarray.
+
+    An ndarray is a loop of the scalar quadrature, so both give the same bits.
+    A one-slot memo lets V0 and Vrho read one integral of G', and the two
+    dVrho partials one integral of G''.
     """
-    from .fields import MeridionalField, MeridionalProfile  # deferred: fields imports specfun
+    def scalar(z: complex) -> complex:
+        return _integrate_original(eta, kernel(z), _upper(kind, eta, z, tol), tol)[0]
 
-    if kind not in ("ffc", "ffs"):
+    memo = [None, None]
+
+    def lift(z):
+        key = (np.shape(z), np.asarray(z, dtype=complex).tobytes())
+        if key != memo[0]:
+            memo[1] = (np.array([scalar(w) for w in z.ravel().tolist()],
+                                dtype=complex).reshape(z.shape)
+                       if isinstance(z, np.ndarray) else scalar(complex(z)))
+            memo[0] = key
+        return memo[1]
+    return lift
+
+
+def transform_field(kind: str, eta: OriginalFunction,
+                    tol: float = DEFAULT_TOL) -> MeridionalField:
+    """Meridional field (alpha = 2) whose potential's lift is a transform of eta.
+
+    G' is the ffc or ffs transform, so V0 - i*Vrho = G'(x0 + i*rho); see the
+    module docstring for the kernels of G, G' and G''.
+    """
+    if kind not in _FIELD_KERNELS:
         raise DomainError(f"transform field kind must be 'ffc' or 'ffs', got {kind!r}")
-
-    def integ(make_integrand):
-        def value(x0: float, rho: float) -> float:
-            upper = _ff_upper(eta, rho, tol)
-            val, _ = _integrate_original(eta, make_integrand(x0, rho), upper, tol)
-            return val.real
-        return value
-
-    if kind == "ffc":
-        g = integ(lambda x0, rho: lambda t:
-                  math.cosh(rho * t) * (math.sin(x0 * t) / t if t != 0.0 else x0))
-        v0 = integ(lambda x0, rho: lambda t: math.cosh(rho * t) * math.cos(x0 * t))
-        vr = integ(lambda x0, rho: lambda t: math.sinh(rho * t) * math.sin(x0 * t))
-        d2_00 = integ(lambda x0, rho: lambda t: -t * math.cosh(rho * t) * math.sin(x0 * t))
-        d2_0r = integ(lambda x0, rho: lambda t: t * math.sinh(rho * t) * math.cos(x0 * t))
-        d2_rr = integ(lambda x0, rho: lambda t: t * math.cosh(rho * t) * math.sin(x0 * t))
-        stream = integ(lambda x0, rho: lambda t:
-                       (math.sinh(rho * t) / t if t != 0.0 else rho) * math.cos(x0 * t))
-    else:
-        g = integ(lambda x0, rho: lambda t:
-                  -(math.cosh(rho * t) * math.cos(x0 * t) - 1.0) / t if t != 0.0 else 0.0)
-        v0 = integ(lambda x0, rho: lambda t: math.cosh(rho * t) * math.sin(x0 * t))
-        vr = integ(lambda x0, rho: lambda t: -math.sinh(rho * t) * math.cos(x0 * t))
-        d2_00 = integ(lambda x0, rho: lambda t: t * math.cosh(rho * t) * math.cos(x0 * t))
-        d2_0r = integ(lambda x0, rho: lambda t: t * math.sinh(rho * t) * math.sin(x0 * t))
-        d2_rr = integ(lambda x0, rho: lambda t: -t * math.cosh(rho * t) * math.cos(x0 * t))
-        stream = integ(lambda x0, rho: lambda t:
-                       (math.sinh(rho * t) / t if t != 0.0 else rho) * math.sin(x0 * t))
-
-    profile = MeridionalProfile(
-        alpha=2.0, g=g, dg_dx0=v0, dg_drho=vr,
-        d2g_dx0x0=d2_00, d2g_dx0rho=d2_0r, d2g_drhorho=d2_rr,
-        stream=stream, label=f"transform:{kind}:{eta.name}",
-    )
-    return MeridionalField(profile)
+    G, F, F2 = (_transform_lift(kind, k, eta, tol) for k in _FIELD_KERNELS[kind])
+    return lifted_field(G, F, F2, f"transform:{kind}:{eta.name}", vectorized=True)

@@ -189,6 +189,14 @@ def test_verify_rejects_empty_sample_set(samples):
     assert r.stderr.startswith("error: ")
 
 
+def test_unknown_potential_names_all_four():
+    r = run_cli("verify", "weinstein", "--potential", "nope")
+    assert r.returncode == 2
+    for name in ("x3pow", "rhopow", "rho3", "x0sq-x3sq"):
+        assert name in r.stderr
+    assert "rhopow:e=E" in run_cli("verify", "--help").stdout
+
+
 def test_verify_requires_target():
     assert run_cli("verify", "epd").returncode == 2
     assert run_cli("verify", "weinstein").returncode == 2
@@ -265,6 +273,18 @@ def test_flow_left_domain_json():
     data = json.loads(r.stdout)
     assert data["termination"] == "left_domain"
     assert data["rows"][-1]["x1"] > 1e-6
+
+
+def test_flow_through_the_axis_leaves_domain():
+    # an RK4 step passes through the axis and lands on the far side
+    r = run_cli("flow", "--field",
+                "separable:alpha=2.5,beta=1.2607497567255213,a1=1.0,"
+                "a2=0.5531754135469718,b1=0.8422967147337637,b2=-0.2624236026413273",
+                "--start=-0.42308116697232234,-0.7807978040581653,"
+                "0.8050457338446678,0.22060906977214317",
+                "--dt", "0.005", "--horizon", "1.0")
+    assert r.returncode == 0, r.stderr
+    assert "termination: left_domain" in r.stderr
 
 
 def test_flow_rejects_bad_start():

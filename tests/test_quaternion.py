@@ -196,6 +196,21 @@ def test_axial_round_trip(x):
     assert (back - x).norm() <= 1e-12 * max(1.0, x.norm())
 
 
+@pytest.mark.parametrize("x", [
+    Quaternion(1.0, 3.5675638243663433e-159, 0.0, 0.0),
+    Quaternion(1.0, 0.0, 0.0, 1.3341594301911255e-157),
+    Quaternion(0.0, 1e-310, 1e-310, 3e-311),
+    Quaternion(0.0, 5e-324, 5e-324, 0.0),
+])
+def test_axial_split_tiny_components(x):
+    # squaring such components underflows; the axis must still be unit
+    form = axial_split(x)
+    assert abs(form.axis.norm() - 1.0) <= 1e-15
+    assert math.isclose(form.b, math.hypot(x.x1, x.x2, x.x3))
+    back = from_axial(form.a, form.b, form.axis)
+    assert (back - x).norm() <= 1e-12
+
+
 @given(quats().filter(lambda q: q.rho() > 1e-3))
 @settings(max_examples=200)
 def test_angles_round_trip(x):
@@ -212,3 +227,14 @@ def test_angles_round_trip(x):
                             rel_tol=1e-9, abs_tol=1e-9 * rho)
         assert math.isclose(x.x3, rho * math.sin(c.theta) * math.sin(c.psi),
                             rel_tol=1e-9, abs_tol=1e-9 * rho)
+
+
+def test_from_lift_embeds_along_the_axis():
+    from meridian4.quaternion import from_lift
+
+    got = from_lift(complex(1.5, -2.0), Quaternion(0.3, 0.0, 0.6, 0.8))
+    assert got == Quaternion(1.5, 0.0, -2.0 * 0.6, -2.0 * 0.8)
+    # on the real axis only a real value has a direction-free embedding
+    assert from_lift(complex(2.0, 1e-13), Quaternion(-1.0, 0, 0, 0)) == Quaternion(2.0, 0, 0, 0)
+    with pytest.raises(OnAxis):
+        from_lift(complex(2.0, 1e-11), Quaternion(-1.0, 0, 0, 0))

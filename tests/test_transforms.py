@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from meridian4.quaternion import Quaternion
@@ -12,10 +13,9 @@ from meridian4.transforms import (
     chebyshev_kernel,
     exp_decay_original,
     ff_cos,
-    ff_cos_detail,
     ff_sin,
     laplace_fueter,
-    laplace_fueter_detail,
+    transform_detail,
     transform_field,
     unit_original,
 )
@@ -71,7 +71,7 @@ def test_laplace_abscissa_violation():
 
 
 def test_quadrature_spec_reporting():
-    _, spec = laplace_fueter_detail(unit_original(), Quaternion(2, 0, 1, 0))
+    _, spec = transform_detail("lf", unit_original(), Quaternion(2, 0, 1, 0))
     assert spec.scheme == "gauss_legendre_panels"
     assert spec.nodes_per_panel == 16
     assert spec.panels >= 2 and spec.panels & (spec.panels - 1) == 0
@@ -267,3 +267,41 @@ def test_transform_field_stream_consistency():
 def test_transform_field_kind_guard():
     with pytest.raises(DomainError):
         transform_field("laplace", exp_decay_original(2.0))
+
+
+_FIELD_ORIGINALS = [exp_decay_original(2.0), unit_original(), cheb_original(1)]
+_FIELD_POINTS = [(0.7, 0.9), (-1.3, 0.2), (0.0, 1.4), (2.1, 1e-3)]
+
+
+@pytest.mark.parametrize("kind,op", [("ffc", ff_cos), ("ffs", ff_sin)])
+@pytest.mark.parametrize("eta", _FIELD_ORIGINALS, ids=lambda eta: eta.name)
+def test_transform_field_is_the_transform_lift(kind, op, eta):
+    # V0 - i*Vrho = G'(x0 + i*rho), and G' is the transform itself
+    field = transform_field(kind, eta)
+    for x0, rho in _FIELD_POINTS:
+        want = op(eta, Quaternion(x0, rho, 0.0, 0.0))
+        v0, neg_vr = field.V0(x0, rho), -field.Vrho(x0, rho)
+        assert abs(v0 - want.x0) <= 1e-15 * abs(want.x0)
+        assert abs(neg_vr - want.x1) <= 1e-15 * abs(want.x1)
+
+
+_QUANTITIES = ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho")
+
+
+@pytest.mark.parametrize("kind", ["ffc", "ffs"])
+def test_transform_field_memo_never_goes_stale(kind):
+    eta = exp_decay_original(2.0)
+    field = transform_field(kind, eta)
+    assert field.profile.vectorized
+    grid_a = (np.array([0.3, -0.8, 1.1]), np.array([0.4, 0.9, 1.5]))
+    grid_b = (np.array([0.3, -0.8, 1.2]), np.array([0.4, 0.9, 1.5]))  # one node moved
+    for x0, rho in (grid_a, grid_b, grid_a):
+        for name in _QUANTITIES:
+            got = field.evaluate(name, x0, rho)
+            for i in range(x0.size):
+                fresh = getattr(transform_field(kind, eta), name)(x0[i], rho[i])
+                assert got[i] == fresh
+    fresh = transform_field(kind, eta)
+    for name in _QUANTITIES:
+        assert getattr(field, name)(0.5, 0.6) == getattr(fresh, name)(0.5, 0.6)
+    assert field.stream_value(0.5, 0.6) == fresh.stream_value(0.5, 0.6)
