@@ -13,8 +13,10 @@ Fields of radially holomorphic potentials G (alpha = 2) share one builder,
 lifted_field, which reads g, the field and its partials off the complex
 lifts of G, G' and G''.  Both the table functions (from_holomorphic_potential)
 and the transform fields of the transforms module go through it.  Separable
-Bessel-type solutions (any alpha) have their own constructor.  The module
-also holds the finite-difference verifiers for the underlying PDE family.
+Bessel-type solutions (any alpha) have their own constructor; they keep a
+one-slot radial memo, so that quantities at one rho share the Bessel values
+C_nu, C_{nu-1} and C_{nu-2} at beta*rho.  The module also holds the
+finite-difference verifiers for the underlying PDE family.
 """
 
 from __future__ import annotations
@@ -130,8 +132,10 @@ class MeridionalField:
 
         The domain floor is checked once for the whole array.  Vectorized
         profiles take the arrays directly; the others (Bessel series,
-        adaptive quadrature) are called point by point.  Raises DomainError
-        when any value is not finite.
+        adaptive quadrature) are called point by point in stable rho order,
+        so that the radial memo of a separable field computes its Bessel
+        data once per distinct rho.  Raises DomainError when any value is
+        not finite.
         """
         if rho.size and rho.min() < RHO_MIN:
             raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
@@ -141,7 +145,8 @@ class MeridionalField:
             with np.errstate(all="ignore"):
                 out[...] = fn(x0, rho)
         else:
-            out[...] = [fn(a, b) for a, b in zip(x0.tolist(), rho.tolist())]
+            order = np.argsort(rho, kind="stable")
+            out[order] = [fn(a, b) for a, b in zip(x0[order].tolist(), rho[order].tolist())]
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             i = bad[0]
@@ -251,14 +256,30 @@ def from_separable(p: SeparableParams) -> MeridionalField:
         Ups'(rho)  = beta rho^nu C_{nu-1}(beta rho)
         Ups''(rho) = beta [rho^{nu-1} C_{nu-1}(beta rho) + beta rho^nu C_{nu-2}(beta rho)]
     and the stream function is -(Xi'/beta) rho^{mu} C_{nu-1}(beta rho), mu = (3-alpha)/2.
+
+    Every quantity depends on rho only through C_nu, C_{nu-1} and C_{nu-2}
+    at beta*rho.  A one-slot radial memo keeps the last argument and the C
+    values computed at it, so quantities at one rho (V0 and Vrho of a lift,
+    a Newton step, the E2 scan function) share them.  It computes an order
+    only when a quantity asks for it, and each value is the one a fresh call
+    returns.
     """
     nu = 0.5 * (p.alpha - 1.0)
     beta = p.beta
+    memo = {}          # order -> C_order(memo_z)
+    memo_z = math.nan  # the one argument the memo holds values for
 
     def cyl(order: float, z: float) -> float:
-        val = p.a1 * bessel_j(order, z)
-        if p.a2 != 0.0:
-            val += p.a2 * bessel_y(order, z)
+        nonlocal memo_z
+        if z != memo_z:
+            memo.clear()
+            memo_z = z
+        val = memo.get(order)
+        if val is None:
+            val = p.a1 * bessel_j(order, z)
+            if p.a2 != 0.0:
+                val += p.a2 * bessel_y(order, z)
+            memo[order] = val
         return val
 
     def xi(x0: float) -> float:

@@ -162,6 +162,8 @@ class CylindricalAngles:
 def angles(x: Quaternion, require_psi: bool = False) -> CylindricalAngles:
     """Recover the angular chart of x.
 
+    varphi = atan2(rho, x0) keeps full precision near the axis, where
+    acos(x0/r) would lose about half the digits of small angles.
     theta is recovered atan2-style from (x1, sqrt(x2^2+x3^2)), which is
     full-range and exact under the reconstruction
         x1 = rho*cos(theta), x2 = rho*sin(theta)*cos(psi),
@@ -173,7 +175,7 @@ def angles(x: Quaternion, require_psi: bool = False) -> CylindricalAngles:
     if rho == 0.0:
         raise OnAxis("angles undefined on the real axis")
     r = x.norm()
-    varphi = math.acos(max(-1.0, min(1.0, x.x0 / r)))
+    varphi = math.atan2(rho, x.x0)
     s = math.hypot(x.x2, x.x3)
     theta = math.atan2(s, x.x1)
     if x.x3 > 0.0:

@@ -6,15 +6,23 @@ The Bessel route is deliberately a single one: the ascending series
 
     J_nu(z) = sum_m (-1)^m / (m! Gamma(nu+m+1)) (z/2)^(nu+2m)
 
-summed with a rigorous geometric tail bound, valid for |z| <= 30.  Y_nu is
-derived from J by the reflection formula and therefore refuses integer
-orders.  Closed-form half-integer checks live in the tests, not here.
+summed with a geometric tail bound, valid for |z| <= 30.  The series has
+two loops with the same recurrence and the same stop rule.  Real arguments
+0 < z <= 30 (bessel_j_series, bessel_j, bessel_y) run a float loop; complex
+arguments (bessel_j_quat, power_to_bessel_partial) run a complex loop.  On
+a real z the float loop returns bit for bit the real part of the complex
+one: integer-order leading powers use the same binary powering as CPython's
+complex ** int.  The reported bound is the truncation tail plus the
+rounding term (terms + 1) * eps * sum |term_i|.  Y_nu is derived from J by
+the reflection formula and therefore refuses integer orders.  Closed-form
+half-integer checks live in the tests, not here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -34,6 +42,7 @@ __all__ = [
 
 MAX_ABS_Z = 30.0
 _MAX_TERMS = 300
+_EPS = sys.float_info.epsilon
 _MAX_FACTORIAL = 170
 
 _FACT = [1.0]
@@ -72,7 +81,8 @@ def _jv_ascending(nu: float, z: complex) -> Tuple[complex, SeriesTail]:
 
     Caller must have reduced negative integer orders already.  The tail
     bound is geometric: once the term ratio falls below 1/2 the remainder
-    is at most twice the first neglected term.
+    is at most twice the first neglected term.  The rounding term
+    (terms + 1) * eps * sum |term_i| is added to it.
     """
     if abs(z) > MAX_ABS_Z:
         raise DomainError(f"ascending series restricted to |z| <= {MAX_ABS_Z:g}")
@@ -92,7 +102,7 @@ def _jv_ascending(nu: float, z: complex) -> Tuple[complex, SeriesTail]:
 
     term = c0
     total = c0
-    scale = abs(c0)
+    scale = mass = abs(c0)
     zz = half * half
     m = 0
     while m < _MAX_TERMS:
@@ -103,22 +113,89 @@ def _jv_ascending(nu: float, z: complex) -> Tuple[complex, SeriesTail]:
         if denom_next > 0:
             r_next = abs(zz) / denom_next
             if r_next <= 0.5 and abs(nxt) <= 1e-16 * max(scale, 1e-300):
-                return total, SeriesTail(m + 1, 2.0 * abs(nxt))
+                return total, SeriesTail(m + 1, 2.0 * abs(nxt) + (m + 2) * _EPS * mass)
         term = nxt
         total += term
         scale = max(scale, abs(total))
+        mass += abs(term)
         m += 1
     raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
 
 
-def _jv_reduced(nu: float, z: complex) -> Tuple[complex, SeriesTail]:
-    """Handle the negative-integer reflection J_{-n} = (-1)^n J_n, then sum."""
+def _powu(x: float, n: int) -> float:
+    """x**n for 0 <= n <= 100 by CPython's complex binary powering (c_powu),
+    so that it equals (complex(x) ** n).real bit for bit."""
+    r, mask = 1.0, 1
+    while n >= mask:
+        if n & mask:
+            r *= x
+        mask <<= 1
+        x *= x
+    return r
+
+
+def _jv_ascending_real(nu: float, x: float) -> Tuple[float, SeriesTail]:
+    """_jv_ascending for real 0 < x <= 30 in float arithmetic.
+
+    Same recurrence, same stop rule and same bound; the value equals
+    _jv_ascending(nu, complex(x)).real bit for bit.  Once a term overflows,
+    the complex loop's imaginary parts turn to NaN and its real parts no
+    longer follow the float ones, so the float loop hands such sums, leading
+    powers that overflow and sums that do not settle to the complex loop.
+    """
+    half = 0.5 * x
+    try:
+        if _is_int(nu):
+            n = int(nu)
+            c0 = (_powu(half, n) if n <= 100 else half ** n) / factorial(n)
+        else:
+            c0 = half ** nu / gamma(nu + 1.0)
+    except (OverflowError, ZeroDivisionError):
+        return _jv_real_by_complex(nu, x)  # raises the complex loop's error
+
+    # The float counter k stands for m; the stop rule's scale test is kept
+    # as lim and checked first, which changes no decision.
+    term = total = c0
+    scale = mass = abs(c0)
+    lim = 1e-16 * max(scale, 1e-300)
+    zz = half * half
+    nzz = -zz
+    k = 0.0
+    while k < _MAX_TERMS:
+        nxt = term * (nzz / ((k + 1.0) * (nu + k + 1.0)))
+        a = abs(nxt)
+        if a <= lim:
+            denom_next = (k + 2.0) * (nu + k + 2.0)
+            if denom_next > 0 and zz / denom_next <= 0.5:
+                if not mass < math.inf:
+                    break
+                return total, SeriesTail(int(k) + 1, 2.0 * a + (k + 2.0) * _EPS * mass)
+        term = nxt
+        total += nxt
+        t = abs(total)
+        if t > scale:
+            scale = t
+            lim = 1e-16 * max(scale, 1e-300)
+        mass += a
+        k += 1.0
+    return _jv_real_by_complex(nu, x)
+
+
+def _jv_real_by_complex(nu: float, x: float) -> Tuple[float, SeriesTail]:
+    """The real part of the complex loop at a real argument."""
+    val, tail = _jv_ascending(nu, complex(x))
+    return val.real, tail
+
+
+def _jv_reduced(nu: float, z, series=_jv_ascending):
+    """Handle the negative-integer reflection J_{-n} = (-1)^n J_n, then sum
+    with series (the complex loop, or the float loop for real 0 < z <= 30)."""
     if _is_int(nu) and nu < 0:
         n = int(-nu)
-        val, tail = _jv_ascending(float(n), z)
+        val, tail = series(float(n), z)
         sign = -1.0 if n % 2 else 1.0
         return sign * val, tail
-    return _jv_ascending(nu, z)
+    return series(nu, z)
 
 
 def bessel_j_series(nu: float, z: float) -> Tuple[float, SeriesTail]:
@@ -128,6 +205,8 @@ def bessel_j_series(nu: float, z: float) -> Tuple[float, SeriesTail]:
     if z == 0.0 and nu < 0 and _is_int(nu):
         # J_{-n}(0) = (-1)^n J_n(0) = 0 for n >= 1
         return 0.0, SeriesTail(1, 0.0)
+    if 0.0 < z <= MAX_ABS_Z:
+        return _jv_reduced(nu, z, _jv_ascending_real)
     val, tail = _jv_reduced(nu, complex(z))
     return val.real, tail
 

@@ -257,26 +257,41 @@ def _bisect_edge(fn, pa, pb, fa, fb, tol=1e-10, max_iter=200):
 
 
 def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
-    """Marching-squares style segments of the zero set of fn on the window."""
+    """Marching-squares style segments of the zero set of fn on the window.
+
+    The node table is filled row by row in rho, so that a field's radial
+    memo (see fields.from_separable) serves a whole row.  Each cell walks
+    its four edges; an edge is bisected once, keyed by its unordered pair
+    of nodes, and the cell that shares it reuses the result.  Both
+    orientations of an edge visit the same midpoints and keep the same
+    half (the end values have opposite signs), so the shared result is the
+    one either cell would compute (the stall stop of _bisect_edge reads one
+    end's coordinates, so the two could differ only on a last-bit tie after
+    some fifty halvings).
+    """
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
     xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
     rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
-    vals = [[fn(x, r) for r in rs] for x in xs]
+    rows = [[fn(x, r) for x in xs] for r in rs]  # rows[j][i] = fn(xs[i], rs[j])
 
+    bisected = {}
     segments = []
     for i in range(nx - 1):
         for j in range(nr - 1):
-            corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
-                       (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
-            f = [vals[i][j], vals[i + 1][j], vals[i + 1][j + 1], vals[i][j + 1]]
+            nodes = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            corners = [(xs[a], rs[b]) for a, b in nodes]
+            f = [rows[b][a] for a, b in nodes]
             crossings = []
             for e in range(4):
                 a, b = e, (e + 1) % 4
                 if f[a] == 0.0:
                     crossings.append(corners[a])
                 elif (f[a] < 0.0) != (f[b] < 0.0):
-                    crossings.append(_bisect_edge(fn, corners[a], corners[b], f[a], f[b]))
+                    edge = frozenset((nodes[a], nodes[b]))
+                    if edge not in bisected:
+                        bisected[edge] = _bisect_edge(fn, corners[a], corners[b], f[a], f[b])
+                    crossings.append(bisected[edge])
             # dedupe corner hits
             uniq = []
             for c in crossings:
@@ -404,10 +419,11 @@ def critical_points(f: MeridionalField, window: Window,
     nx, nr = grid
     span = max(x0_hi - x0_lo, rho_hi - rho_lo)
 
-    # field scale for the convergence test
+    # field scale for the convergence test (rho outer: the radial memo of a
+    # separable field serves a row; the max does not depend on the order)
     scale = 0.0
-    for i in range(nx):
-        for j in range(nr):
+    for j in range(nr):
+        for i in range(nx):
             xs = x0_lo + (x0_hi - x0_lo) * i / (nx - 1)
             rs = rho_lo + (rho_hi - rho_lo) * j / (nr - 1)
             try:

@@ -153,6 +153,30 @@ def test_separable_with_y_component_solves():
         assert verify_epd(f, x0, rho) < 1e-12
 
 
+SEPARABLE_QUANTITIES = ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho",
+                        "stream_value")
+
+
+@pytest.mark.parametrize("params", [
+    SeparableParams(alpha=3.0, beta=1.1, b1=0.7, b2=0.2),
+    SeparableParams(alpha=2.5, beta=1.05, a1=0.9, a2=0.4, b1=0.8, b2=-0.1),
+], ids=("a2=0", "a2!=0"))
+def test_separable_radial_memo_never_stale(params):
+    # one field, quantities interleaved at alternating rho (with repeats),
+    # against a fresh field with an empty memo for every query
+    f = from_separable(params)
+    n = len(SEPARABLE_QUANTITIES)
+    for k in range(4 * n):
+        x0 = (-0.3, 0.4, 0.4)[k % 3]
+        rho = (0.7, 1.9, 1.9, 0.7)[k % 4]
+        name = SEPARABLE_QUANTITIES[(3 * k) % n]
+        got = getattr(f, name)(x0, rho)
+        want = getattr(from_separable(params), name)(x0, rho)
+        assert got.hex() == want.hex(), (name, x0, rho)
+        x = Quaternion(x0, 0.6 * rho, 0.0, 0.8 * rho)
+        assert lift_to_r4(f, x) == lift_to_r4(from_separable(params), x)
+
+
 # ---------------------------------------------------------------------------
 # the meridian equation verifier
 # ---------------------------------------------------------------------------

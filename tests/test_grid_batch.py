@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from meridian4.cli import main, parse_field_spec, parse_grid
+from meridian4.cli import EVAL_HEADER, main, parse_field_spec, parse_grid
 from meridian4.errors import BranchCut, DomainError, Pole
 from meridian4.holomorphic import moebius_potential, qln, qpow
 from meridian4.quaternion import Quaternion
@@ -135,3 +135,35 @@ def test_evaluate_checks_the_floor_for_the_whole_array():
     field = parse_field_spec("holo:name=qexp")
     with pytest.raises(DomainError):
         field.evaluate("V0", np.array([0.0, 1.0]), np.array([0.5, 1e-9]))
+
+
+@pytest.mark.parametrize("spec", SPECS[4:6])
+def test_separable_eval_computes_bessel_data_once_per_rho(monkeypatch, capsys, spec):
+    import meridian4.fields as fields
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(nu, z):
+            calls.append(nu)
+            return fn(nu, z)
+        return wrapped
+
+    monkeypatch.setattr(fields, "bessel_j", counting(fields.bessel_j))
+    monkeypatch.setattr(fields, "bessel_y", counting(fields.bessel_y))
+    names = EVAL_HEADER.split(",")[2:]
+    per_point = 0  # Bessel calls one point needs, a fresh field per quantity
+    for name in names:
+        calls.clear()
+        getattr(parse_field_spec(spec), name)(0.1, 0.9)
+        per_point += len(calls)
+
+    calls.clear()
+    grid = "--grid=-1:1:20,0.3:2.5:20"
+    header, rows = _csv(_run(capsys, "eval", "--field", spec, grid))
+    assert len(calls) <= 20 * per_point  # was 400 * per_point
+
+    x0s, rhos = parse_grid(grid.partition("=")[2])
+    for cells, (x0, rho) in zip(rows, [(a, b) for a in x0s for b in rhos]):
+        want = [x0, rho] + [getattr(parse_field_spec(spec), n)(x0, rho) for n in names]
+        assert [float(c) for c in cells] == want

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meridian4.quaternion import (
@@ -212,6 +212,7 @@ def test_axial_split_tiny_components(x):
 
 
 @given(quats().filter(lambda q: q.rho() > 1e-3))
+@example(Quaternion(48.113361462113815, 0.0, 0.0, 0.015625))  # small varphi
 @settings(max_examples=200)
 def test_angles_round_trip(x):
     c = angles(x)

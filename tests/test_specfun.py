@@ -14,6 +14,7 @@ from meridian4.specfun import (
     gamma,
     power_to_bessel_partial,
 )
+from meridian4.specfun import _jv_ascending_real, _jv_reduced
 from meridian4.errors import DomainError, IntegerOrderUnsupported
 
 # 50-digit references rounded to float64 (mpmath, dps=50)
@@ -117,6 +118,63 @@ def test_series_tail_metadata():
     # truncation bound honest against a finer reference: J_0(9)
     ref = -0.09033361118287613
     assert abs(val - ref) <= 10 * tail.tail_bound + 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the float loop for real arguments against the complex loop
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """(value bits, tail) of a series call, or the error it raises."""
+    try:
+        val, tail = fn(*args)
+    except Exception as exc:  # both loops must fail alike
+        return type(exc).__name__, str(exc)
+    return (val.real if isinstance(val, complex) else val).hex(), tail
+
+
+REAL_LOOP_ORDERS = ([float(n) for n in range(9)] + [-1.0, -2.0, -5.0, -8.0]
+                    + [-7.5, -1.25, -0.25, 0.25, 0.5, 1.5, 2.75, 12.6])
+REAL_LOOP_ARGS = [5e-324, 1e-310, 1e-200, 1e-40, 1e-12, 1e-6, 1e-3, 0.5, 1.0,
+                  2.404825557695773, 9.9, 17.5, 29.999999999999996, 30.0]
+
+
+@pytest.mark.parametrize("nu", REAL_LOOP_ORDERS)
+def test_real_loop_matches_complex_loop_bit_for_bit(nu):
+    # integer orders also pin the leading power: (x/2) ** n in float
+    # arithmetic differs in the last bit from complex ** int for many x
+    rng = random.Random(f"real-loop/{nu}")
+    xs = REAL_LOOP_ARGS + [rng.uniform(0.0, 30.0) for _ in range(300)]
+    for x in xs:
+        got = _outcome(_jv_reduced, nu, x, _jv_ascending_real)
+        want = _outcome(_jv_reduced, nu, complex(x))
+        assert got == want, (nu, x)
+
+
+def test_bessel_j_series_routes_reals_through_the_float_loop(monkeypatch):
+    import meridian4.specfun as sf
+
+    def refuse(nu, z):
+        raise AssertionError("complex loop reached for a real argument")
+
+    monkeypatch.setattr(sf, "_jv_ascending", refuse)
+    for nu, z in ((2, 3.7), (-3, 2.2), (0.5, 1.0)):
+        assert abs(bessel_j(nu, z) - J_REFS[(nu, z)]) <= 5e-14
+    assert abs(bessel_y(0.5, math.pi) - Y_REFS[(0.5, math.pi)]) <= 5e-14
+
+
+def test_tail_bound_covers_rounding_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for nu in (-1.25, -0.25, 0.0, 0.5, 1.0, 1.5, 2.0, 2.75, 3.0):
+            for k in range(59):
+                z = 0.5 + 0.5 * k
+                val, tail = bessel_j_series(nu, z)
+                err = abs(mpmath.mpf(val) - mpmath.besselj(nu, z))
+                assert err <= tail.tail_bound, (nu, z, float(err), tail.tail_bound)
+        # J_1(20) is off by 9.0e-10, more than the truncation tail of 6.6e-10
+        val, tail = bessel_j_series(1.0, 20.0)
+        assert abs(mpmath.mpf(val) - mpmath.besselj(1, 20)) > 6.6e-10
 
 
 def test_recurrence_frozen_instance():

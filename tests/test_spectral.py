@@ -7,6 +7,7 @@ import pytest
 from meridian4.quaternion import Quaternion
 from meridian4.holomorphic import moebius_potential, qexp, qpow
 from meridian4.fields import SeparableParams, from_holomorphic_potential, from_separable
+from meridian4 import spectral
 from meridian4.spectral import (
     DEGENERACY_RTOL,
     critical_points,
@@ -223,6 +224,65 @@ def test_zero_divergence_alpha_zero():
     f = from_separable(SeparableParams(alpha=0.0, beta=1.0, b1=1.0, b2=0.0))
     with pytest.raises(AlphaZero):
         zero_divergence_scan(f, (-1.0, 1.0, 0.5, 2.0))
+
+
+def _per_cell_crossings(fn, window, grid):
+    """Reference marching squares: node table filled x0-outer, and every
+    cell bisects each of its own crossing edges."""
+    x0_lo, x0_hi, rho_lo, rho_hi = window
+    nx, nr = grid
+    xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
+    rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
+    vals = [[fn(x, r) for r in rs] for x in xs]
+    segments = []
+    for i in range(nx - 1):
+        for j in range(nr - 1):
+            corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
+                       (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
+            f = [vals[i][j], vals[i + 1][j], vals[i + 1][j + 1], vals[i][j + 1]]
+            crossings = []
+            for a in range(4):
+                b = (a + 1) % 4
+                if f[a] == 0.0:
+                    crossings.append(corners[a])
+                elif (f[a] < 0.0) != (f[b] < 0.0):
+                    crossings.append(spectral._bisect_edge(fn, corners[a], corners[b],
+                                                           f[a], f[b]))
+            uniq = []
+            for c in crossings:
+                if all(abs(c[0] - u[0]) + abs(c[1] - u[1]) > 1e-12 for u in uniq):
+                    uniq.append(c)
+            if len(uniq) >= 2:
+                segments.extend(zip(uniq[0::2], uniq[1::2]))
+    return segments
+
+
+@pytest.mark.parametrize("params", [
+    SeparableParams(alpha=2.5, beta=1.05, a2=0.4, b1=0.75, b2=0.05),
+    SeparableParams(alpha=3.0, beta=1.1, b1=0.7, b2=0.2),
+], ids=("a2!=0", "a2=0"))
+def test_grid_crossings_bisect_each_edge_once(monkeypatch, params):
+    calls = []
+    bisect = spectral._bisect_edge
+
+    def counting(fn, pa, pb, fa, fb):
+        calls.append((fn, frozenset((pa, pb))))
+        return bisect(fn, pa, pb, fa, fb)
+
+    monkeypatch.setattr(spectral, "_bisect_edge", counting)
+    f = from_separable(params)
+    window, grid = (-1.0, 1.0, 0.22, 5.7), (30, 30)
+    chains = degenerate_set(f, window, grid)
+    zeros = zero_divergence_scan(f, window, grid)
+    assert chains and zeros
+    assert len(calls) == len(set(calls))
+    once = len(calls)
+
+    calls.clear()
+    monkeypatch.setattr(spectral, "_grid_crossings", _per_cell_crossings)
+    assert degenerate_set(from_separable(params), window, grid) == chains
+    assert zero_divergence_scan(from_separable(params), window, grid) == zeros
+    assert len(calls) > once  # the reference bisects shared edges twice
 
 
 def test_critical_point_of_sin_field():
