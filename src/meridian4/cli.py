@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import MeridianError
+from .errors import DomainError, MeridianError
 from .quaternion import Quaternion
 from .holomorphic import elementary, moebius_potential
 from .fields import (
@@ -328,9 +328,9 @@ def cmd_eval(args) -> int:
     x0, rho = _grid_points(args.grid)
     log.info("eval: %d grid points on %s", len(x0), args.field)
 
+    names = EVAL_HEADER.split(",")[2:]
     columns = {"x0": x0, "rho": rho}
-    for name in EVAL_HEADER.split(",")[2:]:
-        columns[name] = field.evaluate(name, x0, rho)
+    columns.update(zip(names, field.evaluate(names, x0, rho)))
     _emit_table(args.format, columns)
     return 0
 
@@ -341,9 +341,8 @@ def cmd_spectrum(args) -> int:
     log.info("spectrum: %d grid points on %s (oracle=%s)",
              len(x0), args.field, args.oracle)
 
-    q = field.evaluate("Vrho", x0, rho) / rho
-    p01 = field.evaluate("dVrho_dx0", x0, rho)
-    p11 = field.evaluate("dVrho_drho", x0, rho)
+    vrho, p01, p11 = field.evaluate(("Vrho", "dVrho_dx0", "dVrho_drho"), x0, rho)
+    q = vrho / rho
     lams, inv, degenerate = closed_spectrum(field.alpha, q, p01, p11)
     columns = {"x0": x0, "rho": rho}
     columns.update((f"l{i}", lams[:, i]) for i in range(4))
@@ -396,83 +395,51 @@ def _run_suite(args):
     if suite == "criterion" and args.field is None and args.potential is None:
         raise SpecError("suite 'criterion' needs --field or --potential")
 
+    if not math.isfinite(args.alpha):
+        raise SpecError(f"--alpha must be finite, got {args.alpha!r}")
     field = parse_field_spec(args.field) if args.field is not None else None
-
-    if suite == "epd":
-        worst = 0.0
-        for _ in range(n):
-            x0, rho = _sample_plane(rng)
-            worst = max(worst, verify_epd(field, x0, rho))
-        return [("epd", worst)]
-
-    if suite == "stokes":
-        w1 = w2 = 0.0
-        for _ in range(n):
-            x0, rho = _sample_plane(rng)
-            r1, r2 = verify_stokes_beltrami(field, x0, rho)
-            w1, w2 = max(w1, r1), max(w2, r2)
-        return [("r1", w1), ("r2", w2)]
-
-    if suite == "system":
-        alpha = field.alpha
-
-        def u(x):
-            v = lift_to_r4(field, x)
-            return (v.x0, -v.x1, -v.x2, -v.x3)
-
-        def phi(x, _a=alpha):
-            return x.rho() ** (-_a)
-
-        names = ["continuity", "sym1", "sym2", "sym3",
-                 "curl12", "curl13", "curl23"]
-        worst = [0.0] * 7
-        for _ in range(n):
-            x = _sample_space(rng)
-            res = verify_general_system(u, phi, x)
-            worst = [max(w, r) for w, r in zip(worst, res)]
-        return list(zip(names, worst))
-
-    if suite == "symmetry":
-        def u(x):
-            return lift_to_r4(field, x).components()
-        names = ["pair12", "pair13", "pair23"]
-        worst = [0.0] * 3
-        for _ in range(n):
-            x = _sample_space(rng)
-            res = axial_symmetry_check(u, x)
-            worst = [max(w, r) for w, r in zip(worst, res)]
-        return list(zip(names, worst))
-
-    if suite == "criterion":
-        if field is not None:
-            def h(x, _f=field):
-                return _f.g(x.x0, x.rho())
-        else:
-            h = parse_potential_spec(args.potential, args.alpha)
-        names = ["cart12", "cart13", "cart23", "dtheta", "dpsi"]
-        worst = [0.0] * 5
-        for _ in range(n):
-            x = _sample_space(rng, min_s2=0.01)
-            cart, ang = criterion_check(h, x)
-            res = cart + ang
-            worst = [max(w, r) for w, r in zip(worst, res)]
-        return list(zip(names, worst))
-
-    if suite in ("weinstein", "axial"):
+    if suite in ("weinstein", "axial") or field is None:
         h = parse_potential_spec(args.potential, args.alpha)
-        if suite == "weinstein":
-            check, step = verify_weinstein, None
-        else:
-            # the rho^2 weight amplifies second-difference roundoff; a wider
-            # step keeps exact solutions well under the suite tolerance
-            check, step = verify_axial_hyperbolic, 1e-3
-        worst = 0.0
-        for _ in range(n):
-            x = _sample_space(rng, x3_window=(0.1, 2.0))
-            worst = max(worst, check(h, args.alpha, x, fd_step=step))
-        return [(suite, worst)]
+    else:
+        def h(x):
+            return field.g(x.x0, x.rho())
 
-    raise SpecError(f"unknown suite {suite!r}")
+    def u(x):
+        v = lift_to_r4(field, x)
+        return (v.x0, -v.x1, -v.x2, -v.x3)
+
+    def phi(x):
+        return x.rho() ** (-field.alpha)
+
+    def window(rng):
+        return _sample_space(rng, x3_window=(0.1, 2.0))
+
+    # suite -> (check names, sampler, residuals at one sample point)
+    names, sample, check = {
+        "epd": (["epd"], _sample_plane, lambda p: (verify_epd(field, *p),)),
+        "stokes": (["r1", "r2"], _sample_plane, lambda p: verify_stokes_beltrami(field, *p)),
+        "system": (["continuity", "sym1", "sym2", "sym3", "curl12", "curl13", "curl23"],
+                   _sample_space, lambda x: verify_general_system(u, phi, x)),
+        "symmetry": (["pair12", "pair13", "pair23"], _sample_space,
+                     lambda x: axial_symmetry_check(
+                         lambda q: lift_to_r4(field, q).components(), x)),
+        "criterion": (["cart12", "cart13", "cart23", "dtheta", "dpsi"],
+                      lambda rng: _sample_space(rng, min_s2=0.01),
+                      lambda x: sum(criterion_check(h, x), ())),
+        "weinstein": (["weinstein"], window, lambda x: (verify_weinstein(h, args.alpha, x),)),
+        "axial": (["axial"], window, lambda x: (verify_axial_hyperbolic(h, args.alpha, x),)),
+    }[suite]
+
+    # NaN would drop out of max(); a non-finite residual stops the suite instead
+    worst = [0.0] * len(names)
+    for _ in range(n):
+        point = sample(rng)
+        for i, r in enumerate(check(point)):
+            if not math.isfinite(r):
+                where = point.components() if isinstance(point, Quaternion) else point
+                raise DomainError(f"{names[i]} residual {r!r} at sample point {where}")
+            worst[i] = max(worst[i], r)
+    return list(zip(names, worst))
 
 
 def cmd_verify(args) -> int:

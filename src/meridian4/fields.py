@@ -16,20 +16,24 @@ and the transform fields of the transforms module go through it.  Separable
 Bessel-type solutions (any alpha) have their own constructor; they keep a
 one-slot radial memo, so that quantities at one rho share the Bessel values
 C_nu, C_{nu-1} and C_{nu-2} at beta*rho.  The module also holds the
-finite-difference verifiers for the underlying PDE family.
+verifiers for the underlying PDE family.  The ones that need partials a
+profile does not carry take them from holomorphic.fd_derivative, the one
+difference rule of the package: Richardson extrapolation of central
+differences at s and s/2, with error O(s^4), at s = default_fd_step for
+first and 10 * default_fd_step for second derivatives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (DomainError, IntegerOrderUnsupported, NoStream,
-                     NotHolomorphic, StepTooLarge)
-from .holomorphic import RadialFunction, antiholomorphy_residual, default_fd_step
+from .errors import DomainError, IntegerOrderUnsupported, NoStream, NotHolomorphic
+from .holomorphic import (RadialFunction, antiholomorphy_residual, default_fd_step,
+                          fd_derivative)
 from .quaternion import Quaternion
 from .specfun import bessel_j, bessel_y
 
@@ -126,32 +130,40 @@ class MeridionalField:
         self._check(rho)
         return self.profile.d2g_drhorho(x0, rho)
 
-    def evaluate(self, name: str, x0: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """The quantity `name` (g, V0, Vrho, dV0_dx0, dVrho_dx0, dVrho_drho)
-        at the points of the flat float arrays x0 and rho.
+    def evaluate(self, names: Sequence[str], x0: np.ndarray,
+                 rho: np.ndarray) -> List[np.ndarray]:
+        """The quantities `names` (each one of g, V0, Vrho, dV0_dx0,
+        dVrho_dx0, dVrho_drho) at the points of the flat float arrays x0 and
+        rho, one array per name.
 
         The domain floor is checked once for the whole array.  Vectorized
         profiles take the arrays directly; the others (Bessel series,
-        adaptive quadrature) are called point by point in stable rho order,
-        so that the radial memo of a separable field computes its Bessel
-        data once per distinct rho.  Raises DomainError when any value is
-        not finite.
+        adaptive quadrature) visit each point once for all names, in stable
+        rho order, so that the radial memo of a separable field computes its
+        Bessel data once per distinct rho.  Raises DomainError when any value
+        is not finite.
         """
         if rho.size and rho.min() < RHO_MIN:
             raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
-        fn = getattr(self.profile, _QUANTITY[name])
-        out = np.empty(x0.shape)
+        fns = [getattr(self.profile, _QUANTITY[name]) for name in names]
+        outs = [np.empty(x0.shape) for _ in names]
         if self.profile.vectorized:
             with np.errstate(all="ignore"):
-                out[...] = fn(x0, rho)
+                for out, fn in zip(outs, fns):
+                    out[...] = fn(x0, rho)
         else:
             order = np.argsort(rho, kind="stable")
-            out[order] = [fn(a, b) for a, b in zip(x0[order].tolist(), rho[order].tolist())]
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            i = bad[0]
-            raise DomainError(f"{name} = {out[i]:g} at (x0, rho) = ({x0[i]:g}, {rho[i]:g})")
-        return out
+            rows = [[fn(a, b) for fn in fns]
+                    for a, b in zip(x0[order].tolist(), rho[order].tolist())]
+            table = np.array(rows, dtype=float).reshape(order.size, len(fns))
+            for out, column in zip(outs, table.T):
+                out[order] = column
+        for name, out in zip(names, outs):
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                i = bad[0]
+                raise DomainError(f"{name} = {out[i]:g} at (x0, rho) = ({x0[i]:g}, {rho[i]:g})")
+        return outs
 
     def stream_value(self, x0: float, rho: float) -> float:
         if self.profile.stream is None:
@@ -343,27 +355,20 @@ def verify_epd(f: Union[MeridionalField, MeridionalProfile],
                - (p.alpha - 2.0) * p.dg_drho(x0, rho))
 
 
-def _fd_pair(fn: Scalar2, x0: float, rho: float, h: float):
-    """Central first and second differences of fn in both coordinates."""
-    f0 = fn(x0, rho)
-    fx_p, fx_m = fn(x0 + h, rho), fn(x0 - h, rho)
-    fr_p, fr_m = fn(x0, rho + h), fn(x0, rho - h)
-    d1 = ((fx_p - fx_m) / (2 * h), (fr_p - fr_m) / (2 * h))
-    d2 = ((fx_p - 2 * f0 + fx_m) / (h * h), (fr_p - 2 * f0 + fr_m) / (h * h))
-    return d1, d2
-
-
 def verify_stream(f: Union[MeridionalField, MeridionalProfile], x0: float,
                   rho: float, fd_step: Optional[float] = None) -> float:
-    """Stream equation |rho (gh_x0x0 + gh_rhorho) + (alpha-2) gh_rho| by FD."""
+    """Stream equation |rho (gh_x0x0 + gh_rhorho) + (alpha-2) gh_rho| by fd_derivative."""
     p = _profile_of(f)
     if p.stream is None:
         raise NoStream("no stream function on this profile")
     h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-    if h >= rho:
-        raise StepTooLarge(f"fd step {h:g} reaches the axis (rho = {rho:g})")
-    (_, dr), (dxx, drr) = _fd_pair(p.stream, x0, rho, h)
-    return abs(rho * (dxx + drr) + (p.alpha - 2.0) * dr)
+
+    def along_rho(t):
+        return p.stream(x0, rho + t)
+
+    drr = fd_derivative(along_rho, 2, h, room=rho)
+    dxx = fd_derivative(lambda t: p.stream(x0 + t, rho), 2, h)
+    return abs(rho * (dxx + drr) + (p.alpha - 2.0) * fd_derivative(along_rho, 1, h))
 
 
 def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile],
@@ -374,17 +379,15 @@ def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile],
         rho^{2-alpha} g_x0  = gh_rho
         rho^{2-alpha} g_rho = -gh_x0
 
-    g-side partials are analytic; the stream side is finite-differenced.
+    g-side partials are analytic; the stream side goes through fd_derivative.
     """
     p = _profile_of(f)
     if p.stream is None:
         raise NoStream("no stream function on this profile")
     h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-    if h >= rho:
-        raise StepTooLarge(f"fd step {h:g} reaches the axis (rho = {rho:g})")
+    gh_rho = fd_derivative(lambda t: p.stream(x0, rho + t), 1, h, room=rho)
+    gh_x0 = fd_derivative(lambda t: p.stream(x0 + t, rho), 1, h)
     w = rho ** (2.0 - p.alpha)
-    gh_x0 = (p.stream(x0 + h, rho) - p.stream(x0 - h, rho)) / (2 * h)
-    gh_rho = (p.stream(x0, rho + h) - p.stream(x0, rho - h)) / (2 * h)
     r1 = abs(w * p.dg_dx0(x0, rho) - gh_rho)
     r2 = abs(w * p.dg_drho(x0, rho) + gh_x0)
     return r1, r2
@@ -393,47 +396,35 @@ def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile],
 ScalarField4 = Callable[[Quaternion], float]
 
 
-def _step_for(x: Quaternion, fd_step: Optional[float]) -> float:
-    return fd_step if fd_step is not None else default_fd_step(x.x0, x.rho())
+def _partials(fn: Callable, x: Quaternion, order: int, fd_step: Optional[float],
+              axes: Sequence[int] = (0, 1, 2, 3)) -> list:
+    """fd_derivative of fn along the given coordinate axes of R^4 at x."""
+    h = fd_step if fd_step is not None else default_fd_step(x.x0, x.rho())
+    c = x.components()
 
-
-def _shift(x: Quaternion, axis: int, h: float) -> Quaternion:
-    c = list(x.components())
-    c[axis] += h
-    return Quaternion(*c)
-
-
-def _grad4(h_fn: ScalarField4, x: Quaternion, h: float) -> Tuple[float, float, float, float]:
-    out = []
-    for ax in range(4):
-        out.append((h_fn(_shift(x, ax, h)) - h_fn(_shift(x, ax, -h))) / (2 * h))
-    return tuple(out)
-
-
-def _laplace4(h_fn: ScalarField4, x: Quaternion, h: float) -> float:
-    center = h_fn(x)
-    total = 0.0
-    for ax in range(4):
-        total += (h_fn(_shift(x, ax, h)) - 2 * center + h_fn(_shift(x, ax, -h))) / (h * h)
-    return total
+    def along(ax):
+        def line(t):
+            moved = list(c)
+            moved[ax] += t
+            return fn(Quaternion(*moved))
+        return line
+    return [fd_derivative(along(ax), order, h) for ax in axes]
 
 
 def verify_weinstein(h_fn: ScalarField4, alpha: float, x: Quaternion,
                      fd_step: Optional[float] = None) -> float:
-    """|x3 * Laplace(h) - alpha * dh/dx3| by central differences."""
-    h = _step_for(x, fd_step)
-    lap = _laplace4(h_fn, x, h)
-    d3 = (h_fn(_shift(x, 3, h)) - h_fn(_shift(x, 3, -h))) / (2 * h)
+    """|x3 * Laplace(h) - alpha * dh/dx3| by fd_derivative."""
+    lap = sum(_partials(h_fn, x, 2, fd_step))
+    d3, = _partials(h_fn, x, 1, fd_step, axes=(3,))
     return abs(x.x3 * lap - alpha * d3)
 
 
 def verify_axial_hyperbolic(h_fn: ScalarField4, alpha: float, x: Quaternion,
                             fd_step: Optional[float] = None) -> float:
-    """|rho^2 Laplace(h) - alpha (x1 h_x1 + x2 h_x2 + x3 h_x3)| by central differences."""
-    h = _step_for(x, fd_step)
-    lap = _laplace4(h_fn, x, h)
-    g = _grad4(h_fn, x, h)
-    rad = x.x1 * g[1] + x.x2 * g[2] + x.x3 * g[3]
+    """|rho^2 Laplace(h) - alpha (x1 h_x1 + x2 h_x2 + x3 h_x3)| by fd_derivative."""
+    lap = sum(_partials(h_fn, x, 2, fd_step))
+    g1, g2, g3 = _partials(h_fn, x, 1, fd_step, axes=(1, 2, 3))
+    rad = x.x1 * g1 + x.x2 * g2 + x.x3 * g3
     rho2 = x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2
     return abs(rho2 * lap - alpha * rad)
 
@@ -450,16 +441,10 @@ def verify_general_system(u: VectorField4, phi: ScalarField4, x: Quaternion,
     then the three symmetric combinations u0_xm + um_x0 (m = 1, 2, 3),
     then the three curls u1_x2 - u2_x1, u1_x3 - u3_x1, u2_x3 - u3_x2.
     """
-    h = _step_for(x, fd_step)
-    # 4x4 Jacobian of u by central differences: jac[m][ax] = d u_m / d x_ax
-    jac = [[0.0] * 4 for _ in range(4)]
-    for ax in range(4):
-        up = u(_shift(x, ax, h))
-        um = u(_shift(x, ax, -h))
-        for m in range(4):
-            jac[m][ax] = (up[m] - um[m]) / (2 * h)
+    # jac[m][ax] = d u_m / d x_ax
+    jac = np.array(_partials(lambda q: np.asarray(u(q), dtype=float), x, 1, fd_step)).T.tolist()
     u0 = u(x)
-    gphi = _grad4(phi, x, h)
+    gphi = _partials(phi, x, 1, fd_step)
     p0 = phi(x)
 
     cont = (p0 * (jac[0][0] - jac[1][1] - jac[2][2] - jac[3][3])
@@ -482,14 +467,13 @@ def criterion_check(h_fn: ScalarField4, x: Quaternion,
     s2 = x.x2 ** 2 + x.x3 ** 2
     if x.rho() == 0.0 or s2 == 0.0:
         raise DomainError("criterion chart needs rho > 0 and (x2, x3) != 0")
-    h = _step_for(x, fd_step)
-    g = _grad4(h_fn, x, h)
-    cart = (abs(x.x2 * g[1] - x.x1 * g[2]),
-            abs(x.x3 * g[1] - x.x1 * g[3]),
-            abs(x.x3 * g[2] - x.x2 * g[3]))
+    g1, g2, g3 = _partials(h_fn, x, 1, fd_step, axes=(1, 2, 3))
+    cart = (abs(x.x2 * g1 - x.x1 * g2),
+            abs(x.x3 * g1 - x.x1 * g3),
+            abs(x.x3 * g2 - x.x2 * g3))
     s = math.sqrt(s2)
-    dtheta = -s * g[1] + (x.x1 * x.x2 / s) * g[2] + (x.x1 * x.x3 / s) * g[3]
-    dpsi = -x.x3 * g[2] + x.x2 * g[3]
+    dtheta = -s * g1 + (x.x1 * x.x2 / s) * g2 + (x.x1 * x.x3 / s) * g3
+    dpsi = -x.x3 * g2 + x.x2 * g3
     return cart, (abs(dtheta), abs(dpsi))
 
 

@@ -152,6 +152,61 @@ def test_verify_suites_pass(suite, extra):
                for line in lines)
 
 
+# correct fields that the second-order differences of earlier releases failed
+# at these sample counts; the Richardson rule passes them at SUITE_TOL
+CORRECT_FIELD_CASES = [
+    ("system", ["--field", "holo:name=qexp"]),
+    ("system", ["--field", "holo:name=qpow,n=3,coeff=0.5", "--samples", "40"]),
+    ("stokes", ["--field", "holo:name=qln"]),
+    ("stokes", ["--field", "holo:name=qpow,n=-2"]),
+    ("stokes", ["--field", "moebius:a=0.25,d=1.5"]),
+    ("stokes", ["--field", "moebius:a=0,d=0"]),
+    ("stokes", ["--field", "separable:alpha=2.5,beta=1.1,a2=0.5,b1=1,b2=0.3"]),
+    ("axial", ["--potential", "rho3", "--alpha", "4"]),
+]
+
+
+@pytest.mark.parametrize("suite,extra", CORRECT_FIELD_CASES,
+                         ids=[f"{s}-{e[1]}" for s, e in CORRECT_FIELD_CASES])
+def test_verify_correct_fields_pass(suite, extra):
+    r = run_cli("verify", suite, *extra)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.strip().split("\n")[-1] == "result=pass"
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("suite,potential", [("weinstein", "x3pow"), ("axial", "rho3")])
+def test_verify_rejects_non_finite_alpha(suite, potential, alpha):
+    r = run_cli("verify", suite, "--potential", potential, f"--alpha={alpha}")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: --alpha must be finite")
+
+
+def test_verify_infinite_residual_exits_3_with_the_point():
+    # a finite alpha of 1e308 overflows alpha * (x . grad h) to inf
+    r = run_cli("verify", "axial", "--potential", "rho3", "--alpha", "1e308")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: DomainError: axial residual inf at sample point (")
+
+
+def test_verify_nan_residual_is_never_skipped(monkeypatch, capsys):
+    from meridian4 import cli
+
+    calls = []
+
+    def nan_on_third(field, x0, rho):
+        calls.append((x0, rho))
+        return math.nan if len(calls) == 3 else 0.0
+
+    monkeypatch.setattr(cli, "verify_epd", nan_on_third)
+    assert cli.main(["verify", "epd", "--field", "holo:name=qexp"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: DomainError: epd residual nan at sample point {calls[2]}\n"
+
+
 def test_verify_failure_exits_4():
     r = run_cli("verify", "criterion", "--potential", "x0sq-x3sq",
                 "--samples", "50")

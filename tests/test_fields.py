@@ -7,6 +7,7 @@ from meridian4.quaternion import Quaternion
 from meridian4.holomorphic import (
     RadialFunction,
     conjugate,
+    fd_derivative,
     moebius_potential,
     qexp,
     qpow,
@@ -280,14 +281,16 @@ def test_weinstein_rejects_wrong_power():
 
 
 def test_weinstein_fd_order():
-    # truncation dominates for a smooth solution: halving the step
-    # divides the residual by about four
-    alpha = 1.5
-    h_fn = lambda q: q.x3 ** (1.0 + alpha)
-    x = Quaternion(0.3, 0.1, -0.4, 0.9)
-    r_coarse = verify_weinstein(h_fn, alpha, x, fd_step=2e-3)
-    r_fine = verify_weinstein(h_fn, alpha, x, fd_step=1e-3)
-    assert 3.5 < r_coarse / r_fine < 4.5
+    # the difference rule behind every verifier is fourth order: halving
+    # the step divides the truncation error by about sixteen, for first
+    # and for second derivatives of exp and x^2.5
+    cases = [(math.exp, math.exp, math.exp, 0.3),
+             (lambda t: t ** 2.5, lambda t: 2.5 * t ** 1.5, lambda t: 3.75 * t ** 0.5, 0.9)]
+    for fn, d1, d2, x in cases:
+        for order, exact, h in ((1, d1(x), 0.1), (2, d2(x), 0.02)):
+            e_coarse = abs(fd_derivative(lambda t: fn(x + t), order, h) - exact)
+            e_fine = abs(fd_derivative(lambda t: fn(x + t), order, 0.5 * h) - exact)
+            assert 15.0 < e_coarse / e_fine < 17.0, (order, x, e_coarse, e_fine)
 
 
 def test_axial_hyperbolic_quadratic_solution():

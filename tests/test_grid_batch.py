@@ -134,7 +134,7 @@ def test_lifts_take_arrays_and_guard_every_entry():
 def test_evaluate_checks_the_floor_for_the_whole_array():
     field = parse_field_spec("holo:name=qexp")
     with pytest.raises(DomainError):
-        field.evaluate("V0", np.array([0.0, 1.0]), np.array([0.5, 1e-9]))
+        field.evaluate(["V0"], np.array([0.0, 1.0]), np.array([0.5, 1e-9]))
 
 
 @pytest.mark.parametrize("spec", SPECS[4:6])
@@ -151,17 +151,29 @@ def test_separable_eval_computes_bessel_data_once_per_rho(monkeypatch, capsys, s
 
     monkeypatch.setattr(fields, "bessel_j", counting(fields.bessel_j))
     monkeypatch.setattr(fields, "bessel_y", counting(fields.bessel_y))
-    names = EVAL_HEADER.split(",")[2:]
-    per_point = 0  # Bessel calls one point needs, a fresh field per quantity
-    for name in names:
+    def per_point(names):
+        # Bessel calls one point needs for all names on one fresh field:
+        # one per distinct order (and kind)
         calls.clear()
-        getattr(parse_field_spec(spec), name)(0.1, 0.9)
-        per_point += len(calls)
+        field = parse_field_spec(spec)
+        for name in names:
+            getattr(field, name)(0.1, 0.9)
+        return len(calls)
 
-    calls.clear()
+    names = EVAL_HEADER.split(",")[2:]
+    spectrum_names = ("Vrho", "dVrho_dx0", "dVrho_drho")
+    kinds = 2 if "a2=" in spec else 1
+    assert (per_point(names), per_point(spectrum_names)) == (3 * kinds, 2 * kinds)
+
+    # one visit per distinct rho serves every quantity: at a2 = 0 that is
+    # 60 calls for eval and 40 for spectrum (100 and 80 with a pass per quantity)
     grid = "--grid=-1:1:20,0.3:2.5:20"
+    calls.clear()
+    _run(capsys, "spectrum", "--field", spec, grid)
+    assert len(calls) == 20 * 2 * kinds
+    calls.clear()
     header, rows = _csv(_run(capsys, "eval", "--field", spec, grid))
-    assert len(calls) <= 20 * per_point  # was 400 * per_point
+    assert len(calls) == 20 * 3 * kinds
 
     x0s, rhos = parse_grid(grid.partition("=")[2])
     for cells, (x0, rho) in zip(rows, [(a, b) for a in x0s for b in rhos]):

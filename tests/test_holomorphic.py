@@ -231,7 +231,7 @@ def test_residual_guards():
 
 
 def test_residual_quadratic_in_step():
-    # truncation-dominated residual of a non-holomorphic lift scales as h^2
+    # the residual of a non-holomorphic lift converges to the analytic value
     f = RadialFunction("mix", lift=lambda z: z * z + 0.1 * (z.conjugate()) ** 3)
     base = antiholomorphy_residual(f, 0.9, 1.1, h=2e-3)
     # analytic |dbar f| = 0.3|conj(z)|^2; FD converges to it

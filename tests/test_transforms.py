@@ -297,7 +297,7 @@ def test_transform_field_memo_never_goes_stale(kind):
     grid_b = (np.array([0.3, -0.8, 1.2]), np.array([0.4, 0.9, 1.5]))  # one node moved
     for x0, rho in (grid_a, grid_b, grid_a):
         for name in _QUANTITIES:
-            got = field.evaluate(name, x0, rho)
+            got, = field.evaluate([name], x0, rho)
             for i in range(x0.size):
                 fresh = getattr(transform_field(kind, eta), name)(x0[i], rho[i])
                 assert got[i] == fresh
