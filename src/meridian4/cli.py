@@ -169,6 +169,14 @@ def _reject_extras(params: dict, kind: str):
         raise SpecError(f"unknown parameter(s) for {kind}: {', '.join(sorted(params))}")
 
 
+def _check_quadrature(tol: float, rate: float = 1.0) -> None:
+    """A tol that can never be met would run every panel count up to the cap."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise SpecError(f"tol = {tol!r} must be finite and > 0")
+    if not math.isfinite(rate):
+        raise SpecError(f"rate = {rate!r} must be finite")
+
+
 def parse_original(name: str, rate: float):
     """Original-function registry: unit | exp | cheb<n> | kernel<k>."""
     if name == "unit":
@@ -225,6 +233,7 @@ def parse_field_spec(text: str):
         rate = _take(params, "rate", float, default=1.0)
         tol = _take(params, "tol", float, default=DEFAULT_TOL)
         _reject_extras(params, kind)
+        _check_quadrature(tol, rate)
         if tkind not in ("ffc", "ffs"):
             raise SpecError(f"transform kind must be ffc or ffs, got {tkind!r}")
         return transform_field(tkind, parse_original(original, rate), tol)
@@ -502,11 +511,13 @@ def cmd_special(args) -> int:
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
         pairs = _quat_kv(bessel_j_quat(args.n, x))
     elif args.query == "transform":
+        _check_quadrature(args.tol, args.rate)
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
         eta = parse_original(args.original, args.rate)
         op = {"lf": laplace_fueter, "ffc": ff_cos, "ffs": ff_sin}[args.kind]
         pairs = _quat_kv(op(eta, x, args.tol))
     elif args.query == "besselrep":
+        _check_quadrature(args.tol)
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
         rep = bessel_integral_rep(args.n, args.parity, x, args.tol)
         order = 2 * args.n if args.parity == "even" else 2 * args.n + 1

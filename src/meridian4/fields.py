@@ -137,9 +137,10 @@ class MeridionalField:
         rho, one array per name.
 
         The domain floor is checked once for the whole array.  Vectorized
-        profiles take the arrays directly; the others (Bessel series,
-        adaptive quadrature) visit each point once for all names, in stable
-        rho order, so that the radial memo of a separable field computes its
+        profiles (holomorphic lifts, and transform fields, whose quadrature
+        takes all points in one batch) take the arrays directly; the others
+        (Bessel series of separable fields) visit each point once for all
+        names, in stable rho order, so that the radial memo computes its
         Bessel data once per distinct rho.  Raises DomainError when any value
         is not finite.
         """

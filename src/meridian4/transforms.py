@@ -8,11 +8,15 @@ one of three kernels at a quaternionic parameter x = x0 + rho*I:
     ffs  :  integral eta(tau) sin(x tau) dtau
 
 All kernels are evaluated at z = x0 + i*rho and re-embedded along the axis.
-Quadrature is composite Gauss-Legendre with panel doubling until two
-successive refinements agree below tol.  Originals with an inverse-square-
-root endpoint singularity (the Chebyshev family) are integrated after the
-tau = sin(u) substitution, which removes the weight exactly when the smooth
-numerator eta(tau)*sqrt(1-tau^2) is supplied.
+One batched rule serves any number of points: composite 16-point
+Gauss-Legendre on [0, T(z)], a (points x nodes) numpy array in bounded
+blocks summed row by row, with the panel count doubling until a point's last
+two sums agree below tol.  Originals with an inverse-square-root endpoint
+singularity (the Chebyshev family) are integrated after the tau = sin(u)
+substitution, which removes the weight exactly when the smooth numerator
+eta(tau)*sqrt(1-tau^2) is supplied.  The smooth numerator
+eta(tau)*e^(rate tau) of a decaying original lets the rule fold e^(-rate tau)
+into the kernel's exponent, where it cancels the growth of cos and sin.
 
 A transform field (alpha = 2) is the field of the radially holomorphic
 potential G whose derivative G' is the ffc or ffs transform.  The lifts of
@@ -26,10 +30,10 @@ and go to fields.lifted_field.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,31 +60,31 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 _NODES_PER_PANEL = 16
 _MAX_PANELS = 4096
+_BLOCK = 1 << 14  # integrand nodes per block: points x nodes stays below this
 
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-_GL_X = [float(v) for v in _gl_x]
-_GL_W = [float(v) for v in _gl_w]
-del _gl_x, _gl_w
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 
 @dataclass(frozen=True)
 class OriginalFunction:
     """Metadata-carrying original eta(tau) on [0, support_t] (inf = half line).
 
-    growth_rate_s0 and bound_m assert |eta(tau)| <= bound_m * e^{s0 tau};
-    decay_rate > 0 asserts |eta(tau)| <= bound_m * e^{-decay_rate tau}
-    (needed for Fourier kernels off the real axis).  singularity marks an
-    inverse-square-root blow-up location (only the right endpoint of a
-    compact support is implemented); smooth_numerator, when given, is
-    eta(tau)*sqrt(1 - tau^2) evaluated without the weight.
+    evaluator and smooth_numerator map float arrays of tau elementwise (a
+    constant may come back as a scalar).  growth_rate_s0 and bound_m assert
+    |eta(tau)| <= bound_m * e^{s0 tau}; decay_rate > 0 asserts
+    |eta(tau)| <= bound_m * e^{-decay_rate tau} (needed for Fourier kernels
+    off the real axis).  singularity marks an inverse-square-root blow-up
+    location (only the right endpoint of a compact support is implemented).
+    smooth_numerator, when given, is eta(tau)*sqrt(1 - tau^2) for a singular
+    original, else eta(tau)*e^{decay_rate tau}.
     """
-    evaluator: Callable[[float], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     support_t: float = 1.0
     growth_rate_s0: float = 0.0
     bound_m: float = 1.0
     decay_rate: float = 0.0
     singularity: Optional[float] = None
-    smooth_numerator: Optional[Callable[[float], float]] = None
+    smooth_numerator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     holder_asserted: bool = True
     name: str = "eta"
 
@@ -97,86 +101,142 @@ class QuadratureSpec:
     last_delta: float
 
 
-def _gl_panels(f: Callable[[float], complex], a: float, b: float, panels: int) -> complex:
-    total = 0j
-    width = (b - a) / panels
-    for p in range(panels):
-        mid = a + width * (p + 0.5)
-        half = 0.5 * width
-        for xi, wi in zip(_GL_X, _GL_W):
-            total += wi * f(mid + half * xi)
-    return total * (0.5 * width)
+# ---------------------------------------------------------------------------
+# kernels (z, s, t) -> e^(-s t) k(z, t)
+# ---------------------------------------------------------------------------
+
+def _cos(z, s, t):
+    """e^(-s t) cos(z t).  With s > 0 the factors e^(+-Im z t) of cos are
+    folded into e^(-s t), so that none overflows while |Im z| < s."""
+    if not s:
+        return np.cos(z * t)
+    return 0.5 * (np.exp((1j * z - s) * t) + np.exp((-1j * z - s) * t))
 
 
-def _adaptive(f: Callable[[float], complex], a: float, b: float,
-              tol: float) -> Tuple[complex, QuadratureSpec]:
-    prev = _gl_panels(f, a, b, 1)
-    panels = 2
-    while panels <= _MAX_PANELS:
-        cur = _gl_panels(f, a, b, panels)
-        delta = abs(cur - prev)
-        if delta < tol:
-            return cur, QuadratureSpec("gauss_legendre_panels",
-                                       _NODES_PER_PANEL, panels, tol, delta)
-        prev = cur
-        panels *= 2
-    raise ConvergenceFailure(
-        f"quadrature did not reach tol {tol:g} within {_MAX_PANELS} panels")
+def _sin(z, s, t):
+    """e^(-s t) sin(z t), folded as in _cos."""
+    if not s:
+        return np.sin(z * t)
+    return -0.5j * (np.exp((1j * z - s) * t) - np.exp((-1j * z - s) * t))
 
 
-def _integrate_original(eta: OriginalFunction, kernel: Callable[[float], complex],
-                        upper: float, tol: float) -> Tuple[complex, QuadratureSpec]:
-    """Integrate eta(tau)*kernel(tau) over [0, upper] honoring the singularity."""
+_KERNEL = {"lf": lambda z, s, t: np.exp(-(z + s) * t), "ffc": _cos, "ffs": _sin}
+
+
+# ---------------------------------------------------------------------------
+# the batched quadrature
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _panel_rule(counts: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+    """Nodes and weights of the composite Gauss-Legendre rules on [0, 1] with
+    these panel counts, end to end, and the index where each rule ends."""
+    nodes = [(((np.arange(p) + 0.5) / p)[:, None] + (0.5 / p) * _GL_X).ravel()
+             for p in counts]
+    weights = [np.tile((0.5 / p) * _GL_W, p) for p in counts]
+    ends = tuple((_NODES_PER_PANEL * np.cumsum(counts)).tolist())
+    return np.concatenate(nodes), np.concatenate(weights), ends
+
+
+def _panel_sums(integrand, z: np.ndarray, upper: np.ndarray,
+                counts: Tuple[int, ...]) -> List[np.ndarray]:
+    """b * sum_j w_j f(b u_j) k(z, b u_j) at each point z for each panel count,
+    where the integrand gives the original's factor f and the kernel k, and b
+    is the point's upper limit (or one shared limit).  Rows are summed one by
+    one (np.add.reduce, never a matrix product): a point's bits do not depend
+    on its batch."""
+    nodes, weights, ends = _panel_rule(counts)
+    rows = max(1, _BLOCK // nodes.size)
+    outs = [np.empty(z.size, dtype=complex) for _ in counts]
+    for lo in range(0, z.size, rows):
+        hi = lo + rows
+        b = upper[lo:hi] if upper.size > 1 else upper
+        col = b[:, None]
+        f, k = integrand(z[lo:hi, None], col * nodes)
+        vals = k * (f * weights * col)
+        for out, start, end in zip(outs, (0,) + ends, ends):
+            out[lo:hi] = np.add.reduce(vals[:, start:end], axis=-1)
+    return outs
+
+
+def _truncation(gap: np.ndarray, bound_m: float, tol: float) -> np.ndarray:
+    """Upper limits T >= 1 with bound_m * e^{-gap T} / gap <= tol/2 (gap > 0)."""
+    arg = 2.0 * bound_m / (gap * tol)
+    return np.maximum(1.0, np.log(np.maximum(arg, 1.0)) / gap)
+
+
+def _upper(kind: str, eta: OriginalFunction, z: np.ndarray, tol: float) -> np.ndarray:
+    """The support (one limit for all points), or where each point's tail drops
+    below tol/2: lf needs Re z right of the abscissa, ffc/ffs a decay faster
+    than the kernel's e^(|Im z| tau)."""
+    if eta.compact():
+        return np.array([eta.support_t])
+    gap = z.real - eta.growth_rate_s0 if kind == "lf" else eta.decay_rate - np.abs(z.imag)
+    i = np.argmin(gap)  # the first nan, if any
+    if not gap[i] > 0.0 and kind == "lf":
+        raise AbscissaViolation(f"x0 = {z.real[i]:g} not right of the "
+                                f"abscissa s0 = {eta.growth_rate_s0:g}")
+    if not gap[i] > 0.0:
+        raise KernelGrowth(
+            f"kernel grows like e^(rho tau) with rho = {abs(z.imag[i]):g}; original "
+            f"decays at rate {eta.decay_rate:g} — integral not dominated")
+    return _truncation(gap, eta.bound_m, tol)
+
+
+def _integrals(kind: str, kernel, eta: OriginalFunction, z: np.ndarray,
+               tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integrals of eta(t) kernel(z, t) dt at the points of the flat complex
+    array z, with each point's panel count and last difference.
+
+    Panel doubling at all points at once (the first pass takes 1 and 2
+    panels together): a point retires once its sums at p and p/2 panels agree
+    below tol, and the rest go on with 2p panels.
+    """
+    num = eta.smooth_numerator
     if eta.singularity is None:
-        return _adaptive(lambda t: eta.evaluator(t) * kernel(t), 0.0, upper, tol)
-    if not eta.compact() or eta.singularity != eta.support_t or eta.support_t != 1.0:
+        upper = _upper(kind, eta, z, tol)
+        shift, substitute = (eta.decay_rate if num is not None else 0.0), False
+    elif not eta.compact() or eta.singularity != eta.support_t or eta.support_t != 1.0:
         raise Unsupported("only an inverse-sqrt singularity at the right "
                           "endpoint tau = 1 is implemented")
-    if upper != eta.support_t:
-        raise Unsupported("cannot truncate inside a singular support")
-    num = eta.smooth_numerator
-    if num is not None:
-        f = lambda u: num(math.sin(u)) * kernel(math.sin(u))
     else:
-        # fallback: the cos(u) factor cancels the weight only approximately
-        # in floating point near u = pi/2
-        f = lambda u: eta.evaluator(math.sin(u)) * math.cos(u) * kernel(math.sin(u))
-    return _adaptive(f, 0.0, 0.5 * math.pi, tol)
+        upper, shift, substitute = np.array([0.5 * math.pi]), 0.0, True
+
+    def integrand(zc, u):
+        t = np.sin(u) if substitute else u
+        if num is not None:
+            f = num(t)
+        else:
+            # with the substitution the cos(u) factor cancels the weight only
+            # approximately in floating point near u = pi/2
+            f = eta.evaluator(t) * np.cos(u) if substitute else eta.evaluator(t)
+        return f, kernel(zc, shift, t)
+
+    value, panels, delta = np.empty(z.size, complex), np.empty(z.size, int), np.empty(z.size)
+    points = np.arange(z.size)
+    prev, cur = _panel_sums(integrand, z, upper, (1, 2))
+    p = 2
+    while True:
+        d = np.abs(cur - prev)
+        done = d < tol
+        if done.all():
+            value[points], panels[points], delta[points] = cur, p, d
+            return value, panels, delta
+        if p == _MAX_PANELS:
+            raise ConvergenceFailure(
+                f"quadrature did not reach tol {tol:g} within {_MAX_PANELS} panels")
+        if done.any():
+            fin, keep = points[done], ~done
+            value[fin], panels[fin], delta[fin] = cur[done], p, d[done]
+            points, z, cur = points[keep], z[keep], cur[keep]
+            upper = upper[keep] if upper.size > 1 else upper
+        p *= 2
+        prev, (cur,) = cur, _panel_sums(integrand, z, upper, (p,))
 
 
-def _truncation(gap: float, bound_m: float, tol: float) -> float:
-    """Upper limit T with bound_m * e^{-gap T} / gap <= tol/2 (gap > 0)."""
-    arg = 2.0 * bound_m / (gap * tol)
-    if arg <= 1.0:
-        return 1.0
-    return max(1.0, math.log(arg) / gap)
-
-
-# kernel factories: z -> (tau -> kernel(z, tau))
-_KERNEL = {
-    "lf": lambda z: lambda t: cmath.exp(-z * t),
-    "ffc": lambda z: lambda t: cmath.cos(z * t),
-    "ffs": lambda z: lambda t: cmath.sin(z * t),
-}
-
-
-def _upper(kind: str, eta: OriginalFunction, z: complex, tol: float) -> float:
-    """The support, or where the tail drops below tol/2: lf needs Re z right of
-    the abscissa, ffc/ffs a decay faster than the kernel's e^(|Im z| tau)."""
-    if eta.compact():
-        return eta.support_t
-    if kind == "lf":
-        gap = z.real - eta.growth_rate_s0
-        if gap <= 0.0:
-            raise AbscissaViolation(
-                f"x0 = {z.real:g} not right of the abscissa s0 = {eta.growth_rate_s0:g}")
-    else:
-        gap = eta.decay_rate - abs(z.imag)
-        if gap <= 0.0:
-            raise KernelGrowth(
-                f"kernel grows like e^(rho tau) with rho = {abs(z.imag):g}; original "
-                f"decays at rate {eta.decay_rate:g} — integral not dominated")
-    return _truncation(gap, eta.bound_m, tol)
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"quadrature tol must be finite and > 0, got {tol!r}")
 
 
 def transform_detail(kind: str, eta: OriginalFunction, x: Quaternion,
@@ -184,10 +244,13 @@ def transform_detail(kind: str, eta: OriginalFunction, x: Quaternion,
     """The lf, ffc or ffs transform of eta at x, with its quadrature record."""
     if kind not in _KERNEL:
         raise DomainError(f"transform kind must be 'lf', 'ffc' or 'ffs', got {kind!r}")
+    _check_tol(tol)
     split = axial_split(x)
-    z = complex(split.a, split.b)
-    val, spec = _integrate_original(eta, _KERNEL[kind](z), _upper(kind, eta, z, tol), tol)
-    return from_lift(val, x), spec
+    z = np.array([complex(split.a, split.b)])
+    val, panels, delta = _integrals(kind, _KERNEL[kind], eta, z, tol)
+    spec = QuadratureSpec("gauss_legendre_panels", _NODES_PER_PANEL, int(panels[0]),
+                          tol, float(delta[0]))
+    return from_lift(complex(val[0]), x), spec
 
 
 def laplace_fueter(eta: OriginalFunction, x: Quaternion,
@@ -207,8 +270,8 @@ def ff_sin(eta: OriginalFunction, x: Quaternion, tol: float = DEFAULT_TOL) -> Qu
 # originals
 # ---------------------------------------------------------------------------
 
-def _cheb_t(k: int, tau: float) -> float:
-    """Chebyshev T_k(tau) by the stable three-term recurrence."""
+def _cheb_t(k: int, tau):
+    """Chebyshev T_k(tau) by the stable three-term recurrence (tau float or array)."""
     if k == 0:
         return 1.0
     tkm1, tk = 1.0, tau
@@ -222,10 +285,10 @@ def chebyshev_kernel(k: int) -> OriginalFunction:
     if k < 0:
         raise DomainError("Chebyshev kernel order must be >= 0")
 
-    def evaluator(tau: float, _k=k) -> float:
-        if not 0.0 <= tau < 1.0:
+    def evaluator(tau, _k=k):
+        if not np.all((0.0 <= tau) & (tau < 1.0)):
             raise DomainError("Chebyshev original defined on [0, 1) (singular at 1)")
-        return _cheb_t(_k, tau) / math.sqrt(1.0 - tau * tau)
+        return _cheb_t(_k, tau) / np.sqrt(1.0 - tau * tau)
 
     return OriginalFunction(
         evaluator=evaluator,
@@ -251,15 +314,20 @@ def unit_original() -> OriginalFunction:
 
 
 def exp_decay_original(rate: float = 1.0) -> OriginalFunction:
-    """eta(tau) = e^{-rate tau} on [0, inf); decay asserted for Fourier kernels."""
-    if rate <= 0.0:
-        raise DomainError("decay rate must be positive")
+    """eta(tau) = e^{-rate tau} on [0, inf); decay asserted for Fourier kernels.
+
+    Its smooth numerator is 1: the quadrature folds e^{-rate tau} into the
+    kernel's exponent.
+    """
+    if not 0.0 < rate < math.inf:
+        raise DomainError(f"decay rate must be positive and finite, got {rate!r}")
     return OriginalFunction(
-        evaluator=lambda t, _r=rate: math.exp(-_r * t),
+        evaluator=lambda t, _r=rate: np.exp(-_r * t),
         support_t=math.inf,
         growth_rate_s0=0.0,
         bound_m=1.0,
         decay_rate=rate,
+        smooth_numerator=lambda t: 1.0,
         name=f"exp{rate:g}",
     )
 
@@ -286,35 +354,30 @@ def bessel_integral_rep(n: int, parity: str, x: Quaternion,
 # transform-backed meridional fields (alpha = 2)
 # ---------------------------------------------------------------------------
 
-# kind -> kernel factories of the potential's lifts G, G' and G''
+# kind -> kernels of the potential's lifts G, G' and G''
 _FIELD_KERNELS = {
-    "ffc": (lambda z: lambda t: cmath.sin(z * t) / t if t != 0.0 else z,
-            _KERNEL["ffc"],
-            lambda z: lambda t: -t * cmath.sin(z * t)),
-    "ffs": (lambda z: lambda t: (1.0 - cmath.cos(z * t)) / t if t != 0.0 else 0j,
-            _KERNEL["ffs"],
-            lambda z: lambda t: t * cmath.cos(z * t)),
+    "ffc": (lambda z, s, t: _sin(z, s, t) / t, _cos, lambda z, s, t: -t * _sin(z, s, t)),
+    "ffs": (lambda z, s, t: (np.exp(-s * t) - _cos(z, s, t)) / t, _sin,
+            lambda z, s, t: t * _cos(z, s, t)),
 }
 
 
 def _transform_lift(kind: str, kernel, eta: OriginalFunction, tol: float):
-    """z -> integral of eta(t) kernel(z)(t) dt at a complex scalar or ndarray.
+    """z -> integral of eta(t) kernel(z, t) dt at a complex scalar or ndarray.
 
-    An ndarray is a loop of the scalar quadrature, so both give the same bits.
-    A one-slot memo lets V0 and Vrho read one integral of G', and the two
-    dVrho partials one integral of G''.
+    A scalar is a one-point batch, so both give the same bits.  A one-slot
+    memo lets V0 and Vrho read one integral of G', and the two dVrho partials
+    one integral of G''.
     """
-    def scalar(z: complex) -> complex:
-        return _integrate_original(eta, kernel(z), _upper(kind, eta, z, tol), tol)[0]
-
     memo = [None, None]
 
     def lift(z):
-        key = (np.shape(z), np.asarray(z, dtype=complex).tobytes())
+        zs = np.asarray(z, dtype=complex)
+        key = (zs.shape, zs.tobytes())
         if key != memo[0]:
-            memo[1] = (np.array([scalar(w) for w in z.ravel().tolist()],
-                                dtype=complex).reshape(z.shape)
-                       if isinstance(z, np.ndarray) else scalar(complex(z)))
+            vals = _integrals(kind, kernel, eta, zs.ravel(), tol)[0]
+            memo[1] = (vals.reshape(zs.shape) if isinstance(z, np.ndarray)
+                       else complex(vals[0]))
             memo[0] = key
         return memo[1]
     return lift
@@ -329,5 +392,6 @@ def transform_field(kind: str, eta: OriginalFunction,
     """
     if kind not in _FIELD_KERNELS:
         raise DomainError(f"transform field kind must be 'ffc' or 'ffs', got {kind!r}")
+    _check_tol(tol)
     G, F, F2 = (_transform_lift(kind, k, eta, tol) for k in _FIELD_KERNELS[kind])
     return lifted_field(G, F, F2, f"transform:{kind}:{eta.name}", vectorized=True)

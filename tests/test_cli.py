@@ -398,6 +398,42 @@ def test_special_bessel_y():
     assert abs(float(_kv(r.stdout)["value"]) - 0.45015815807855303) < 1e-13
 
 
+@pytest.mark.parametrize("argv", [
+    ("special", "transform", "--kind", "ffc", "--original", "unit", "--at", "1,0.5,0,0",
+     "--tol", "0"),
+    ("special", "transform", "--kind", "ffc", "--original", "unit", "--at", "1,0.5,0,0",
+     "--tol", "-1"),
+    ("special", "transform", "--kind", "ffc", "--original", "unit", "--at", "1,0.5,0,0",
+     "--tol", "nan"),
+    ("special", "transform", "--kind", "ffc", "--original", "exp", "--at", "1,0.5,0,0",
+     "--rate", "nan"),
+    ("special", "transform", "--kind", "ffc", "--original", "exp", "--at", "1,0.5,0,0",
+     "--rate", "inf"),
+    ("special", "besselrep", "--n", "0", "--parity", "even", "--at", "1,0,0,0",
+     "--tol", "0"),
+    ("eval", "--field", "transform:kind=ffc,original=exp,rate=2,tol=-1",
+     "--grid", "0:1:2,1:1.5:2"),
+    ("eval", "--field", "transform:kind=ffc,original=exp,rate=2,tol=0",
+     "--grid", "0:1:2,1:1.5:2"),
+])
+def test_quadrature_settings_rejected_exit_2(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and ("tol" in r.stderr or "rate" in r.stderr)
+
+
+def test_special_transform_exp_near_the_decay_rate():
+    # e^(-2t) cos(z t) at rho = 1.95 once overflowed; the value is 2/(z^2 + 4)
+    r = run_cli("special", "transform", "--kind", "ffc", "--original", "exp",
+                "--rate", "2", "--at", "0.5,1.95,0,0")
+    assert r.returncode == 0, r.stderr
+    kv = _kv(r.stdout)
+    z = complex(0.5, 1.95)
+    got = complex(float(kv["x0"]), float(kv["x1"]))
+    assert abs(got - 2.0 / (z * z + 4.0)) <= 1e-10
+
+
 def test_special_besselq_real_axis():
     r = run_cli("special", "besselq", "--n", "0", "--at", "1,0,0,0")
     vals = _kv(r.stdout)

@@ -164,8 +164,9 @@ def test_cheb_original_is_even_order():
 
 
 def test_exp_decay_guard():
-    with pytest.raises(DomainError):
-        exp_decay_original(0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            exp_decay_original(rate)
     assert exp_decay_original(2.5).decay_rate == 2.5
     assert not exp_decay_original(1.0).compact()
     assert unit_original().compact()
@@ -185,7 +186,7 @@ def test_unsupported_singularity_layouts():
 def test_singular_fallback_path_without_numerator():
     # same integral as chebyshev_kernel(0) but forcing the generic branch
     eta = OriginalFunction(
-        evaluator=lambda t: 1.0 / math.sqrt(1.0 - t * t),
+        evaluator=lambda t: 1.0 / np.sqrt(1.0 - t * t),
         support_t=1.0, singularity=1.0, name="raw")
     got = ff_cos(eta, Quaternion(1, 0, 0, 0))
     assert abs(got.x0 - 1.2019697153172064) < 1e-9
@@ -305,3 +306,85 @@ def test_transform_field_memo_never_goes_stale(kind):
     for name in _QUANTITIES:
         assert getattr(field, name)(0.5, 0.6) == getattr(fresh, name)(0.5, 0.6)
     assert field.stream_value(0.5, 0.6) == fresh.stream_value(0.5, 0.6)
+
+
+# ---------------------------------------------------------------------------
+# the whole convergent strip, and the batched rule against one-point calls
+# ---------------------------------------------------------------------------
+
+_RATE = 2.0
+
+
+def _strip_grid(x_lo, x_hi):
+    """A 13 x 13 grid whose rho reaches 0.99 * rate, flattened."""
+    x0, rho = np.meshgrid(np.linspace(x_lo, x_hi, 13), np.linspace(0.01, 0.99 * _RATE, 13))
+    return x0.ravel(), rho.ravel()
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("kind,closed", [
+    ("ffc", lambda z: _RATE / (z * z + _RATE ** 2)),
+    ("ffs", lambda z: z / (z * z + _RATE ** 2)),
+])
+def test_exp_field_matches_closed_form_over_the_strip(kind, closed, tol):
+    # G' = V0 - i*Vrho; near rho = rate the value reaches 25 and T 1150-1600
+    x0, rho = _strip_grid(-1.5, 1.5)
+    field = transform_field(kind, exp_decay_original(_RATE), tol)
+    v0, vr = field.evaluate(["V0", "Vrho"], x0, rho)
+    err = np.abs(v0 - 1j * vr - closed(x0 + 1j * rho))
+    assert err.max() <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_laplace_exp_matches_closed_form_over_the_strip(tol):
+    x0, rho = _strip_grid(0.2, 1.5)
+    for a, b in zip(x0.tolist(), rho.tolist()):
+        got = laplace_fueter(exp_decay_original(_RATE), Quaternion(a, b, 0, 0), tol)
+        assert abs(complex(got.x0, got.x1) - 1.0 / (complex(a, b) + _RATE)) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_ffc_cheb0_is_bessel_j0_on_the_real_axis(tol):
+    for x in np.linspace(-6.0, 6.0, 25).tolist():
+        got = ff_cos(cheb_original(0), Quaternion(x, 0, 0, 0), tol)
+        assert abs(got.x0 - 0.5 * math.pi * bessel_j(0, abs(x))) <= tol
+
+
+@pytest.mark.parametrize("kind", ["ffc", "ffs"])
+def test_field_near_the_decay_rate_raises_no_float_error(kind):
+    x0, rho = _strip_grid(-1.5, 1.5)
+    prof = transform_field(kind, exp_decay_original(_RATE)).profile
+    with np.errstate(over="raise", invalid="raise"):
+        for name in ("g", "dg_dx0", "dg_drho", "d2g_dx0x0", "d2g_dx0rho",
+                     "d2g_drhorho", "stream"):
+            assert np.all(np.isfinite(getattr(prof, name)(x0, rho)))
+
+
+# eval and spectrum grids of the transform benchmark: 20 x 20, 15 x 15, 12 x 12
+_BENCH_SHAPES = [(20, 20), (15, 15), (12, 12)]
+
+
+@pytest.mark.parametrize("shape", _BENCH_SHAPES)
+@pytest.mark.parametrize("kind,eta", [
+    ("ffc", exp_decay_original(2.2)), ("ffs", exp_decay_original(2.2)),
+    ("ffc", unit_original()), ("ffs", unit_original()),
+    ("ffc", cheb_original(2)), ("ffs", chebyshev_kernel(3)),
+], ids=lambda v: getattr(v, "name", v))
+def test_batched_evaluate_equals_one_point_transforms(kind, eta, shape):
+    nx, nr = shape
+    x0, rho = np.meshgrid(np.linspace(-1.05, 0.95, nx), np.linspace(0.12, 0.78, nr),
+                          indexing="ij")
+    x0, rho = x0.ravel(), rho.ravel()
+    v0, vr = transform_field(kind, eta).evaluate(["V0", "Vrho"], x0, rho)
+    for i, (a, b) in enumerate(zip(x0.tolist(), rho.tolist())):
+        got, _ = transform_detail(kind, eta, Quaternion(a, b, 0, 0))
+        assert (v0[i], -vr[i]) == (got.x0, got.x1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_quadrature_tol_guard(tol):
+    x = Quaternion(1, 0.5, 0, 0)
+    with pytest.raises(DomainError):
+        transform_detail("ffc", unit_original(), x, tol)
+    with pytest.raises(DomainError):
+        transform_field("ffc", unit_original(), tol)
