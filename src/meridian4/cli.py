@@ -505,6 +505,8 @@ def _quat_kv(x: Quaternion):
 def cmd_special(args) -> int:
     pairs = []
     if args.query == "bessel":
+        if not (math.isfinite(args.nu) and math.isfinite(args.z)):
+            raise SpecError(f"--nu = {args.nu!r} and --z = {args.z!r} must be finite")
         fn = bessel_y if args.kind == "y" else bessel_j
         pairs = [("value", fn(args.nu, args.z))]
     elif args.query == "besselq":

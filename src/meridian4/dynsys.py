@@ -40,8 +40,7 @@ def _rhs(f: MeridionalField, x: Quaternion) -> Quaternion:
     return lift_to_r4(f, x)
 
 
-def _rk4_step(f: MeridionalField, x: Quaternion, dt: float) -> Quaternion:
-    k1 = _rhs(f, x)
+def _rk4_step(f: MeridionalField, x: Quaternion, dt: float, k1: Quaternion) -> Quaternion:
     k2 = _rhs(f, x + (0.5 * dt) * k1)
     k3 = _rhs(f, x + (0.5 * dt) * k2)
     k4 = _rhs(f, x + dt * k3)
@@ -77,7 +76,7 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
             break
         step = min(dt, horizon - t)
         try:
-            x_next = _rk4_step(f, x, step)
+            x_next = _rk4_step(f, x, step, v)  # v is k1, the field at x
         except DomainError:
             termination = "left_domain"
             break

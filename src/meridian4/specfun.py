@@ -6,21 +6,20 @@ The Bessel route is deliberately a single one: the ascending series
 
     J_nu(z) = sum_m (-1)^m / (m! Gamma(nu+m+1)) (z/2)^(nu+2m)
 
-summed with a geometric tail bound, valid for |z| <= 30.  The series has
-two loops with the same recurrence and the same stop rule.  Real arguments
-0 < z <= 30 (bessel_j_series, bessel_j, bessel_y) run a float loop; complex
-arguments (bessel_j_quat, power_to_bessel_partial) run a complex loop.  On
-a real z the float loop returns bit for bit the real part of the complex
-one: integer-order leading powers use the same binary powering as CPython's
-complex ** int.  The reported bound is the truncation tail plus the
-rounding term (terms + 1) * eps * sum |term_i|.  Y_nu is derived from J by
-the reflection formula and therefore refuses integer orders.  Closed-form
-half-integer checks live in the tests, not here.
+summed by one loop with a geometric tail bound, valid for |z| <= 30.  A
+float z (bessel_j_series, bessel_j, bessel_y) is summed in float arithmetic,
+a complex z (bessel_j_quat, power_to_bessel_partial) in complex arithmetic.
+A real z gives the same bits either way: integer-order leading powers come
+from _powu, which does the multiplications of CPython's complex ** int for
+both types (float ** int rounds differently).  A leading term that
+overflows is a DomainError.  The reported bound is the truncation tail plus
+the rounding term (terms + 1) * eps * sum |term_i|.  Y_nu is derived from J
+by the reflection formula and therefore refuses integer orders.
+Closed-form half-integer checks live in the tests, not here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ MAX_ABS_Z = 30.0
 _MAX_TERMS = 300
 _EPS = sys.float_info.epsilon
 _MAX_FACTORIAL = 170
+_Num = Union[float, complex]
 
 _FACT = [1.0]
 for _k in range(1, _MAX_FACTORIAL + 1):
@@ -76,56 +76,10 @@ def _is_int(nu: float) -> bool:
     return nu == int(nu)
 
 
-def _jv_ascending(nu: float, z: complex) -> Tuple[complex, SeriesTail]:
-    """Ascending series for J_nu(z), complex z, |z| <= 30.
-
-    Caller must have reduced negative integer orders already.  The tail
-    bound is geometric: once the term ratio falls below 1/2 the remainder
-    is at most twice the first neglected term.  The rounding term
-    (terms + 1) * eps * sum |term_i| is added to it.
-    """
-    if abs(z) > MAX_ABS_Z:
-        raise DomainError(f"ascending series restricted to |z| <= {MAX_ABS_Z:g}")
-    half = 0.5 * z
-    if z == 0:
-        if nu == 0:
-            return 1.0 + 0j, SeriesTail(1, 0.0)
-        if nu > 0:
-            return 0j, SeriesTail(1, 0.0)
-        raise DomainError("J_nu(0) diverges for negative order")
-
-    # leading coefficient (z/2)^nu / Gamma(nu+1)
-    if _is_int(nu):
-        c0 = half ** int(nu) / factorial(int(nu))
-    else:
-        c0 = half ** nu / gamma(nu + 1.0)
-
-    term = c0
-    total = c0
-    scale = mass = abs(c0)
-    zz = half * half
-    m = 0
-    while m < _MAX_TERMS:
-        ratio = -zz / ((m + 1.0) * (nu + m + 1.0))
-        nxt = term * ratio
-        # rigorous stop: next index ratio must already be in the geometric regime
-        denom_next = (m + 2.0) * (nu + m + 2.0)
-        if denom_next > 0:
-            r_next = abs(zz) / denom_next
-            if r_next <= 0.5 and abs(nxt) <= 1e-16 * max(scale, 1e-300):
-                return total, SeriesTail(m + 1, 2.0 * abs(nxt) + (m + 2) * _EPS * mass)
-        term = nxt
-        total += term
-        scale = max(scale, abs(total))
-        mass += abs(term)
-        m += 1
-    raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
-
-
-def _powu(x: float, n: int) -> float:
+def _powu(x: _Num, n: int) -> _Num:
     """x**n for 0 <= n <= 100 by CPython's complex binary powering (c_powu),
-    so that it equals (complex(x) ** n).real bit for bit."""
-    r, mask = 1.0, 1
+    so a complex x gets the bits of x ** n and a float x the same steps."""
+    r, mask = x ** 0, 1  # 1.0 or (1+0j), as c_powu starts
     while n >= mask:
         if n & mask:
             r *= x
@@ -134,41 +88,51 @@ def _powu(x: float, n: int) -> float:
     return r
 
 
-def _jv_ascending_real(nu: float, x: float) -> Tuple[float, SeriesTail]:
-    """_jv_ascending for real 0 < x <= 30 in float arithmetic.
+def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, SeriesTail]:
+    """Ascending series for J_nu(z), float or complex z, |z| <= 30.
 
-    Same recurrence, same stop rule and same bound; the value equals
-    _jv_ascending(nu, complex(x)).real bit for bit.  Once a term overflows,
-    the complex loop's imaginary parts turn to NaN and its real parts no
-    longer follow the float ones, so the float loop hands such sums, leading
-    powers that overflow and sums that do not settle to the complex loop.
+    Caller must have reduced negative integer orders already.  The tail
+    bound is geometric: once the term ratio falls below 1/2 the remainder is
+    at most twice the first neglected term; the rounding term
+    (terms + 1) * eps * sum |term_i| is added to it.
     """
-    half = 0.5 * x
+    if not abs(z) <= MAX_ABS_Z:
+        raise DomainError(f"ascending series restricted to |z| <= {MAX_ABS_Z:g}")
+    if z == 0:
+        if nu < 0:
+            raise DomainError("J_nu(0) diverges for negative order")
+        val = 1.0 if nu == 0 else 0.0
+        return (complex(val) if isinstance(z, complex) else val), SeriesTail(1, 0.0)
+
+    # leading coefficient (z/2)^nu / Gamma(nu+1)
+    half = 0.5 * z
     try:
         if _is_int(nu):
             n = int(nu)
-            c0 = (_powu(half, n) if n <= 100 else half ** n) / factorial(n)
+            c0 = (_powu(half, n) if n <= 100 else half ** nu) / factorial(n)
         else:
             c0 = half ** nu / gamma(nu + 1.0)
+        scale = abs(c0)
     except (OverflowError, ZeroDivisionError):
-        return _jv_real_by_complex(nu, x)  # raises the complex loop's error
+        scale = math.inf
+    if not scale < math.inf:
+        raise DomainError(f"leading term (z/2)^nu / Gamma(nu+1) overflows at "
+                          f"nu = {nu!r}, |z| = {abs(z)!r}")
 
-    # The float counter k stands for m; the stop rule's scale test is kept
-    # as lim and checked first, which changes no decision.
+    # k is the term index as a float; lim caches the stop rule's scale test
     term = total = c0
-    scale = mass = abs(c0)
+    mass = scale
     lim = 1e-16 * max(scale, 1e-300)
     zz = half * half
-    nzz = -zz
+    nzz, azz = -zz, abs(zz)
     k = 0.0
     while k < _MAX_TERMS:
         nxt = term * (nzz / ((k + 1.0) * (nu + k + 1.0)))
         a = abs(nxt)
         if a <= lim:
+            # rigorous stop: the next ratio must already be in the geometric regime
             denom_next = (k + 2.0) * (nu + k + 2.0)
-            if denom_next > 0 and zz / denom_next <= 0.5:
-                if not mass < math.inf:
-                    break
+            if denom_next > 0 and azz / denom_next <= 0.5:
                 return total, SeriesTail(int(k) + 1, 2.0 * a + (k + 2.0) * _EPS * mass)
         term = nxt
         total += nxt
@@ -178,24 +142,17 @@ def _jv_ascending_real(nu: float, x: float) -> Tuple[float, SeriesTail]:
             lim = 1e-16 * max(scale, 1e-300)
         mass += a
         k += 1.0
-    return _jv_real_by_complex(nu, x)
+    raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
 
 
-def _jv_real_by_complex(nu: float, x: float) -> Tuple[float, SeriesTail]:
-    """The real part of the complex loop at a real argument."""
-    val, tail = _jv_ascending(nu, complex(x))
-    return val.real, tail
-
-
-def _jv_reduced(nu: float, z, series=_jv_ascending):
-    """Handle the negative-integer reflection J_{-n} = (-1)^n J_n, then sum
-    with series (the complex loop, or the float loop for real 0 < z <= 30)."""
+def _jv_reduced(nu: float, z: _Num) -> Tuple[_Num, SeriesTail]:
+    """Handle the negative-integer reflection J_{-n} = (-1)^n J_n, then sum."""
     if _is_int(nu) and nu < 0:
         n = int(-nu)
-        val, tail = series(float(n), z)
+        val, tail = _jv_ascending(float(n), z)
         sign = -1.0 if n % 2 else 1.0
         return sign * val, tail
-    return series(nu, z)
+    return _jv_ascending(nu, z)
 
 
 def bessel_j_series(nu: float, z: float) -> Tuple[float, SeriesTail]:
@@ -205,10 +162,7 @@ def bessel_j_series(nu: float, z: float) -> Tuple[float, SeriesTail]:
     if z == 0.0 and nu < 0 and _is_int(nu):
         # J_{-n}(0) = (-1)^n J_n(0) = 0 for n >= 1
         return 0.0, SeriesTail(1, 0.0)
-    if 0.0 < z <= MAX_ABS_Z:
-        return _jv_reduced(nu, z, _jv_ascending_real)
-    val, tail = _jv_reduced(nu, complex(z))
-    return val.real, tail
+    return _jv_reduced(nu, z)
 
 
 def bessel_j(nu: float, z: float) -> float:
@@ -231,8 +185,6 @@ def bessel_j_quat(n: Union[int, float], x: Quaternion) -> Quaternion:
     """J_n at a quaternion argument through the complex lift (entire function)."""
     split = axial_split(x)
     z = complex(split.a, split.b)
-    if abs(z) > MAX_ABS_Z:
-        raise DomainError(f"|x| = {abs(z):g} outside the series domain (<= {MAX_ABS_Z:g})")
     nu = float(n)
     if not _is_int(nu) and split.b == 0.0 and split.a < 0.0:
         raise DomainError("non-integer order on the negative real axis")
@@ -248,8 +200,6 @@ def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
         raise DomainError("partial-sum length N must be in [0, 30]")
     split = axial_split(x)
     z = complex(split.a, split.b)
-    if abs(z) > MAX_ABS_Z:
-        raise DomainError(f"|x| = {abs(z):g} outside the series domain")
     total = 0j
     for n in range(big_n + 1):
         coeff = (m + 2 * n) * factorial(m + n - 1) / factorial(n)

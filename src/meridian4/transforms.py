@@ -85,7 +85,6 @@ class OriginalFunction:
     decay_rate: float = 0.0
     singularity: Optional[float] = None
     smooth_numerator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    holder_asserted: bool = True
     name: str = "eta"
 
     def compact(self) -> bool:

@@ -398,6 +398,16 @@ def test_special_bessel_y():
     assert abs(float(_kv(r.stdout)["value"]) - 0.45015815807855303) < 1e-13
 
 
+@pytest.mark.parametrize("nu,z,code", [("-1.25", "5e-324", 3), ("nan", "1", 2),
+                                       ("0.5", "nan", 2), ("inf", "1", 2)])
+def test_special_bessel_bad_inputs_exit_with_one_error_line(nu, z, code):
+    # the power (z/2)^nu overflows (3); non-finite order or argument (2)
+    r = run_cli("special", "bessel", "--nu", nu, "--z", z)
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("special", "transform", "--kind", "ffc", "--original", "unit", "--at", "1,0.5,0,0",
      "--tol", "0"),

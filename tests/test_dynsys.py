@@ -11,6 +11,7 @@ from meridian4.fields import (
     SeparableParams,
     from_holomorphic_potential,
     from_separable,
+    lift_to_r4,
     verify_epd,
 )
 from meridian4.dynsys import CONVERGED_SPEED, classify, flow, monotonicity_audit
@@ -101,6 +102,25 @@ def test_flow_is_deterministic():
     b = flow(_saddle_field(), Quaternion(0.5, 0.1, 0, 0), dt=1e-3, horizon=0.5)
     assert [p.components() for p in a.points] == [p.components() for p in b.points]
     assert a.h_values == b.h_values
+
+
+def test_flow_evaluates_the_field_four_times_per_step(monkeypatch):
+    import meridian4.dynsys as dynsys
+
+    calls = []
+
+    def counted(f, x):
+        calls.append(x)
+        return lift_to_r4(f, x)
+
+    monkeypatch.setattr(dynsys, "lift_to_r4", counted)
+    f = from_holomorphic_potential(qexp())
+    tr = flow(f, Quaternion(0.1, 0.2, 0.1, 0.0), dt=1e-3, horizon=0.2)
+    assert tr.termination == "horizon"
+    steps = len(tr.times) - 1
+    assert steps == 200
+    # k1 of each step is the speed the convergence test already computed
+    assert len(calls) == 4 * steps
 
 
 def test_flow_converges_at_interior_equilibrium():

@@ -14,7 +14,7 @@ from meridian4.specfun import (
     gamma,
     power_to_bessel_partial,
 )
-from meridian4.specfun import _jv_ascending_real, _jv_reduced
+from meridian4.specfun import _jv_reduced
 from meridian4.errors import DomainError, IntegerOrderUnsupported
 
 # 50-digit references rounded to float64 (mpmath, dps=50)
@@ -121,14 +121,14 @@ def test_series_tail_metadata():
 
 
 # ---------------------------------------------------------------------------
-# the float loop for real arguments against the complex loop
+# one series loop: float arguments against complex ones, and pinned bits
 # ---------------------------------------------------------------------------
 
 def _outcome(fn, *args):
     """(value bits, tail) of a series call, or the error it raises."""
     try:
         val, tail = fn(*args)
-    except Exception as exc:  # both loops must fail alike
+    except Exception as exc:  # float and complex arguments must fail alike
         return type(exc).__name__, str(exc)
     return (val.real if isinstance(val, complex) else val).hex(), tail
 
@@ -146,21 +146,88 @@ def test_real_loop_matches_complex_loop_bit_for_bit(nu):
     rng = random.Random(f"real-loop/{nu}")
     xs = REAL_LOOP_ARGS + [rng.uniform(0.0, 30.0) for _ in range(300)]
     for x in xs:
-        got = _outcome(_jv_reduced, nu, x, _jv_ascending_real)
+        got = _outcome(_jv_reduced, nu, x)
         want = _outcome(_jv_reduced, nu, complex(x))
         assert got == want, (nu, x)
 
 
-def test_bessel_j_series_routes_reals_through_the_float_loop(monkeypatch):
-    import meridian4.specfun as sf
+def test_bessel_j_series_keeps_real_arguments_in_float_arithmetic():
+    # a single complex step anywhere in the recurrence would make the sum complex
+    for nu in REAL_LOOP_ORDERS:
+        for x in (1e-6, 2.5, 17.5, 30.0):
+            val, _ = bessel_j_series(nu, x)
+            assert type(val) is float, (nu, x)
+    assert type(bessel_j(0, 0.0)) is float and type(bessel_j(2, 0.0)) is float
+    assert type(_jv_reduced(0.0, 0j)[0]) is complex
+    assert type(bessel_y(0.5, math.pi)) is float
 
-    def refuse(nu, z):
-        raise AssertionError("complex loop reached for a real argument")
 
-    monkeypatch.setattr(sf, "_jv_ascending", refuse)
-    for nu, z in ((2, 3.7), (-3, 2.2), (0.5, 1.0)):
-        assert abs(bessel_j(nu, z) - J_REFS[(nu, z)]) <= 5e-14
-    assert abs(bessel_y(0.5, math.pi) - Y_REFS[(0.5, math.pi)]) <= 5e-14
+# float.hex() of values returned when real and complex arguments ran in two
+# separate loops; any change to the summation order shows up here
+J_BITS = {
+    (0, 1.0): '0x1.87c7fdbd7b8f0p-1',
+    (1, 3.7): '0x1.b9020e18f5f33p-5',
+    (2, 0.05): '0x1.479c9ae7be13fp-12',
+    (-3, 2.2): '-0x1.4c714c29037e9p-3',
+    (7, 11.0): '0x1.2d12aad02e74cp-6',
+    (0.5, 29.0): '-0x1.92c0ca28f7aecp-4',
+    (-1.75, 0.4): '-0x1.d06b22bc3275bp+1',
+    (3.25, 17.5): '0x1.36c525e042fe4p-3',
+    (12.6, 0.9): '0x1.56b4db1b48916p-46',
+}
+
+Y_BITS = {
+    (0.5, 3.0): '0x1.d2fe764ac4ee0p-2',
+    (-0.5, 2.0): '0x1.06aa0d11b4e66p-1',
+    (2.5, 0.7): '-0x1.97a20bb4849c4p+2',
+    (-3.5, 6.0): '-0x1.118cd926fd123p-2',
+    (1.25, 19.0): '-0x1.99c7ec1448924p-4',
+}
+
+JQ_BITS = {
+    (0, (1.0, 0.6, 0.0, 0.8)):
+        ('0x1.e00e37e0ab258p-1', '-0x1.3111686f84922p-2',
+         '-0x0.0p+0', '-0x1.96c1e094b0c2ep-2'),
+    (2, (0.3, -1.2, 0.4, 0.0)):
+        ('-0x1.a771546e47185p-3', '-0x1.d398537416e60p-4',
+         '0x1.37bae24d64996p-5', '0x0.0p+0'),
+    (-3, (2.5, 0.0, 1.5, -2.0)):
+        ('0x1.c72808c244ef0p-7', '-0x0.0p+0',
+         '-0x1.2bf5d816669e2p-1', '0x1.8ff27573337d9p-1'),
+    (5, (-4.0, 0.1, 0.2, 0.3)):
+        ('-0x1.07e8d28063dd4p-3', '0x1.7f63ea48ce6e0p-7',
+         '0x1.7f63ea48ce6e0p-6', '0x1.1f8aefb69ad28p-5'),
+    (1.5, (6.0, 3.0, 0.0, 0.0)):
+        ('-0x1.74cdac57398d2p+1', '0x1.1143001d7357ep-2',
+         '0x0.0p+0', '0x0.0p+0'),
+}
+
+
+def test_bessel_values_keep_their_bits():
+    for (nu, z), bits in J_BITS.items():
+        assert bessel_j(nu, z).hex() == bits, (nu, z)
+    for (nu, z), bits in Y_BITS.items():
+        assert bessel_y(nu, z).hex() == bits, (nu, z)
+    for (n, x), bits in JQ_BITS.items():
+        q = bessel_j_quat(n, Quaternion(*x))
+        assert tuple(c.hex() for c in (q.x0, q.x1, q.x2, q.x3)) == bits, (n, x)
+
+
+@pytest.mark.parametrize("nu,z", [(-1.25, 5e-324), (-170.5, 0.5), (172.5, 1.0)])
+def test_leading_term_overflow_is_a_domain_error(nu, z):
+    # (z/2)^nu overflows, z/2 underflows to 0 under a negative order, or
+    # Gamma(nu + 1) overflows: DomainError, not ZeroDivisionError/OverflowError
+    with pytest.raises(DomainError, match="leading term"):
+        bessel_j(nu, z)
+    with pytest.raises(DomainError, match="leading term"):
+        _jv_reduced(nu, complex(z, z))
+
+
+def test_nan_argument_is_outside_the_series_domain():
+    with pytest.raises(DomainError, match="restricted"):
+        bessel_j(0.5, math.nan)
+    with pytest.raises(DomainError, match="restricted"):
+        bessel_j_quat(1, Quaternion(math.nan, 0.1, 0.0, 0.0))
 
 
 def test_tail_bound_covers_rounding_against_mpmath():
