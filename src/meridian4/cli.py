@@ -103,18 +103,29 @@ def _emit_table(fmt: str, columns: dict):
 
     A column is a float array (shortest repr, -0.0 flushed to 0.0), a boolean
     array (true/false) or a string repeated on every row.  Cells are formatted
-    column by column for one block of rows at a time, and each block is
-    written before the next is formatted, so only one block of cell strings
-    is alive at a time.
+    for one block of rows at a time, and each block is written before the
+    next is formatted, so only one block of cell strings is alive at a time.
+    Within a block the float columns are formatted together: each distinct
+    value is formatted once (its magnitude passed to repr, a negative one
+    prefixed with '-') and the string is shared by every cell that holds it.
     """
     rows = len(next(c for c in columns.values() if not isinstance(c, str)))
+    floats = [k for k, c in columns.items() if not isinstance(c, str) and c.dtype != bool]
+
+    def float_cells(lo, hi):
+        vals = np.stack([columns[k][lo:hi] for k in floats]) + 0.0
+        uniq, inv = np.unique(vals, return_inverse=True)  # inv's shape varies by numpy
+        # v and -v share one repr; NaN is never < 0, and repr drops its sign
+        mag, back = np.unique(np.abs(uniq), return_inverse=True)
+        text = np.array(list(map(repr, mag.tolist())), dtype=object)[back.reshape(-1)]
+        neg = uniq < 0
+        text[neg] = "-" + text[neg]
+        return dict(zip(floats, text[inv.reshape(vals.shape)].tolist()))
 
     def cells(col, lo, hi):
         if isinstance(col, str):
             return [json.dumps(col) if fmt == "json" else col] * (hi - lo)
-        if col.dtype == bool:
-            return np.where(col[lo:hi], "true", "false").tolist()
-        return list(map(repr, (col[lo:hi] + 0.0).tolist()))
+        return np.where(col[lo:hi], "true", "false").tolist()
 
     if fmt == "json":
         head, sep, tail = "[", ", ", "]\n"
@@ -125,7 +136,9 @@ def _emit_table(fmt: str, columns: dict):
     sys.stdout.write(head)
     for lo in range(0, rows, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, rows)
-        block = zip(*(cells(col, lo, hi) for col in columns.values()))
+        done = float_cells(lo, hi)
+        block = zip(*(done[k] if k in done else cells(col, lo, hi)
+                      for k, col in columns.items()))
         sys.stdout.write((sep if lo else "") + sep.join(map(line, block)))
     sys.stdout.write(tail)
 
@@ -483,17 +496,14 @@ def cmd_flow(args) -> int:
     traj = flow(field, Quaternion(*start), args.dt, args.horizon)
     log.info("flow: %d steps, termination %s", len(traj.times) - 1, traj.termination)
 
-    rows = [{"t": _norm(t), "x0": _norm(p.x0), "x1": _norm(p.x1),
-             "x2": _norm(p.x2), "x3": _norm(p.x3), "h": _norm(h)}
-            for t, p, h in traj.samples()]
+    names = FLOW_HEADER.split(",")
+    samples = [(t, p.x0, p.x1, p.x2, p.x3, h) for t, p, h in traj.samples()]
 
     if args.format == "json":
+        rows = [dict(zip(names, map(_norm, s))) for s in samples]
         _emit_json({"rows": rows, "termination": traj.termination})
     else:
-        lines = [FLOW_HEADER]
-        for r in rows:
-            lines.append(",".join(_fmt(r[k]) for k in FLOW_HEADER.split(",")))
-        _emit(lines)
+        _emit_table("csv", dict(zip(names, np.array(samples, dtype=float).T)))
         print(f"termination: {traj.termination}", file=sys.stderr)
     return 0
 

@@ -73,7 +73,10 @@ class SeriesTail:
 
 
 def _is_int(nu: float) -> bool:
-    return nu == int(nu)
+    try:
+        return nu == int(nu)
+    except (ValueError, OverflowError):  # int(nan), int(inf)
+        raise DomainError(f"order nu = {nu!r} must be finite") from None
 
 
 def _powu(x: _Num, n: int) -> _Num:
@@ -171,7 +174,7 @@ def bessel_j(nu: float, z: float) -> float:
 
 def bessel_y(nu: float, z: float) -> float:
     """Y_nu by reflection; only non-integer orders are supported."""
-    if abs(nu - round(nu)) <= 1e-8:
+    if _is_int(nu) or abs(nu - round(nu)) <= 1e-8:
         raise IntegerOrderUnsupported(
             f"Y_nu at (near-)integer order {nu!r} is not in the reflection route")
     if z <= 0.0:

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meridian4.cli import _BLOCK_ROWS, _emit_table
 
 CMD = [sys.executable, "-m", "meridian4"]
 
@@ -300,6 +307,82 @@ def test_spectrum_json_types():
 
 
 # ---------------------------------------------------------------------------
+# table writer
+# ---------------------------------------------------------------------------
+
+# repr switches to exponent form below 1e-4 and from 1e16 on
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e-05, 9.999999999999999e-06, 0.0001, -1e-05,
+               1e16, 9999999999999998.0, -1e16, 1.0000000000000002e16,
+               1.7976931348623157e308, math.inf, -math.inf, math.nan,
+               -math.nan, 0.1, -0.1, 1 / 3, 2.0, -2.0]
+
+
+def naive_table(fmt, columns):
+    """The reference writer: every cell formatted on its own."""
+    rows = len(next(c for c in columns.values() if not isinstance(c, str)))
+
+    def cell(col, i):
+        if isinstance(col, str):
+            return json.dumps(col) if fmt == "json" else col
+        if col.dtype == bool:
+            return "true" if col[i] else "false"
+        return repr(float(col[i]) + 0.0)
+
+    lines = [[cell(col, i) for col in columns.values()] for i in range(rows)]
+    if fmt == "csv":
+        return "".join(",".join(r) + "\n" for r in [list(columns)] + lines)
+    return "[" + ", ".join("{" + ", ".join(f'"{k}": {c}' for k, c in zip(columns, r)) + "}"
+                           for r in lines) + "]\n"
+
+
+def assert_writer_matches_naive(fmt, columns):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_table(fmt, columns)
+    got, want = out.getvalue(), naive_table(fmt, columns)
+    if got != want:  # a window, not pytest's diff of two long strings
+        i = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"{fmt} differs at {i}: {got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["block", "block+1"])
+def test_table_writer_matches_per_cell_repr(fmt, extra):
+    rng = np.random.default_rng(7)
+    rows = _BLOCK_ROWS + extra
+    edge = rng.choice(np.array(EDGE_FLOATS), rows)
+    a = np.where(rng.random(rows) < 0.5, edge, np.round(rng.normal(size=rows), 2))
+    columns = {
+        "a": a,
+        "neg": -a,                     # negations of the first column
+        "same": a[::-1].copy(),        # the same values, other rows
+        "wide": rng.normal(scale=1e17, size=rows) * rng.random(rows) ** 40,
+        "flag": rng.random(rows) < 0.3,
+        "method": "closed",
+    }
+    assert_writer_matches_naive(fmt, columns)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("v", EDGE_FLOATS, ids=repr)
+def test_table_writer_single_row(fmt, v):
+    columns = {"v": np.array([v]), "w": np.array([-v]), "ok": np.array([v > 0]),
+               "tag": 'a "quoted" name'}
+    assert_writer_matches_naive(fmt, columns)
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.booleans()),
+                min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_table_writer_on_arbitrary_floats(rows):
+    x, y, b = (np.array(c) for c in zip(*rows))
+    columns = {"x": x, "y": y, "x_again": x, "minus_y": -y, "b": b, "s": "s"}
+    for fmt in ("csv", "json"):
+        assert_writer_matches_naive(fmt, columns)
+
+
+# ---------------------------------------------------------------------------
 # flow
 # ---------------------------------------------------------------------------
 
@@ -317,6 +400,19 @@ def test_flow_saddle_csv():
     assert abs(last["x1"] - 0.1 * math.exp(0.5)) < 1e-6
     assert last["x2"] == 0.0 and last["x3"] == 0.0
     assert "termination: horizon" in r.stderr
+
+
+def test_flow_csv_cells_are_the_json_rows(capsys):
+    from meridian4.cli import main
+    argv = ["flow", "--field", "holo:name=qexp", "--start=-2,0.5,0.3,-0.2",
+            "--dt", "0.01", "--horizon", "0.5"]
+    assert main(argv) == 0
+    csv = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    header, cells = csv_rows(csv)
+    assert csv.endswith("\n") and len(cells) == len(rows) == 51
+    assert cells == [[repr(r[k]) for k in header] for r in rows]
 
 
 def test_flow_left_domain_json():

@@ -230,6 +230,20 @@ def test_nan_argument_is_outside_the_series_domain():
         bessel_j_quat(1, Quaternion(math.nan, 0.1, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("call", [
+    lambda nu: bessel_j(nu, 1.0),
+    lambda nu: bessel_j_series(nu, 0.0),
+    lambda nu: bessel_y(nu, 1.0),
+    lambda nu: bessel_j_quat(nu, Quaternion(1, 0.5, 0, 0)),
+], ids=["bessel_j", "bessel_j_series_at_0", "bessel_y", "bessel_j_quat"])
+def test_non_finite_order_is_a_domain_error(call, nu):
+    # int(nan) raises ValueError and int(inf) OverflowError inside the
+    # integer-order test; both must surface as the library's DomainError
+    with pytest.raises(DomainError, match="must be finite"):
+        call(nu)
+
+
 def test_tail_bound_covers_rounding_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
