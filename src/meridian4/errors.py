@@ -76,6 +76,3 @@ class EmptyWindow(MeridianError):
 class AlphaZero(MeridianError):
     """Operation requires alpha != 0."""
 
-
-class AxisDrift(MeridianError):
-    """Axis direction changed along a meridional flow (should never happen)."""

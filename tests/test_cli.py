@@ -460,7 +460,7 @@ def test_flow_rejects_non_finite_step_or_horizon(dt, horizon):
 @pytest.mark.parametrize("argv", [
     ("eval", "--field", "holo:name=qexp", "--grid=700:720:2,0.1:1:2"),
     ("spectrum", "--field", "holo:name=qpow,n=3", "--grid=1e200:2e200:2,0.1:1:2"),
-    ("flow", "--field", "holo:name=qexp", "--start", "0.5,0.1,0.2,0",
+    ("flow", "--field", "holo:name=qexp", "--start", "2,6,0,0",
      "--dt", "0.001", "--horizon", "1"),
 ], ids=["eval-qexp", "spectrum-qpow", "flow-qexp"])
 def test_overflow_exits_3_without_output(argv):
@@ -468,6 +468,24 @@ def test_overflow_exits_3_without_output(argv):
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_flow_stage_through_the_axis_leaves_the_domain():
+    # rho shrinks while x0 grows; an RK4 stage crosses the axis before x0 overflows
+    r = run_cli("flow", "--field", "holo:name=qexp", "--start", "0.5,0.1,0.2,0",
+                "--dt", "0.001", "--horizon", "1")
+    assert r.returncode == 0
+    assert "termination: left_domain" in r.stderr
+
+
+def test_flow_non_finite_row_exits_3_without_output():
+    # z^3 at rho = 1e50 overflows to inf - inf in the first step
+    r = run_cli("flow", "--field", "holo:name=qpow,n=3", "--start=0,1e50,0,0",
+                "--dt", "0.1", "--horizon", "1")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == ("error: DomainError: flow row at t = 0.1 is not finite "
+                        "(x0 = nan, rho = nan)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from meridian4.fields import (
     SeparableParams,
     from_holomorphic_potential,
     from_separable,
-    lift_to_r4,
     verify_epd,
 )
 from meridian4.dynsys import CONVERGED_SPEED, classify, flow, monotonicity_audit
@@ -105,22 +104,35 @@ def test_flow_is_deterministic():
 
 
 def test_flow_evaluates_the_field_four_times_per_step(monkeypatch):
-    import meridian4.dynsys as dynsys
+    calls = {"V0": 0, "Vrho": 0}
 
-    calls = []
+    def counting(name):
+        method = getattr(MeridionalField, name)
 
-    def counted(f, x):
-        calls.append(x)
-        return lift_to_r4(f, x)
+        def counted(self, x0, rho):
+            calls[name] += 1
+            return method(self, x0, rho)
+        return counted
 
-    monkeypatch.setattr(dynsys, "lift_to_r4", counted)
+    for name in calls:
+        monkeypatch.setattr(MeridionalField, name, counting(name))
     f = from_holomorphic_potential(qexp())
     tr = flow(f, Quaternion(0.1, 0.2, 0.1, 0.0), dt=1e-3, horizon=0.2)
     assert tr.termination == "horizon"
     steps = len(tr.times) - 1
     assert steps == 200
     # k1 of each step is the speed the convergence test already computed
-    assert len(calls) == 4 * steps
+    assert calls == {"V0": 4 * steps, "Vrho": 4 * steps}
+
+
+def test_flow_keeps_a_three_component_start_axis():
+    start = Quaternion(-2.0, 0.5, 0.3, -0.2)
+    axis = [c / start.rho() for c in (start.x1, start.x2, start.x3)]
+    tr = flow(from_holomorphic_potential(qexp()), start, dt=1e-3, horizon=1.0)
+    assert tr.termination == "horizon"
+    for x in tr.points:
+        for c, a in zip((x.x1, x.x2, x.x3), axis):
+            assert abs(c / x.rho() - a) <= 1e-15
 
 
 def test_flow_converges_at_interior_equilibrium():
