@@ -108,9 +108,17 @@ def _emit_table(fmt: str, columns: dict):
     Within a block the float columns are formatted together: each distinct
     value is formatted once (its magnitude passed to repr, a negative one
     prefixed with '-') and the string is shared by every cell that holds it.
+    JSON has no NaN or infinity: a non-finite float cell in fmt 'json'
+    raises DomainError before anything is written.
     """
     rows = len(next(c for c in columns.values() if not isinstance(c, str)))
     floats = [k for k, c in columns.items() if not isinstance(c, str) and c.dtype != bool]
+    if fmt == "json":
+        for k in floats:
+            bad = np.flatnonzero(~np.isfinite(columns[k]))
+            if bad.size:
+                raise DomainError(f"{k} = {float(columns[k][bad[0]])!r} in row {bad[0]} "
+                                  "has no JSON form")
 
     def float_cells(lo, hi):
         vals = np.stack([columns[k][lo:hi] for k in floats]) + 0.0

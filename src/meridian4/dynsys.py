@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DomainError
 # lift_to_r4 stays bound here for bench/tracing.py, which wraps it at this name
@@ -42,11 +42,17 @@ def _velocity(f: MeridionalField, x0: float, rho: float) -> Tuple[float, float]:
 
 
 def _rk4_step(f: MeridionalField, x0: float, rho: float, dt: float,
-              k1: Tuple[float, float]) -> Tuple[float, float]:
+              k1: Tuple[float, float]) -> Optional[Tuple[float, float]]:
+    """One RK4 step from (x0, rho), or None when a stage's rho is below the
+    floor (checked before the field is called there)."""
     half = 0.5 * dt
-    k2 = _velocity(f, x0 + half * k1[0], rho + half * k1[1])
-    k3 = _velocity(f, x0 + half * k2[0], rho + half * k2[1])
-    k4 = _velocity(f, x0 + dt * k3[0], rho + dt * k3[1])
+    ks = [k1]
+    for c in (half, half, dt):
+        stage_rho = rho + c * ks[-1][1]
+        if stage_rho < RHO_MIN:
+            return None
+        ks.append(_velocity(f, x0 + c * ks[-1][0], stage_rho))
+    k1, k2, k3, k4 = ks
     w = dt / 6.0
     return (x0 + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
             rho + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
@@ -59,8 +65,8 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     Terminates at the horizon, on convergence (||V|| <= 1e-10), or when a
     step would leave the domain rho > rho_min (a stage below the floor, or a
     step landing on or below it, is rejected and the trajectory reports
-    'left_domain').  A row whose x0, rho or h is not finite raises
-    DomainError.
+    'left_domain').  Any DomainError the field raises propagates, and so
+    does one for a row whose x0, rho or h is not finite.
     """
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
         raise DomainError(f"dt = {dt:g} and horizon = {horizon:g} must be positive and finite")
@@ -80,14 +86,11 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
             termination = "converged"
             break
         step = min(dt, horizon - t)
-        try:
-            x0, rho = _rk4_step(f, x0, rho, step, k1)
-        except DomainError:
+        moved = _rk4_step(f, x0, rho, step, k1)
+        if moved is None or moved[1] <= RHO_MIN:
             termination = "left_domain"
             break
-        if rho <= RHO_MIN:
-            termination = "left_domain"
-            break
+        x0, rho = moved
         t += step
         if not (math.isfinite(x0) and math.isfinite(rho)
                 and math.isfinite(h := f.g(x0, rho))):

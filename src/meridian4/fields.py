@@ -13,14 +13,15 @@ Fields of radially holomorphic potentials G (alpha = 2) share one builder,
 lifted_field, which reads g, the field and its partials off the complex
 lifts of G, G' and G''.  Both the table functions (from_holomorphic_potential)
 and the transform fields of the transforms module go through it.  Separable
-Bessel-type solutions (any alpha) have their own constructor; they keep a
-one-slot radial memo, so that quantities at one rho share the Bessel values
-C_nu, C_{nu-1} and C_{nu-2} at beta*rho.  The module also holds the
-verifiers for the underlying PDE family.  The ones that need partials a
-profile does not carry take them from holomorphic.fd_derivative, the one
-difference rule of the package: Richardson extrapolation of central
-differences at s and s/2, with error O(s^4), at s = default_fd_step for
-first and 10 * default_fd_step for second derivatives.
+Bessel-type solutions (any alpha) have their own constructor, whose
+profile maps float arrays with the Bessel series summed for all points at
+once (specfun.bessel_j_array), with the bits of the scalar call at each
+point.  The module also holds the verifiers for the underlying PDE
+family.  The ones that need partials a profile does not carry take them
+from holomorphic.fd_derivative, the one difference rule of the package:
+Richardson extrapolation of central differences at s and s/2, with error
+O(s^4), at s = default_fd_step for first and 10 * default_fd_step for
+second derivatives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .errors import DomainError, IntegerOrderUnsupported, NoStream, NotHolomorph
 from .holomorphic import (RadialFunction, antiholomorphy_residual, default_fd_step,
                           fd_derivative)
 from .quaternion import Quaternion
-from .specfun import bessel_j, bessel_y
+# bessel_y stays bound here for bench/tracing.py, which wraps it at this name
+from .specfun import (bessel_j, bessel_j_array, bessel_y, elementwise,  # noqa: F401
+                      y_by_reflection)
 
 __all__ = [
     "RHO_MIN",
@@ -69,6 +72,8 @@ class MeridionalProfile:
     The callables take (x0, rho).  stream, when present, is the Stokes
     stream function paired with g by the generalized Stokes-Beltrami system.
     vectorized marks callables that also map float arrays elementwise.
+    batch, when present, maps a list of callable names and float arrays
+    x0, rho to those callables' values there, computed together.
     """
     alpha: float
     g: Scalar2
@@ -80,6 +85,7 @@ class MeridionalProfile:
     stream: Optional[Scalar2] = None
     label: str = ""
     vectorized: bool = False
+    batch: Optional[Callable[[Sequence[str], np.ndarray, np.ndarray], List[np.ndarray]]] = None
 
 
 # field quantity (a MeridionalField method name) -> profile callable
@@ -130,36 +136,46 @@ class MeridionalField:
         self._check(rho)
         return self.profile.d2g_drhorho(x0, rho)
 
-    def evaluate(self, names: Sequence[str], x0: np.ndarray,
-                 rho: np.ndarray) -> List[np.ndarray]:
+    def evaluate(self, names: Sequence[str], x0: np.ndarray, rho: np.ndarray,
+                 check: bool = True) -> List[np.ndarray]:
         """The quantities `names` (each one of g, V0, Vrho, dV0_dx0,
         dVrho_dx0, dVrho_drho) at the points of the flat float arrays x0 and
         rho, one array per name.
 
         The domain floor is checked once for the whole array.  Vectorized
-        profiles (holomorphic lifts, and transform fields, whose quadrature
-        takes all points in one batch) take the arrays directly; the others
-        (Bessel series of separable fields) visit each point once for all
-        names, in stable rho order, so that the radial memo computes its
-        Bessel data once per distinct rho.  Raises DomainError when any value
-        is not finite.
+        profiles (holomorphic lifts, separable Bessel profiles, and transform
+        fields, whose quadrature takes all points in one batch) take the
+        arrays directly; the profile of a RadialFunction without array lifts
+        is called point by point.  Raises DomainError when any value is not
+        finite.  With check=False, for callers that mask such points
+        instead, the values come back as they are, and a point at which a
+        point-by-point profile raises DomainError is NaN.
         """
         if rho.size and rho.min() < RHO_MIN:
             raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
-        fns = [getattr(self.profile, _QUANTITY[name]) for name in names]
+        attrs = [_QUANTITY[name] for name in names]
+        fns = [getattr(self.profile, attr) for attr in attrs]
         outs = [np.empty(x0.shape) for _ in names]
-        if self.profile.vectorized:
+        if self.profile.batch is not None:
+            with np.errstate(all="ignore"):
+                for out, value in zip(outs, self.profile.batch(attrs, x0, rho)):
+                    out[...] = value
+        elif self.profile.vectorized:
             with np.errstate(all="ignore"):
                 for out, fn in zip(outs, fns):
                     out[...] = fn(x0, rho)
         else:
-            order = np.argsort(rho, kind="stable")
-            rows = [[fn(a, b) for fn in fns]
-                    for a, b in zip(x0[order].tolist(), rho[order].tolist())]
-            table = np.array(rows, dtype=float).reshape(order.size, len(fns))
-            for out, column in zip(outs, table.T):
-                out[order] = column
-        for name, out in zip(names, outs):
+            def at(fn, a, b):
+                try:
+                    return fn(a, b)
+                except DomainError:
+                    if check:
+                        raise
+                    return math.nan
+            points = list(zip(x0.tolist(), rho.tolist()))
+            for out, fn in zip(outs, fns):
+                out[...] = [at(fn, a, b) for a, b in points]
+        for name, out in zip(names, outs if check else ()):
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
                 i = bad[0]
@@ -261,6 +277,60 @@ class SeparableParams:
                 f"Y component needs non-integer order; (alpha-1)/2 = {nu:g}")
 
 
+def _xi(p: SeparableParams, ch, sh):
+    """Xi and Xi' from cosh and sinh of beta*x0."""
+    return p.b1 * ch + p.b2 * sh, p.beta * (p.b1 * sh + p.b2 * ch)
+
+
+class _SeparableAt:
+    """The factors of separable quantities at a point (x0, rho): Xi and Xi'
+    at x0, and rho^e and C_order(beta rho) by the scalar series (Y by
+    reflection, with the bits of bessel_y)."""
+
+    def __init__(self, p: SeparableParams, x0: float, rho: float):
+        self.p, self.rho = p, rho
+        self.xi, self.xi_p = _xi(p, math.cosh(p.beta * x0), math.sinh(p.beta * x0))
+
+    def power(self, e: float):
+        return self.rho ** e
+
+    def cyl(self, order: float):
+        p, z = self.p, self.p.beta * self.rho
+        jp = bessel_j(order, z)
+        val = p.a1 * jp
+        if p.a2 != 0.0:  # bessel_y(order, z) would sum J_order a second time
+            val += p.a2 * y_by_reflection(order, jp, bessel_j(-order, z))
+        return val
+
+
+class _SeparableArrays:
+    """The same factors at arrays of points, each computed once: cosh, sinh
+    and the powers from libm per element, and C at every order named at
+    construction from one bessel_j_array pass (Y by reflection), so each
+    value has the bits of _SeparableAt at that point."""
+
+    def __init__(self, p: SeparableParams, x0: np.ndarray, rho: np.ndarray,
+                 orders: List[float]):
+        self.rho, self._pow = rho, {}
+        self.xi, self.xi_p = _xi(p, elementwise(math.cosh, p.beta * x0),
+                                 elementwise(math.sinh, p.beta * x0))
+        z = p.beta * rho
+        if p.a2 == 0.0:
+            self._cyl = dict(zip(orders, p.a1 * bessel_j_array(orders, z)))
+        else:
+            j = bessel_j_array(orders + [-order for order in orders], z)
+            self._cyl = {order: p.a1 * jp + p.a2 * y_by_reflection(order, jp, jm)
+                         for order, jp, jm in zip(orders, j, j[len(orders):])}
+
+    def power(self, e: float):
+        if e not in self._pow:
+            self._pow[e] = elementwise(e.__rpow__, self.rho)
+        return self._pow[e]
+
+    def cyl(self, order: float):
+        return self._cyl[order]
+
+
 def from_separable(p: SeparableParams) -> MeridionalField:
     """Separable solution with exact Bessel-recurrence partials.
 
@@ -270,60 +340,51 @@ def from_separable(p: SeparableParams) -> MeridionalField:
         Ups''(rho) = beta [rho^{nu-1} C_{nu-1}(beta rho) + beta rho^nu C_{nu-2}(beta rho)]
     and the stream function is -(Xi'/beta) rho^{mu} C_{nu-1}(beta rho), mu = (3-alpha)/2.
 
-    Every quantity depends on rho only through C_nu, C_{nu-1} and C_{nu-2}
-    at beta*rho.  A one-slot radial memo keeps the last argument and the C
-    values computed at it, so quantities at one rho (V0 and Vrho of a lift,
-    a Newton step, the E2 scan function) share them.  It computes an order
-    only when a quantity asks for it, and each value is the one a fresh call
-    returns.
+    Each quantity is one formula over the factors of _SeparableAt (floats)
+    or _SeparableArrays (arrays).  The profile is vectorized, and its batch
+    evaluates several quantities at arrays of points with one Bessel pass
+    for all the orders they use.
     """
-    nu = 0.5 * (p.alpha - 1.0)
-    beta = p.beta
-    memo = {}          # order -> C_order(memo_z)
-    memo_z = math.nan  # the one argument the memo holds values for
+    nu, beta, mu = 0.5 * (p.alpha - 1.0), p.beta, 0.5 * (3.0 - p.alpha)
 
-    def cyl(order: float, z: float) -> float:
-        nonlocal memo_z
-        if z != memo_z:
-            memo.clear()
-            memo_z = z
-        val = memo.get(order)
-        if val is None:
-            val = p.a1 * bessel_j(order, z)
-            if p.a2 != 0.0:
-                val += p.a2 * bessel_y(order, z)
-            memo[order] = val
-        return val
+    def ups(f):
+        return f.power(nu) * f.cyl(nu)
 
-    def xi(x0: float) -> float:
-        return p.b1 * math.cosh(beta * x0) + p.b2 * math.sinh(beta * x0)
+    def ups_p(f):
+        return beta * f.power(nu) * f.cyl(nu - 1.0)
 
-    def xi_p(x0: float) -> float:
-        return beta * (p.b1 * math.sinh(beta * x0) + p.b2 * math.cosh(beta * x0))
+    # profile callable -> (formula over the factors, the orders of C it uses)
+    formulas = {
+        "g": (lambda f: f.xi * ups(f), (nu,)),
+        "dg_dx0": (lambda f: f.xi_p * ups(f), (nu,)),
+        "dg_drho": (lambda f: f.xi * ups_p(f), (nu - 1.0,)),
+        "d2g_dx0x0": (lambda f: beta * beta * f.xi * ups(f), (nu,)),
+        "d2g_dx0rho": (lambda f: f.xi_p * ups_p(f), (nu - 1.0,)),
+        "d2g_drhorho": (lambda f: f.xi * (beta * (f.power(nu - 1.0) * f.cyl(nu - 1.0)
+                                                  + beta * f.power(nu) * f.cyl(nu - 2.0))),
+                        (nu - 1.0, nu - 2.0)),
+        "stream": (lambda f: -(f.xi_p / beta) * f.power(mu) * f.cyl(nu - 1.0), (nu - 1.0,)),
+    }
 
-    def ups(rho: float) -> float:
-        return rho ** nu * cyl(nu, beta * rho)
+    def scalar_or_array(formula, orders):
+        def fn(x0, rho):
+            if isinstance(rho, np.ndarray):
+                return formula(_SeparableArrays(p, x0, rho, list(orders)))
+            return formula(_SeparableAt(p, x0, rho))
+        return fn
 
-    def ups_p(rho: float) -> float:
-        return beta * rho ** nu * cyl(nu - 1.0, beta * rho)
-
-    def ups_pp(rho: float) -> float:
-        return beta * (rho ** (nu - 1.0) * cyl(nu - 1.0, beta * rho)
-                       + beta * rho ** nu * cyl(nu - 2.0, beta * rho))
-
-    mu = 0.5 * (3.0 - p.alpha)
+    def batch(attrs, x0, rho):
+        orders = list(dict.fromkeys(o for a in attrs for o in formulas[a][1]))
+        at = _SeparableArrays(p, x0, rho, orders)
+        return [formulas[a][0](at) for a in attrs]
 
     profile = MeridionalProfile(
         alpha=p.alpha,
-        g=lambda x0, rho: xi(x0) * ups(rho),
-        dg_dx0=lambda x0, rho: xi_p(x0) * ups(rho),
-        dg_drho=lambda x0, rho: xi(x0) * ups_p(rho),
-        d2g_dx0x0=lambda x0, rho: beta * beta * xi(x0) * ups(rho),
-        d2g_dx0rho=lambda x0, rho: xi_p(x0) * ups_p(rho),
-        d2g_drhorho=lambda x0, rho: xi(x0) * ups_pp(rho),
-        stream=lambda x0, rho: -(xi_p(x0) / beta) * rho ** mu * cyl(nu - 1.0, beta * rho),
+        **{attr: scalar_or_array(*recipe) for attr, recipe in formulas.items()},
         label=(f"separable:alpha={p.alpha:g},beta={p.beta:g},"
                f"a=({p.a1:g},{p.a2:g}),b=({p.b1:g},{p.b2:g})"),
+        vectorized=True,
+        batch=batch,
     )
     return MeridionalField(profile)
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import AlphaZero, DomainError, EmptyWindow, NotSymmetric
 from .fields import RHO_MIN, MeridionalField
 from .quaternion import Quaternion
+from .specfun import elementwise
 
 __all__ = [
     "SpectralReport",
@@ -197,12 +198,16 @@ def closed_spectrum(alpha: float, q, p01, p11):
     return lams, inv, degenerate
 
 
+def _closed_report(alpha: float, q: float, p01: float, p11: float) -> SpectralReport:
+    lams, inv, degenerate = closed_spectrum(alpha, q, p01, p11)
+    return SpectralReport(tuple(lams.tolist()), tuple(inv.tolist()), bool(degenerate),
+                          "closed", pair_eigenvalue=q)
+
+
 def eigen_closed(f: MeridionalField, x: Quaternion) -> SpectralReport:
     """Closed-form spectrum of the meridional Jacobian at x."""
     _, q, p01, p11 = _meridian_data(f, x)
-    lams, inv, degenerate = closed_spectrum(f.alpha, q, p01, p11)
-    return SpectralReport(tuple(lams.tolist()), tuple(inv.tolist()), bool(degenerate),
-                          "closed", pair_eigenvalue=q)
+    return _closed_report(f.alpha, q, p01, p11)
 
 
 def eigen_numeric(J) -> SpectralReport:
@@ -239,95 +244,145 @@ def _check_window(window: Window, grid: Tuple[int, int]) -> None:
         raise DomainError(f"window reaches below the rho floor {RHO_MIN:g}")
 
 
-def _bisect_edge(fn, pa, pb, fa, fb, tol=1e-10, max_iter=200):
-    """Bisection along the segment pa-pb for a sign change of fn."""
-    (xa, ra), (xb, rb) = pa, pb
+def _bisect_edges(fn, edges, tol=1e-10, max_iter=200):
+    """Bisection of every edge (eq, pa, pb, fa, fb) for a sign change of
+    equation eq of fn, all edges at once: each halving calls fn once, on
+    the midpoints of the edges still open.  An edge stops where
+    |fn| <= tol at its midpoint, or where its two ends stall (then at
+    their midpoint), as a loop over one edge would.
+    """
+    eq, (xa, ra), (xb, rb), fa, _ = (np.array(v).T for v in zip(*edges))
+    out = np.empty((len(edges), 2))
+    open_ = np.arange(len(edges))
     for _ in range(max_iter):
-        xm, rm = 0.5 * (xa + xb), 0.5 * (ra + rb)
-        fm = fn(xm, rm)
-        if abs(fm) <= tol:
-            return (xm, rm)
-        if (fa < 0.0) != (fm < 0.0):
-            xb, rb, fb = xm, rm, fm
-        else:
-            xa, ra, fa = xm, rm, fm
-        if abs(xb - xa) + abs(rb - ra) < 1e-15 * (1.0 + abs(xa) + abs(ra)):
+        if not open_.size:
             break
-    return (0.5 * (xa + xb), 0.5 * (ra + rb))
+        xm, rm = 0.5 * (xa + xb), 0.5 * (ra + rb)
+        fm = fn(xm, rm)[eq, np.arange(open_.size)]
+        hit = np.abs(fm) <= tol
+        out[open_[hit]] = np.stack((xm, rm), axis=-1)[hit]
+        flip = (fa < 0.0) != (fm < 0.0)
+        xb, rb = np.where(flip, xm, xb), np.where(flip, rm, rb)
+        xa, ra, fa = np.where(flip, xa, xm), np.where(flip, ra, rm), np.where(flip, fa, fm)
+        gap = np.abs(xb - xa) + np.abs(rb - ra)
+        stall = ~hit & (gap < 1e-15 * (1.0 + np.abs(xa) + np.abs(ra)))
+        out[open_[stall]] = np.stack((0.5 * (xa + xb), 0.5 * (ra + rb)), axis=-1)[stall]
+        keep = ~(hit | stall)
+        open_, eq, xa, ra, xb, rb, fa = (v[keep] for v in (open_, eq, xa, ra, xb, rb, fa))
+    out[open_] = np.stack((0.5 * (xa + xb), 0.5 * (ra + rb)), axis=-1)
+    return [tuple(p) for p in out.tolist()]
 
 
 def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
-    """Marching-squares style segments of the zero set of fn on the window.
+    """Marching-squares style segments of the zero sets of one or more
+    equations on the window, one list of segments per equation.
 
-    The node table is filled row by row in rho, so that a field's radial
-    memo (see fields.from_separable) serves a whole row.  Each cell walks
-    its four edges; an edge is bisected once, keyed by its unordered pair
-    of nodes, and the cell that shares it reuses the result.  Both
-    orientations of an edge visit the same midpoints and keep the same
-    half (the end values have opposite signs), so the shared result is the
-    one either cell would compute (the stall stop of _bisect_edge reads one
-    end's coordinates, so the two could differ only on a last-bit tie after
-    some fifty halvings).
+    fn maps arrays of x0 and rho to the equations' values there (equations
+    x points); the node table is one call.  For each equation the cells are
+    taken x0-outer, and each cell walks its four edges in turn.  An edge is
+    bisected once, keyed by its unordered pair of nodes, in the orientation
+    of the first cell that finds its sign change; the edges of every
+    equation are bisected in one batch (_bisect_edges), and the cell that
+    shares an edge reuses the result.  Both orientations of an edge visit
+    the same midpoints and keep the same half (the end values have opposite
+    signs), so the shared result is the one either cell would compute (the
+    stall stop reads one end's coordinates, so the two could differ only on
+    a last-bit tie after some fifty halvings).
     """
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
     xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
     rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
-    rows = [[fn(x, r) for x in xs] for r in rs]  # rows[j][i] = fn(xs[i], rs[j])
+    X, R = np.meshgrid(xs, rs, indexing="ij")
+    tables = fn(X.ravel(), R.ravel()).reshape(-1, nx, nr)  # [eq, i, j] at (xs[i], rs[j])
 
-    bisected = {}
-    segments = []
-    for i in range(nx - 1):
-        for j in range(nr - 1):
+    edge_index, edges, cells = {}, [], []
+    for eq, F in enumerate(tables):
+        # only cells with a zero corner or a sign change yield crossings
+        corner = (F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:])
+        neg = [c < 0.0 for c in corner]
+        busy = (neg[0] != neg[1]) | (neg[1] != neg[2]) | (neg[2] != neg[3])
+        for c in corner:
+            busy |= c == 0.0
+        vals = F.tolist()
+        for i, j in zip(*(v.tolist() for v in np.nonzero(busy))):
             nodes = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
             corners = [(xs[a], rs[b]) for a, b in nodes]
-            f = [rows[b][a] for a, b in nodes]
-            crossings = []
+            f = [vals[a][b] for a, b in nodes]
+            crossings = []  # a corner, or the index of a bisected edge
             for e in range(4):
                 a, b = e, (e + 1) % 4
                 if f[a] == 0.0:
                     crossings.append(corners[a])
                 elif (f[a] < 0.0) != (f[b] < 0.0):
-                    edge = frozenset((nodes[a], nodes[b]))
-                    if edge not in bisected:
-                        bisected[edge] = _bisect_edge(fn, corners[a], corners[b], f[a], f[b])
-                    crossings.append(bisected[edge])
-            # dedupe corner hits
-            uniq = []
-            for c in crossings:
-                if all(abs(c[0] - u[0]) + abs(c[1] - u[1]) > 1e-12 for u in uniq):
-                    uniq.append(c)
-            if len(uniq) >= 2:
-                # ambiguous 4-crossing cells get paired in sequence
-                for a, b in zip(uniq[0::2], uniq[1::2]):
-                    segments.append((a, b))
+                    edge = (eq, frozenset((nodes[a], nodes[b])))
+                    if edge not in edge_index:
+                        edge_index[edge] = len(edges)
+                        edges.append((eq, corners[a], corners[b], f[a], f[b]))
+                    crossings.append(edge_index[edge])
+            cells.append((eq, crossings))
+
+    roots = _bisect_edges(fn, edges) if edges else []
+    segments = [[] for _ in tables]
+    for eq, crossings in cells:
+        # dedupe corner hits
+        uniq = []
+        for c in crossings:
+            c = roots[c] if isinstance(c, int) else c
+            if all(abs(c[0] - u[0]) + abs(c[1] - u[1]) > 1e-12 for u in uniq):
+                uniq.append(c)
+        # ambiguous 4-crossing cells get paired in sequence
+        segments[eq].extend(zip(uniq[0::2], uniq[1::2]))
     return segments
 
 
 def _stitch(segments) -> List[List[Tuple[float, float]]]:
-    """Join segments sharing endpoints (1e-9 proximity) into polylines."""
+    """Join segments sharing endpoints (1e-9 proximity) into polylines.
+
+    A chain starts from the last unused segment and grows by the unused
+    segment of lowest index that touches either of its ends (its end before
+    its start, and a segment's first point before its second); segments
+    are found through an index of their rounded endpoints.
+    """
     def key(p):
         return (round(p[0], 9), round(p[1], 9))
 
-    unused = list(segments)
+    touching = {}
+    for idx, (c, d) in enumerate(segments):
+        for k in {key(c), key(d)}:
+            touching.setdefault(k, []).append(idx)
+    used = [False] * len(segments)
     chains = []
-    while unused:
-        a, b = unused.pop()
+    for top in range(len(segments) - 1, -1, -1):
+        if used[top]:
+            continue
+        used[top] = True
+        a, b = segments[top]
         chain = [a, b]
-        grew = True
-        while grew:
-            grew = False
-            for idx, (c, d) in enumerate(unused):
-                if key(c) == key(chain[-1]):
-                    chain.append(d); unused.pop(idx); grew = True; break
-                if key(d) == key(chain[-1]):
-                    chain.append(c); unused.pop(idx); grew = True; break
-                if key(c) == key(chain[0]):
-                    chain.insert(0, d); unused.pop(idx); grew = True; break
-                if key(d) == key(chain[0]):
-                    chain.insert(0, c); unused.pop(idx); grew = True; break
+        while True:
+            head, tail = key(chain[0]), key(chain[-1])
+            idx = min((i for k in (head, tail) for i in touching.get(k, ()) if not used[i]),
+                      default=None)
+            if idx is None:
+                break
+            used[idx] = True
+            c, d = segments[idx]
+            if key(c) == tail:
+                chain.append(d)
+            elif key(d) == tail:
+                chain.append(c)
+            elif key(c) == head:
+                chain.insert(0, d)
+            else:
+                chain.insert(0, c)
         chains.append(chain)
     return chains
+
+
+def _square(v: np.ndarray) -> np.ndarray:
+    """v ** 2 per element as a float's ** takes it (libm pow; v * v can differ
+    in the last bit)."""
+    return elementwise(lambda t: t ** 2, v)
 
 
 def degenerate_set(f: MeridionalField, window: Window,
@@ -343,19 +398,14 @@ def degenerate_set(f: MeridionalField, window: Window,
     _check_window(window, grid)
     alpha = f.alpha
 
-    def e1(x0: float, rho: float) -> float:
-        return f.Vrho(x0, rho)
-
-    def e2(x0: float, rho: float) -> float:
-        q = f.Vrho(x0, rho) / rho
-        p01 = f.dVrho_dx0(x0, rho)
-        p11 = f.dVrho_drho(x0, rho)
-        return p01 ** 2 + p11 ** 2 - (alpha - 2.0) * q * p11
+    def equations(x0, rho):
+        vrho, p01, p11 = f.evaluate(("Vrho", "dVrho_dx0", "dVrho_drho"), x0, rho)
+        q = vrho / rho
+        return np.stack((vrho, _square(p01) + _square(p11) - (alpha - 2.0) * q * p11))
 
     out: List[LevelChain] = []
-    for tag, fn in (("Vrho", e1), ("E2", e2)):
-        for chain in _stitch(_grid_crossings(fn, window, grid)):
-            out.append(LevelChain(tag, chain))
+    for tag, segments in zip(("Vrho", "E2"), _grid_crossings(equations, window, grid)):
+        out.extend(LevelChain(tag, chain) for chain in _stitch(segments))
     return out
 
 
@@ -381,21 +431,24 @@ def zero_divergence_scan(f: MeridionalField, window: Window,
         raise AlphaZero("divergence vanishes identically at alpha = 0")
     _check_window(window, grid)
 
-    points: List[ZeroDivergencePoint] = []
-    segments = _grid_crossings(lambda x0, rho: f.Vrho(x0, rho), window, grid)
-    seen = []
+    segments, = _grid_crossings(lambda x0, rho: np.array(f.evaluate(("Vrho",), x0, rho)),
+                                window, grid)
+    seen: List[Tuple[float, float]] = []
     for seg in segments:
         for (x0, rho) in seg:
-            if any(abs(x0 - a) + abs(rho - b) < 1e-8 for a, b in seen):
-                continue
-            seen.append((x0, rho))
-            x = Quaternion(x0, rho, 0.0, 0.0)
-            J = jacobian(f, x)
-            det = invariants(J)[3]
-            frob = float(np.sqrt(np.sum(np.asarray(J) ** 2)))
-            bound = 1e-8 * max(frob, 1e-300) ** 4
-            points.append(ZeroDivergencePoint(x0, rho, det, bound, abs(det) <= bound))
-    return points
+            if all(abs(x0 - a) + abs(rho - b) >= 1e-8 for a, b in seen):
+                seen.append((x0, rho))
+    if not seen:
+        return []
+    x0, rho = np.array(seen).T
+    vrho, p01, p11 = f.evaluate(("Vrho", "dVrho_dx0", "dVrho_drho"), x0, rho)
+    # the points lie on the e1 axis of R^4: x = (x0, rho, 0, 0)
+    J = jacobian_stack(f.alpha, vrho / rho, p01, p11, (1.0, 0.0, 0.0))
+    det = invariants(J)[3]
+    frob = np.sqrt(np.sum(J ** 2, axis=(-2, -1)))
+    bound = 1e-8 * elementwise((4.0).__rpow__, np.maximum(frob, 1e-300))
+    return [ZeroDivergencePoint(a, b, d, t, abs(d) <= t)
+            for a, b, d, t in zip(x0.tolist(), rho.tolist(), det.tolist(), bound.tolist())]
 
 
 @dataclass
@@ -405,71 +458,66 @@ class CriticalPoint:
     report: SpectralReport
 
 
+_NEWTON = ("V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho")
+
+
 def critical_points(f: MeridionalField, window: Window,
                     grid: Tuple[int, int] = (12, 12),
                     max_iter: int = 50) -> List[CriticalPoint]:
     """Newton search for V = 0 seeded on a coarse grid.
 
     The Newton matrix is the analytic meridian-plane Jacobian
-    [[dV0/dx0, dV0/drho], [dVrho/dx0, dVrho/drho]]; diverging or singular
-    seeds are dropped silently, converged points deduplicated to 1e-8.
+    [[dV0/dx0, dV0/drho], [dVrho/dx0, dVrho/drho]].  All seeds step at once,
+    one evaluate per step.  A seed is dropped silently where the field is
+    not finite, the matrix is singular, the step exceeds the window's span,
+    or the iterate leaves the rho floor or the widened window; converged
+    points are deduplicated to 1e-8 in seed order (x0-outer).
     """
     _check_window(window, grid)
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
     span = max(x0_hi - x0_lo, rho_hi - rho_lo)
+    xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
+    rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
+    x0, rho = (v.ravel() for v in np.meshgrid(xs, rs, indexing="ij"))
 
-    # field scale for the convergence test (rho outer: the radial memo of a
-    # separable field serves a row; the max does not depend on the order)
-    scale = 0.0
-    for j in range(nr):
-        for i in range(nx):
-            xs = x0_lo + (x0_hi - x0_lo) * i / (nx - 1)
-            rs = rho_lo + (rho_hi - rho_lo) * j / (nr - 1)
-            try:
-                scale = max(scale, abs(f.V0(xs, rs)), abs(f.Vrho(xs, rs)))
-            except DomainError:
-                continue
+    # field scale for the convergence test, over the seeds where V is finite
+    v0, vr = f.evaluate(("V0", "Vrho"), x0, rho, check=False)
+    finite = np.isfinite(v0) & np.isfinite(vr)
+    scale = float(np.max(np.abs(np.concatenate((v0[finite], vr[finite]))), initial=0.0))
     vtol = 1e-12 * max(1.0, scale)
 
-    found: List[CriticalPoint] = []
-    for i in range(nx):
-        for j in range(nr):
-            x0 = x0_lo + (x0_hi - x0_lo) * i / (nx - 1)
-            rho = rho_lo + (rho_hi - rho_lo) * j / (nr - 1)
-            ok = False
-            for _ in range(max_iter):
-                try:
-                    v0 = f.V0(x0, rho)
-                    vr = f.Vrho(x0, rho)
-                    if math.hypot(v0, vr) <= vtol:
-                        ok = True
-                        break
-                    a = f.dV0_dx0(x0, rho)
-                    b = f.dVrho_dx0(x0, rho)  # = dV0/drho by symmetry of g
-                    c = f.dVrho_drho(x0, rho)
-                except DomainError:
-                    break
-                det = a * c - b * b
-                if det == 0.0 or not math.isfinite(det):
-                    break
-                dx = (c * v0 - b * vr) / det
-                dr = (a * vr - b * v0) / det
-                step = math.hypot(dx, dr)
-                if step > span:
-                    break  # Newton divergence: abandon the seed
-                x0 -= dx
-                rho -= dr
-                if rho < RHO_MIN or not (x0_lo - span <= x0 <= x0_hi + span):
-                    break
-            if not ok:
-                continue
-            if not (x0_lo - 1e-9 <= x0 <= x0_hi + 1e-9
-                    and rho_lo - 1e-9 <= rho <= rho_hi + 1e-9):
-                continue
-            if any(abs(x0 - cp.x0) + abs(rho - cp.rho) < 1e-8 for cp in found):
-                continue
-            found.append(CriticalPoint(
-                x0, rho, eigen_closed(f, Quaternion(x0, rho, 0.0, 0.0))))
-    found.sort(key=lambda cp: (cp.x0, cp.rho))
-    return found
+    live = np.arange(x0.size)  # seeds still stepping
+    ok = np.zeros(x0.size, dtype=bool)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        v0, vr, a, b, c = f.evaluate(_NEWTON, x0[live], rho[live], check=False)
+        # b = dVrho/dx0 = dV0/drho by symmetry of g; math.hypot, not np.hypot,
+        # rounds as the one-seed loop did
+        done = np.array(list(map(math.hypot, v0.tolist(), vr.tolist()))) <= vtol
+        ok[live[done]] = True
+        with np.errstate(all="ignore"):
+            det = a * c - b * b
+            dx = (c * v0 - b * vr) / det
+            dr = (a * vr - b * v0) / det
+        step = np.array(list(map(math.hypot, dx.tolist(), dr.tolist())))
+        going = ~done & (det != 0.0) & np.isfinite(det) & ~(step > span)
+        live, xn, rn = live[going], x0[live][going] - dx[going], rho[live][going] - dr[going]
+        x0[live], rho[live] = xn, rn
+        inside = (rn >= RHO_MIN) & (x0_lo - span <= xn) & (xn <= x0_hi + span)
+        live = live[inside]
+
+    found: List[Tuple[float, float]] = []
+    for x, r in zip(x0[ok].tolist(), rho[ok].tolist()):
+        if not (x0_lo - 1e-9 <= x <= x0_hi + 1e-9 and rho_lo - 1e-9 <= r <= rho_hi + 1e-9):
+            continue
+        if all(abs(x - u) + abs(r - w) >= 1e-8 for u, w in found):
+            found.append((x, r))
+    if not found:
+        return []
+    px, pr = np.array(found).T
+    vrho, p01, p11 = f.evaluate(("Vrho", "dVrho_dx0", "dVrho_drho"), px, pr)
+    data = zip(px.tolist(), pr.tolist(), (vrho / pr).tolist(), p01.tolist(), p11.tolist())
+    return sorted((CriticalPoint(x, r, _closed_report(f.alpha, q, s, t))
+                   for x, r, q, s, t in data), key=lambda cp: (cp.x0, cp.rho))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meridian4.cli import _BLOCK_ROWS, _emit_table
+from meridian4.errors import DomainError
 
 CMD = [sys.executable, "-m", "meridian4"]
 
@@ -338,6 +339,13 @@ def naive_table(fmt, columns):
 
 def assert_writer_matches_naive(fmt, columns):
     out = io.StringIO()
+    floats = [c for c in columns.values() if not isinstance(c, str) and c.dtype != bool]
+    if fmt == "json" and not all(np.isfinite(c).all() for c in floats):
+        # JSON has no NaN or infinity: the writer refuses before writing
+        with contextlib.redirect_stdout(out), pytest.raises(DomainError):
+            _emit_table(fmt, columns)
+        assert out.getvalue() == ""
+        return
     with contextlib.redirect_stdout(out):
         _emit_table(fmt, columns)
     got, want = out.getvalue(), naive_table(fmt, columns)
@@ -370,6 +378,17 @@ def test_table_writer_single_row(fmt, v):
     columns = {"v": np.array([v]), "w": np.array([-v]), "ok": np.array([v > 0]),
                "tag": 'a "quoted" name'}
     assert_writer_matches_naive(fmt, columns)
+
+
+def test_table_writer_json_refuses_non_finite_cells():
+    columns = {"v": np.array([math.nan, math.inf])}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(DomainError, match="v = nan in row 0"):
+        _emit_table("json", columns)
+    assert out.getvalue() == ""
+    with contextlib.redirect_stdout(out):
+        _emit_table("csv", columns)
+    assert out.getvalue() == "v\nnan\ninf\n"
 
 
 @given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.booleans()),
@@ -474,6 +493,22 @@ def test_flow_stage_through_the_axis_leaves_the_domain():
     # rho shrinks while x0 grows; an RK4 stage crosses the axis before x0 overflows
     r = run_cli("flow", "--field", "holo:name=qexp", "--start", "0.5,0.1,0.2,0",
                 "--dt", "0.001", "--horizon", "1")
+    assert r.returncode == 0
+    assert "termination: left_domain" in r.stderr
+
+
+def test_flow_field_domain_error_exits_3_without_output():
+    # from rho = 2.64 a stage of the third step reaches beta * rho > 30, the
+    # Bessel series' cap, far above the rho floor: the field's DomainError is
+    # not reported as leaving the domain
+    argv = ["flow", "--field", "separable:alpha=3,beta=11,b1=1",
+            "--dt", "0.01", "--horizon", "2"]
+    r = run_cli(*argv, "--start", "0.1,2.64,0,0")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert "|z| <= 30" in r.stderr and "left_domain" not in r.stderr
+    # from rho = 2.65 the last stage of the third step lands at rho = -4.6
+    r = run_cli(*argv, "--start", "0.1,2.65,0,0")
     assert r.returncode == 0
     assert "termination: left_domain" in r.stderr
 

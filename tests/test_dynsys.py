@@ -155,6 +155,25 @@ def test_flow_leaves_domain_toward_axis():
     assert tr.points[-1].rho() > 1e-6
 
 
+def test_flow_passes_on_a_field_domain_error():
+    # V0 = -x0 and Vrho = 1 - rho draw the flow to rho = 1, but V0 is only
+    # defined below rho = 0.8: only a stage under the rho floor is left_domain
+    def dg_dx0(x0, rho):
+        if rho > 0.8:
+            raise DomainError(f"dg_dx0 undefined at rho = {rho}")
+        return -x0
+
+    f = MeridionalField(MeridionalProfile(
+        alpha=3.0, g=lambda x0, rho: -0.5 * x0 ** 2 - 0.5 * (1.0 - rho) ** 2,
+        dg_dx0=dg_dx0, dg_drho=lambda x0, rho: 1.0 - rho,
+        d2g_dx0x0=lambda x0, rho: -1.0, d2g_dx0rho=lambda x0, rho: 0.0,
+        d2g_drhorho=lambda x0, rho: -1.0, label="capped"))
+    with pytest.raises(DomainError, match="undefined at rho"):
+        flow(f, Quaternion(0.3, 0.5, 0, 0), dt=0.05, horizon=5.0)
+    tr = flow(f, Quaternion(0.3, 0.5, 0, 0), dt=0.05, horizon=0.5)
+    assert tr.termination == "horizon" and tr.points[-1].rho() < 0.8
+
+
 def test_flow_argument_guards():
     f = _saddle_field()
     x = Quaternion(0.5, 0.1, 0, 0)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from meridian4.quaternion import Quaternion
@@ -154,28 +155,55 @@ def test_separable_with_y_component_solves():
         assert verify_epd(f, x0, rho) < 1e-12
 
 
-SEPARABLE_QUANTITIES = ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho",
-                        "stream_value")
+SEPARABLE_QUANTITIES = ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho")
+PROFILE_CALLABLE = {"g": "g", "V0": "dg_dx0", "Vrho": "dg_drho", "dV0_dx0": "d2g_dx0x0",
+                     "dVrho_dx0": "d2g_dx0rho", "dVrho_drho": "d2g_drhorho"}
 
 
 @pytest.mark.parametrize("params", [
     SeparableParams(alpha=3.0, beta=1.1, b1=0.7, b2=0.2),
     SeparableParams(alpha=2.5, beta=1.05, a1=0.9, a2=0.4, b1=0.8, b2=-0.1),
 ], ids=("a2=0", "a2!=0"))
-def test_separable_radial_memo_never_stale(params):
-    # one field, quantities interleaved at alternating rho (with repeats),
-    # against a fresh field with an empty memo for every query
+@pytest.mark.parametrize("size", [1, 40, 400], ids=["one-point", "one-block", "blocks"])
+def test_separable_evaluate_equals_scalar_methods(params, size):
+    # points interleaved in rho (with repeats) and in x0, in one block of
+    # (order, point) pairs of the array series or in several, against the
+    # scalar methods value for value, and the profile callables on arrays too
     f = from_separable(params)
-    n = len(SEPARABLE_QUANTITIES)
-    for k in range(4 * n):
-        x0 = (-0.3, 0.4, 0.4)[k % 3]
-        rho = (0.7, 1.9, 1.9, 0.7)[k % 4]
-        name = SEPARABLE_QUANTITIES[(3 * k) % n]
-        got = getattr(f, name)(x0, rho)
-        want = getattr(from_separable(params), name)(x0, rho)
-        assert got.hex() == want.hex(), (name, x0, rho)
-        x = Quaternion(x0, 0.6 * rho, 0.0, 0.8 * rho)
-        assert lift_to_r4(f, x) == lift_to_r4(from_separable(params), x)
+    k = np.arange(size)
+    x0 = np.array((-0.3, 0.4, 0.4, 1.7))[k % 4] + 1e-3 * (k // 8)
+    rho = np.array((0.7, 1.9, 1.9, 0.7, 4.8))[k % 5] + 1e-3 * (k // 10)
+    points = list(zip(x0.tolist(), rho.tolist()))
+    names = SEPARABLE_QUANTITIES[::-1] + SEPARABLE_QUANTITIES[::2]
+    for name, got in zip(names, f.evaluate(names, x0, rho)):
+        assert got.tolist() == [getattr(f, name)(a, b) for a, b in points], name
+        whole = getattr(f.profile, PROFILE_CALLABLE[name])(x0, rho)
+        assert whole.tolist() == got.tolist(), name
+    assert f.profile.stream(x0, rho).tolist() == [f.stream_value(a, b) for a, b in points]
+
+
+def test_separable_evaluate_marks_the_series_cap_as_eval_reports_it(capsys):
+    # beta * rho > 30 is past the Bessel series' cap: the scalar methods raise
+    # DomainError, evaluate raises it too (eval exits 3 and writes nothing),
+    # and with check=False the array series gives NaN at the same points, in
+    # one block of pairs or several
+    from meridian4.cli import main
+    assert main(["eval", "--field", "separable:alpha=3,beta=11", "--grid", "0:1:2,2:3:3"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "DomainError" in out.err
+    f = from_separable(SeparableParams(alpha=3.0, beta=11.0))
+    for size in (4, 300):
+        rho = np.linspace(2.0, 3.0, size)
+        x0 = np.zeros(size)
+        with pytest.raises(DomainError):
+            f.evaluate(["Vrho"], x0, rho)
+        v0, vr = f.evaluate(["V0", "Vrho"], x0, rho, check=False)
+        capped = 11.0 * rho > 30.0
+        assert capped.any() and not capped.all()
+        assert np.isnan(v0[capped]).all() and np.isnan(vr[capped]).all()
+        assert vr[~capped].tolist() == [f.Vrho(0.0, r) for r in rho[~capped].tolist()]
+        with pytest.raises(DomainError):
+            f.Vrho(0.0, float(rho[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -141,40 +141,31 @@ def test_evaluate_checks_the_floor_for_the_whole_array():
 def test_separable_eval_computes_bessel_data_once_per_rho(monkeypatch, capsys, spec):
     import meridian4.fields as fields
 
-    calls = []
+    scalar, passes = [], []
 
-    def counting(fn):
+    def counting(fn, calls):
         def wrapped(nu, z):
-            calls.append(nu)
+            calls.append((np.atleast_1d(nu).tolist(), np.size(z)))
             return fn(nu, z)
         return wrapped
 
-    monkeypatch.setattr(fields, "bessel_j", counting(fields.bessel_j))
-    monkeypatch.setattr(fields, "bessel_y", counting(fields.bessel_y))
-    def per_point(names):
-        # Bessel calls one point needs for all names on one fresh field:
-        # one per distinct order (and kind)
-        calls.clear()
-        field = parse_field_spec(spec)
-        for name in names:
-            getattr(field, name)(0.1, 0.9)
-        return len(calls)
+    monkeypatch.setattr(fields, "bessel_j", counting(fields.bessel_j, scalar))
+    monkeypatch.setattr(fields, "bessel_y", counting(fields.bessel_y, scalar))
+    monkeypatch.setattr(fields, "bessel_j_array", counting(fields.bessel_j_array, passes))
+
+    # one series pass per command sums every order the quantities use (and
+    # its negative, for Y) at every grid point once; no scalar call
+    nu = 0.5 * (parse_field_spec(spec).alpha - 1.0)
+    kinds = (1.0, -1.0) if "a2=" in spec else (1.0,)
+    grid = "--grid=-1:1:20,0.3:2.5:20"
+    _run(capsys, "spectrum", "--field", spec, grid)
+    assert passes == [([k * (nu - d) for k in kinds for d in (1.0, 2.0)], 400)]
+    passes.clear()
+    header, rows = _csv(_run(capsys, "eval", "--field", spec, grid))
+    assert passes == [([k * (nu - d) for k in kinds for d in (0.0, 1.0, 2.0)], 400)]
+    assert scalar == []
 
     names = EVAL_HEADER.split(",")[2:]
-    spectrum_names = ("Vrho", "dVrho_dx0", "dVrho_drho")
-    kinds = 2 if "a2=" in spec else 1
-    assert (per_point(names), per_point(spectrum_names)) == (3 * kinds, 2 * kinds)
-
-    # one visit per distinct rho serves every quantity: at a2 = 0 that is
-    # 60 calls for eval and 40 for spectrum (100 and 80 with a pass per quantity)
-    grid = "--grid=-1:1:20,0.3:2.5:20"
-    calls.clear()
-    _run(capsys, "spectrum", "--field", spec, grid)
-    assert len(calls) == 20 * 2 * kinds
-    calls.clear()
-    header, rows = _csv(_run(capsys, "eval", "--field", spec, grid))
-    assert len(calls) == 20 * 3 * kinds
-
     x0s, rhos = parse_grid(grid.partition("=")[2])
     for cells, (x0, rho) in zip(rows, [(a, b) for a in x0s for b in rhos]):
         want = [x0, rho] + [getattr(parse_field_spec(spec), n)(x0, rho) for n in names]

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from meridian4.quaternion import Quaternion
 from meridian4.specfun import (
     MAX_ABS_Z,
     bessel_j,
+    bessel_j_array,
     bessel_j_quat,
     bessel_j_series,
     bessel_y,
@@ -14,7 +16,7 @@ from meridian4.specfun import (
     gamma,
     power_to_bessel_partial,
 )
-from meridian4.specfun import _jv_reduced
+from meridian4.specfun import _BLOCK_PAIRS, _jv_reduced, _powu
 from meridian4.errors import DomainError, IntegerOrderUnsupported
 
 # 50-digit references rounded to float64 (mpmath, dps=50)
@@ -242,6 +244,76 @@ def test_non_finite_order_is_a_domain_error(call, nu):
     # integer-order test; both must surface as the library's DomainError
     with pytest.raises(DomainError, match="must be finite"):
         call(nu)
+
+
+# the orders a separable field of alpha = 2.5, 3, 3.5 sums: nu = (alpha-1)/2,
+# nu - 1, nu - 2 and their negatives (J at -order for the Y reflection)
+SEPARABLE_ORDERS = sorted({s * (0.5 * (alpha - 1.0) - d) for alpha in (2.5, 3.0, 3.5)
+                           for d in (0.0, 1.0, 2.0) for s in (1.0, -1.0)})
+
+
+def _scalar_j(nu, z):
+    """bessel_j, or NaN where it raises DomainError."""
+    try:
+        return bessel_j(nu, z)
+    except DomainError:
+        return math.nan
+
+
+def _same_bits(a, b):
+    return a.hex() == b.hex() if a == a else b != b
+
+
+@pytest.mark.parametrize("size", [3, 20, 400], ids=["few", "one-block", "blocks"])
+def test_bessel_j_array_has_the_bits_of_bessel_j(size):
+    # one order on its own, and all orders at once, in one block of
+    # (order, point) pairs or in several
+    rng = np.random.default_rng(size)
+    z = np.concatenate([rng.uniform(0.0, MAX_ABS_Z, size), [0.0, 1e-300, MAX_ABS_Z]])
+    table = bessel_j_array(SEPARABLE_ORDERS, z)
+    assert table.shape == (len(SEPARABLE_ORDERS), z.size)
+    assert (table.size > _BLOCK_PAIRS) == (size == 400)
+    for nu, row in zip(SEPARABLE_ORDERS, table):
+        single = bessel_j_array(nu, z)
+        for zi, a, b in zip(z.tolist(), row.tolist(), single.tolist()):
+            want = _scalar_j(nu, zi)
+            assert _same_bits(a, want) and _same_bits(b, want), (nu, zi, a, b, want)
+
+
+def test_bessel_j_array_beyond_its_first_term_guess():
+    # order -9.5 at z = 29.9 stops after 49 terms, one more than the first
+    # pass of the series takes for that z
+    assert bessel_j_series(-9.5, 29.9)[1].terms_used == 49
+    z = np.array([0.5, 29.9])
+    for nu in (-9.5, 40.0):
+        assert bessel_j_array(nu, z).tolist() == [bessel_j(nu, v) for v in z.tolist()]
+
+
+def test_bessel_j_array_marks_what_bessel_j_refuses():
+    # past the series' cap, and where the leading term overflows, bessel_j
+    # raises DomainError; the array form gives NaN there and values elsewhere
+    z = np.array([1.0, MAX_ABS_Z, np.nextafter(MAX_ABS_Z, 40.0), 31.0, np.nan])
+    got = bessel_j_array(0.75, z)
+    assert got[:2].tolist() == [bessel_j(0.75, 1.0), bessel_j(0.75, MAX_ABS_Z)]
+    assert np.isnan(got[2:]).all()
+    for v in z[2:].tolist():
+        with pytest.raises(DomainError):
+            bessel_j(0.75, v)
+    # the leading-term cases of test_leading_term_overflow_is_a_domain_error
+    z = np.array([5e-324, 0.5, 1.0])
+    for nu, row in zip((-1.25, -170.5, 172.5), bessel_j_array([-1.25, -170.5, 172.5], z)):
+        for a, v in zip(row.tolist(), z.tolist()):
+            assert _same_bits(a, _scalar_j(nu, v)), (nu, v)
+    assert np.isnan(bessel_j_array([-1.25, -170.5, 172.5], z)).sum() == 7
+    with pytest.raises(DomainError):
+        bessel_j_array(0.5, np.array([1.0, -1.0]))
+
+
+def test_powu_leaves_an_array_argument_as_it_is():
+    x = np.array([0.5, 1.5, -2.0])
+    before = x.copy()
+    assert _powu(x, 7).tolist() == [v ** 7 for v in before.tolist()]
+    assert x.tolist() == before.tolist()
 
 
 def test_tail_bound_covers_rounding_against_mpmath():

@@ -6,7 +6,8 @@ import pytest
 
 from meridian4.quaternion import Quaternion
 from meridian4.holomorphic import moebius_potential, qexp, qpow
-from meridian4.fields import SeparableParams, from_holomorphic_potential, from_separable
+from meridian4.fields import (MeridionalField, MeridionalProfile, SeparableParams,
+                              from_holomorphic_potential, from_separable)
 from meridian4 import spectral
 from meridian4.spectral import (
     DEGENERACY_RTOL,
@@ -226,35 +227,57 @@ def test_zero_divergence_alpha_zero():
         zero_divergence_scan(f, (-1.0, 1.0, 0.5, 2.0))
 
 
+def _bisect_edge(fn, pa, pb, fa, fb, tol=1e-10, max_iter=200):
+    """Reference bisection along the segment pa-pb for a sign change of fn."""
+    (xa, ra), (xb, rb) = pa, pb
+    for _ in range(max_iter):
+        xm, rm = 0.5 * (xa + xb), 0.5 * (ra + rb)
+        fm = fn(xm, rm)
+        if abs(fm) <= tol:
+            return (xm, rm)
+        if (fa < 0.0) != (fm < 0.0):
+            xb, rb, fb = xm, rm, fm
+        else:
+            xa, ra, fa = xm, rm, fm
+        if abs(xb - xa) + abs(rb - ra) < 1e-15 * (1.0 + abs(xa) + abs(ra)):
+            break
+    return (0.5 * (xa + xb), 0.5 * (ra + rb))
+
+
 def _per_cell_crossings(fn, window, grid):
-    """Reference marching squares: node table filled x0-outer, and every
-    cell bisects each of its own crossing edges."""
+    """Reference marching squares: fn (the scans' array function) taken one
+    point at a time, the node table filled x0-outer, and every cell bisecting
+    each of its own crossing edges."""
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
     xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
     rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
-    vals = [[fn(x, r) for r in rs] for x in xs]
-    segments = []
-    for i in range(nx - 1):
-        for j in range(nr - 1):
-            corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
-                       (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
-            f = [vals[i][j], vals[i + 1][j], vals[i + 1][j + 1], vals[i][j + 1]]
-            crossings = []
-            for a in range(4):
-                b = (a + 1) % 4
-                if f[a] == 0.0:
-                    crossings.append(corners[a])
-                elif (f[a] < 0.0) != (f[b] < 0.0):
-                    crossings.append(spectral._bisect_edge(fn, corners[a], corners[b],
-                                                           f[a], f[b]))
-            uniq = []
-            for c in crossings:
-                if all(abs(c[0] - u[0]) + abs(c[1] - u[1]) > 1e-12 for u in uniq):
-                    uniq.append(c)
-            if len(uniq) >= 2:
-                segments.extend(zip(uniq[0::2], uniq[1::2]))
-    return segments
+    per_equation = []
+    for eq in range(len(fn(np.array(xs[:1]), np.array(rs[:1])))):
+        def one(x, r):
+            return float(fn(np.array([x]), np.array([r]))[eq, 0])
+        vals = [[one(x, r) for r in rs] for x in xs]
+        segments = []
+        for i in range(nx - 1):
+            for j in range(nr - 1):
+                corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
+                           (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
+                f = [vals[i][j], vals[i + 1][j], vals[i + 1][j + 1], vals[i][j + 1]]
+                crossings = []
+                for a in range(4):
+                    b = (a + 1) % 4
+                    if f[a] == 0.0:
+                        crossings.append(corners[a])
+                    elif (f[a] < 0.0) != (f[b] < 0.0):
+                        crossings.append(_bisect_edge(one, corners[a], corners[b], f[a], f[b]))
+                uniq = []
+                for c in crossings:
+                    if all(abs(c[0] - u[0]) + abs(c[1] - u[1]) > 1e-12 for u in uniq):
+                        uniq.append(c)
+                if len(uniq) >= 2:
+                    segments.extend(zip(uniq[0::2], uniq[1::2]))
+        per_equation.append(segments)
+    return per_equation
 
 
 @pytest.mark.parametrize("params", [
@@ -262,27 +285,171 @@ def _per_cell_crossings(fn, window, grid):
     SeparableParams(alpha=3.0, beta=1.1, b1=0.7, b2=0.2),
 ], ids=("a2!=0", "a2=0"))
 def test_grid_crossings_bisect_each_edge_once(monkeypatch, params):
-    calls = []
-    bisect = spectral._bisect_edge
+    batches = []
+    bisect = spectral._bisect_edges
 
-    def counting(fn, pa, pb, fa, fb):
-        calls.append((fn, frozenset((pa, pb))))
-        return bisect(fn, pa, pb, fa, fb)
+    def recording(fn, edges):
+        batches.append([(eq, frozenset((pa, pb))) for eq, pa, pb, _, _ in edges])
+        return bisect(fn, edges)
 
-    monkeypatch.setattr(spectral, "_bisect_edge", counting)
+    monkeypatch.setattr(spectral, "_bisect_edges", recording)
     f = from_separable(params)
     window, grid = (-1.0, 1.0, 0.22, 5.7), (30, 30)
     chains = degenerate_set(f, window, grid)
     zeros = zero_divergence_scan(f, window, grid)
     assert chains and zeros
-    assert len(calls) == len(set(calls))
-    once = len(calls)
+    assert len(batches) == 2  # one batch per scan
+    for edges in batches:
+        assert len(edges) == len(set(edges))
+    assert {eq for eq, _ in batches[0]} == {0, 1}
 
-    calls.clear()
     monkeypatch.setattr(spectral, "_grid_crossings", _per_cell_crossings)
     assert degenerate_set(from_separable(params), window, grid) == chains
     assert zero_divergence_scan(from_separable(params), window, grid) == zeros
-    assert len(calls) > once  # the reference bisects shared edges twice
+
+
+def _stitch_by_scan(segments):
+    """Reference stitching: each join rescans the unused segments in order."""
+    def key(p):
+        return (round(p[0], 9), round(p[1], 9))
+
+    unused = list(segments)
+    chains = []
+    while unused:
+        a, b = unused.pop()
+        chain = [a, b]
+        grew = True
+        while grew:
+            grew = False
+            for idx, (c, d) in enumerate(unused):
+                if key(c) == key(chain[-1]):
+                    chain.append(d); unused.pop(idx); grew = True; break
+                if key(d) == key(chain[-1]):
+                    chain.append(c); unused.pop(idx); grew = True; break
+                if key(c) == key(chain[0]):
+                    chain.insert(0, d); unused.pop(idx); grew = True; break
+                if key(d) == key(chain[0]):
+                    chain.insert(0, c); unused.pop(idx); grew = True; break
+        chains.append(chain)
+    return chains
+
+
+def test_stitch_joins_as_the_rescanning_loop_does():
+    rng = random.Random(3)
+    points = [(rng.choice((0.0, 0.5, 1.0, 1.5)), rng.choice((0.25, 0.75, 1.25)))
+              for _ in range(40)]
+    for n in (0, 1, 7, 60):
+        segments = [(rng.choice(points), rng.choice(points)) for _ in range(n)]
+        assert spectral._stitch(segments) == _stitch_by_scan(segments)
+    f = from_separable(SeparableParams(alpha=2.5, beta=1.05, a2=0.4, b1=0.75, b2=0.05))
+    x0, rho = (v.ravel() for v in np.meshgrid(np.linspace(-1, 1, 30),
+                                              np.linspace(0.22, 5.7, 30), indexing="ij"))
+    segments, = spectral._grid_crossings(
+        lambda a, b: np.array(f.evaluate(["Vrho"], a, b)), (-1.0, 1.0, 0.22, 5.7), (30, 30))
+    assert len(segments) > 20
+    assert spectral._stitch(segments) == _stitch_by_scan(segments)
+
+
+SCALAR_METHODS = ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho")
+
+
+@pytest.mark.parametrize("make,window", [
+    (lambda: from_separable(SeparableParams(alpha=2.5, beta=1.05, a2=0.4, b1=0.75, b2=0.05)),
+     (-1.0, 1.0, 0.22, 5.7)),
+    # G = x^3/3 + x: G' = x^2 + 1 vanishes at x0 = 0, rho = 1
+    (lambda: from_holomorphic_potential((1.0 / 3.0) * qpow(3) + qpow(1)), (-1.0, 1.0, 0.3, 2.0)),
+], ids=["separable", "holo"])
+def test_scans_run_on_evaluate_alone(monkeypatch, make, window):
+    f = make()
+    want = (degenerate_set(f, window, (30, 30)), zero_divergence_scan(f, window, (30, 30)),
+            critical_points(f, window, (12, 12)))
+    assert all(want)
+
+    def refuse(*args):
+        raise AssertionError("a scan called a scalar field method")
+
+    for name in SCALAR_METHODS:
+        monkeypatch.setattr(MeridionalField, name, refuse)
+    assert (degenerate_set(f, window, (30, 30)), zero_divergence_scan(f, window, (30, 30)),
+            critical_points(f, window, (12, 12))) == want
+
+
+def _newton_one_seed(f, x0, rho, window, vtol, max_iter=50):
+    """Reference Newton iteration of one seed through the scalar methods;
+    None where the seed is dropped."""
+    x0_lo, x0_hi, rho_lo, rho_hi = window
+    span = max(x0_hi - x0_lo, rho_hi - rho_lo)
+    for _ in range(max_iter):
+        try:
+            v0, vr = f.V0(x0, rho), f.Vrho(x0, rho)
+            if math.hypot(v0, vr) <= vtol:
+                return x0, rho
+            a, b, c = f.dV0_dx0(x0, rho), f.dVrho_dx0(x0, rho), f.dVrho_drho(x0, rho)
+        except DomainError:
+            return None
+        det = a * c - b * b
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dx, dr = (c * v0 - b * vr) / det, (a * vr - b * v0) / det
+        if math.hypot(dx, dr) > span:
+            return None
+        x0, rho = x0 - dx, rho - dr
+        if rho < 1e-6 or not (x0_lo - span <= x0 <= x0_hi + span):
+            return None
+    return None
+
+
+def _bowl(vectorized):
+    """g = -(x0^2 + (rho - 1)^2)/2, critical at (0, 1), whose field is
+    undefined for rho > 1.6: NaN on arrays, DomainError point by point."""
+    def part(fn):
+        def ev(x0, rho):
+            if vectorized:
+                return np.where(rho > 1.6, np.nan, fn(x0, rho))
+            if rho > 1.6:
+                raise DomainError("outside the bowl")
+            return fn(x0, rho)
+        return ev
+    return MeridionalField(MeridionalProfile(
+        alpha=3.0, g=part(lambda x0, rho: -0.5 * (x0 * x0 + (rho - 1.0) ** 2)),
+        dg_dx0=part(lambda x0, rho: -x0), dg_drho=part(lambda x0, rho: 1.0 - rho),
+        d2g_dx0x0=part(lambda x0, rho: -1.0 + 0.0 * x0),
+        d2g_dx0rho=part(lambda x0, rho: 0.0 * x0),
+        d2g_drhorho=part(lambda x0, rho: -1.0 + 0.0 * x0),
+        label="bowl", vectorized=vectorized))
+
+
+@pytest.mark.parametrize("f,window", [
+    (_bowl(True), (-1.0, 1.0, 0.5, 2.0)),
+    (_bowl(False), (-1.0, 1.0, 0.5, 2.0)),
+    # seeds near beta * rho = 30 step past the Bessel series' cap
+    (from_separable(SeparableParams(alpha=3.0, beta=11.0)), (-0.2, 0.2, 1.5, 2.72)),
+], ids=["nan-seeds", "domain-error-seeds", "series-cap"])
+def test_critical_points_keep_the_seeds_that_converge(f, window):
+    nx, nr = 12, 12
+    x0_lo, x0_hi, rho_lo, rho_hi = window
+    seeds = [(x0_lo + (x0_hi - x0_lo) * i / (nx - 1), rho_lo + (rho_hi - rho_lo) * j / (nr - 1))
+             for i in range(nx) for j in range(nr)]
+    scale = 0.0
+    for a, b in seeds:
+        try:
+            scale = max(scale, abs(f.V0(a, b)), abs(f.Vrho(a, b)))
+        except DomainError:
+            continue
+    vtol = 1e-12 * max(1.0, (scale if math.isfinite(scale) else 0.0))
+    ends = [_newton_one_seed(f, a, b, window, vtol) for a, b in seeds]
+    assert None in ends and any(ends)  # some seeds are dropped, others converge
+    want = []
+    for end in ends:
+        if end is None or not (x0_lo - 1e-9 <= end[0] <= x0_hi + 1e-9
+                               and rho_lo - 1e-9 <= end[1] <= rho_hi + 1e-9):
+            continue
+        if all(abs(end[0] - u) + abs(end[1] - w) >= 1e-8 for u, w in want):
+            want.append(end)
+    got = critical_points(f, window, (nx, nr))
+    assert sorted(want) == [(cp.x0, cp.rho) for cp in got]
+    for cp in got:
+        assert cp.report == eigen_closed(f, Quaternion(cp.x0, cp.rho, 0.0, 0.0))
 
 
 def test_critical_point_of_sin_field():
