@@ -9,6 +9,7 @@ failure.  Identical invocations produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -556,7 +557,11 @@ def cmd_special(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared after that:
+    parse_args leaves it as it was, so main may run any number of times in
+    one process."""
     parser = argparse.ArgumentParser(
         prog="meridian4",
         description="Meridional vector fields in R^4 from quaternionic "
@@ -636,12 +641,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.Handler):
+    """Writes each record to sys.stderr as it is when the record comes."""
+
+    def emit(self, record):
+        try:
+            sys.stderr.write(self.format(record) + "\n")
+        except Exception:
+            self.handleError(record)
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _setup_logging():
+    """Set the meridian4 logger's level from MERIDIAN4_LOG, on every call.
+
+    Its records go to the current sys.stderr and not on to the root logger,
+    which is left as it is.
+    """
     name = os.environ.get("MERIDIAN4_LOG", "error").strip().lower()
     level = {"error": logging.ERROR, "info": logging.INFO,
              "debug": logging.DEBUG}.get(name, logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logger = logging.getLogger("meridian4")
+    logger.setLevel(level)
+    logger.propagate = False
+    if _HANDLER not in logger.handlers:
+        logger.addHandler(_HANDLER)
 
 
 def main(argv=None) -> int:

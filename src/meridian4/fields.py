@@ -144,8 +144,8 @@ class MeridionalField:
 
         The domain floor is checked once for the whole array.  Vectorized
         profiles (holomorphic lifts, separable Bessel profiles, and transform
-        fields, whose quadrature takes all points in one batch) take the
-        arrays directly; the profile of a RadialFunction without array lifts
+        fields, whose quadrature takes all points and lifts in one pass) take
+        the arrays directly; the profile of a RadialFunction without array lifts
         is called point by point.  Raises DomainError when any value is not
         finite.  With check=False, for callers that mask such points
         instead, the values come back as they are, and a point at which a
@@ -226,31 +226,44 @@ def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
                         G.vectorized and F.vectorized and F2.vectorized)
 
 
-def lifted_field(G: Lift, F: Lift, F2: Lift, label: str,
-                 vectorized: bool) -> MeridionalField:
+# profile callable -> (lift read: 0 for G, 1 for G', 2 for G''; sign; imaginary part?)
+_LIFTED = {"g": (0, 1.0, False), "dg_dx0": (1, 1.0, False), "dg_drho": (1, -1.0, True),
+           "d2g_dx0x0": (2, 1.0, False), "d2g_dx0rho": (2, -1.0, True),
+           "d2g_drhorho": (2, -1.0, False), "stream": (0, 1.0, True)}
+
+
+def lifted_field(G: Lift, F: Lift, F2: Lift, label: str, vectorized: bool,
+                 batch: Optional[Callable[[Tuple[int, ...], np.ndarray], List[np.ndarray]]] = None
+                 ) -> MeridionalField:
     """alpha = 2 field of a potential whose complex lift is G, with F = G', F2 = G''.
 
     At z = x0 + i*rho: g = Re G, stream = Im G, V0 = Re G', Vrho = -Im G',
     d2g_dx0x0 = Re G'', d2g_dx0rho = -Im G'', d2g_drhorho = -Re G''.
-    vectorized says that the three lifts also map complex ndarrays.
+    vectorized says that the three lifts also map complex ndarrays.  batch,
+    when given, maps a tuple of lift indices (0: G, 1: G', 2: G'') and a
+    complex ndarray to those lifts' values there, computed together; the
+    profile's batch reads each lift its callables need from one call.
     """
-    def part(fn: Lift, sign: float, imag: bool) -> Scalar2:
+    def part(k: int, sign: float, imag: bool) -> Scalar2:
+        fn = (G, F, F2)[k]
+
         def ev(x0, rho):
             w = fn(x0 + 1j * rho)
             return sign * (w.imag if imag else w.real)
         return ev
 
+    def profile_batch(attrs, x0, rho):
+        needed = tuple(sorted({_LIFTED[attr][0] for attr in attrs}))
+        values = dict(zip(needed, batch(needed, x0 + 1j * rho)))
+        return [sign * (values[k].imag if imag else values[k].real)
+                for k, sign, imag in (_LIFTED[attr] for attr in attrs)]
+
     profile = MeridionalProfile(
         alpha=2.0,
-        g=part(G, 1.0, False),
-        dg_dx0=part(F, 1.0, False),
-        dg_drho=part(F, -1.0, True),
-        d2g_dx0x0=part(F2, 1.0, False),
-        d2g_dx0rho=part(F2, -1.0, True),
-        d2g_drhorho=part(F2, -1.0, False),
-        stream=part(G, 1.0, True),
+        **{attr: part(*recipe) for attr, recipe in _LIFTED.items()},
         label=label,
         vectorized=vectorized,
+        batch=None if batch is None else profile_batch,
     )
     return MeridionalField(profile)
 

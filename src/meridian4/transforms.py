@@ -8,10 +8,13 @@ one of three kernels at a quaternionic parameter x = x0 + rho*I:
     ffs  :  integral eta(tau) sin(x tau) dtau
 
 All kernels are evaluated at z = x0 + i*rho and re-embedded along the axis.
-One batched rule serves any number of points: composite 16-point
-Gauss-Legendre on [0, T(z)], a (points x nodes) numpy array in bounded
+One batched rule serves any number of points and kernels: composite 16-point
+Gauss-Legendre on [0, T(z)], (points x nodes) numpy arrays in bounded
 blocks summed row by row, with the panel count doubling until a point's last
-two sums agree below tol.  Originals with an inverse-square-root endpoint
+two sums of each kernel agree below tol.  The kernels of one pass share
+their cos, sin and exponentials, and each keeps the value and panel count
+that a pass with it alone gives.  transform_detail is the one-point,
+one-kernel call.  Originals with an inverse-square-root endpoint
 singularity (the Chebyshev family) are integrated after the tau = sin(u)
 substitution, which removes the weight exactly when the smooth numerator
 eta(tau)*sqrt(1-tau^2) is supplied.  The smooth numerator
@@ -25,7 +28,9 @@ G (with G(0) = 0), G' and G'' integrate eta against the kernels
     ffc :  sin(z t)/t          cos(z t)    -t sin(z t)
     ffs :  (1 - cos(z t))/t    sin(z t)     t cos(z t)
 
-and go to fields.lifted_field.
+and go to fields.lifted_field.  The field's batch integrates every lift its
+quantities read in one pass: all three for the six quantities, G' and G''
+alone for the columns of eval and spectrum.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +65,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 _NODES_PER_PANEL = 16
 _MAX_PANELS = 4096
-_BLOCK = 1 << 14  # integrand nodes per block: points x nodes stays below this
+_BLOCK = 1 << 13  # integrand values per block, of all kernels together
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
@@ -101,25 +106,47 @@ class QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# kernels (z, s, t) -> e^(-s t) k(z, t)
+# kernels (z, s, t) -> [e^(-s t) k(z, t), ...]
 # ---------------------------------------------------------------------------
 
-def _cos(z, s, t):
-    """e^(-s t) cos(z t).  With s > 0 the factors e^(+-Im z t) of cos are
-    folded into e^(-s t), so that none overflows while |Im z| < s."""
+def _trig(z, s, t, cos: bool, sin: bool):
+    """e^(-s t) cos(z t) and e^(-s t) sin(z t), each only when asked for
+    (else None).  With s > 0 the factors e^(+-Im z t) of cos and sin are
+    folded into e^(-s t), so that none overflows while |Im z| < s; the two
+    exponentials are shared."""
     if not s:
-        return np.cos(z * t)
-    return 0.5 * (np.exp((1j * z - s) * t) + np.exp((-1j * z - s) * t))
+        return (np.cos(z * t) if cos else None), (np.sin(z * t) if sin else None)
+    ep, em = np.exp((1j * z - s) * t), np.exp((-1j * z - s) * t)
+    return (0.5 * (ep + em) if cos else None), (-0.5j * (ep - em) if sin else None)
 
 
-def _sin(z, s, t):
-    """e^(-s t) sin(z t), folded as in _cos."""
-    if not s:
-        return np.sin(z * t)
-    return -0.5j * (np.exp((1j * z - s) * t) - np.exp((-1j * z - s) * t))
+# kind -> kernels of G, G' and G'' from u, the factor of G' (e^(-s t) cos(z t)
+# for ffc, e^(-s t) sin(z t) for ffs), and v, the other one
+_LIFT_KERNELS = {
+    "ffc": (lambda u, v, s, t: v / t, lambda u, v, s, t: u, lambda u, v, s, t: -t * v),
+    "ffs": (lambda u, v, s, t: (np.exp(-s * t) - v) / t, lambda u, v, s, t: u,
+            lambda u, v, s, t: t * v),
+}
 
 
-_KERNEL = {"lf": lambda z, s, t: np.exp(-(z + s) * t), "ffc": _cos, "ffs": _sin}
+def _lift_kernels(kind: str, lifts: Tuple[int, ...]):
+    """(z, s, t) -> the kernels of the lifts (0: G, 1: G', 2: G'') of the ffc
+    or ffs transform field, in the order of lifts.  u and v are computed
+    once for all of them, each only when a lift reads it."""
+    ffc = kind == "ffc"
+    need_u, need_v = 1 in lifts, 0 in lifts or 2 in lifts
+    recipes = [_LIFT_KERNELS[kind][lift] for lift in lifts]
+
+    def kernels(z, s, t):
+        c, sn = _trig(z, s, t, need_u if ffc else need_v, need_v if ffc else need_u)
+        u, v = (c, sn) if ffc else (sn, c)
+        return [recipe(u, v, s, t) for recipe in recipes]
+    return kernels
+
+
+# transform kind -> its kernel, as a one-kernel list
+_TRANSFORMS = {"lf": lambda z, s, t: [np.exp(-(z + s) * t)],
+               "ffc": _lift_kernels("ffc", (1,)), "ffs": _lift_kernels("ffs", (1,))}
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +164,28 @@ def _panel_rule(counts: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, Tuple[
     return np.concatenate(nodes), np.concatenate(weights), ends
 
 
-def _panel_sums(integrand, z: np.ndarray, upper: np.ndarray,
-                counts: Tuple[int, ...]) -> List[np.ndarray]:
-    """b * sum_j w_j f(b u_j) k(z, b u_j) at each point z for each panel count,
-    where the integrand gives the original's factor f and the kernel k, and b
-    is the point's upper limit (or one shared limit).  Rows are summed one by
-    one (np.add.reduce, never a matrix product): a point's bits do not depend
-    on its batch."""
-    nodes, weights, ends = _panel_rule(counts)
-    rows = max(1, _BLOCK // nodes.size)
-    outs = [np.empty(z.size, dtype=complex) for _ in counts]
+def _panel_sums(integrand, count: int, z: np.ndarray, upper: np.ndarray,
+                ps: Tuple[int, ...]) -> np.ndarray:
+    """b * sum_j w_j f(b u_j) k(z, b u_j) at each point z for each of the
+    count kernels k and each panel count p, as an array (kernel, p, point),
+    where the integrand gives the original's factor f and the kernels, and b
+    is the point's upper limit (or one shared limit).  A block holds at most
+    _BLOCK integrand values of all kernels together.  Rows are summed one by
+    one (np.add.reduce, never a matrix product): a point's bits depend
+    neither on its batch nor on the other kernels."""
+    nodes, weights, ends = _panel_rule(ps)
+    rows = max(1, _BLOCK // (count * nodes.size))
+    outs = np.empty((count, len(ps), z.size), dtype=complex)
     for lo in range(0, z.size, rows):
         hi = lo + rows
         b = upper[lo:hi] if upper.size > 1 else upper
         col = b[:, None]
-        f, k = integrand(z[lo:hi, None], col * nodes)
-        vals = k * (f * weights * col)
-        for out, start, end in zip(outs, (0,) + ends, ends):
-            out[lo:hi] = np.add.reduce(vals[:, start:end], axis=-1)
+        f, ks = integrand(z[lo:hi, None], col * nodes)
+        fw = f * weights * col
+        for out, k in zip(outs, ks):
+            vals = k * fw
+            for row, start, end in zip(out, (0,) + ends, ends):
+                row[lo:hi] = np.add.reduce(vals[:, start:end], axis=-1)
     return outs
 
 
@@ -182,14 +213,18 @@ def _upper(kind: str, eta: OriginalFunction, z: np.ndarray, tol: float) -> np.nd
     return _truncation(gap, eta.bound_m, tol)
 
 
-def _integrals(kind: str, kernel, eta: OriginalFunction, z: np.ndarray,
+def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndarray,
                tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integrals of eta(t) kernel(z, t) dt at the points of the flat complex
-    array z, with each point's panel count and last difference.
+    """The integrals of eta(t) k(z, t) dt for each of the count kernels k that
+    kernels(z, s, t) returns, at the points of the flat complex array z, with
+    each one's panel count and last difference: three arrays (kernel, point).
 
-    Panel doubling at all points at once (the first pass takes 1 and 2
-    panels together): a point retires once its sums at p and p/2 panels agree
-    below tol, and the rest go on with 2p panels.
+    Panel doubling at all points and for all kernels at once (the first pass
+    takes 1 and 2 panels together): a (kernel, point) pair retires at the
+    first p at which its sums at p and p/2 panels agree below tol, and a
+    point goes on with 2p panels while any of its kernels has not retired.
+    A pair's value and panel count are those of a pass with its kernel
+    alone.
     """
     num = eta.smooth_numerator
     if eta.singularity is None:
@@ -209,28 +244,36 @@ def _integrals(kind: str, kernel, eta: OriginalFunction, z: np.ndarray,
             # with the substitution the cos(u) factor cancels the weight only
             # approximately in floating point near u = pi/2
             f = eta.evaluator(t) * np.cos(u) if substitute else eta.evaluator(t)
-        return f, kernel(zc, shift, t)
+        return f, kernels(zc, shift, t)
 
-    value, panels, delta = np.empty(z.size, complex), np.empty(z.size, int), np.empty(z.size)
+    shape = (count, z.size)
+    value, panels, delta = np.empty(shape, complex), np.empty(shape, int), np.empty(shape)
     points = np.arange(z.size)
-    prev, cur = _panel_sums(integrand, z, upper, (1, 2))
+    prev, cur = _panel_sums(integrand, count, z, upper, (1, 2)).transpose(1, 0, 2)
+    live = np.ones(shape, dtype=bool)
     p = 2
     while True:
         d = np.abs(cur - prev)
-        done = d < tol
-        if done.all():
-            value[points], panels[points], delta[points] = cur, p, d
+        fin = live & (d < tol)
+        if fin.all():  # every pair of the points left retires now, as one point mostly does
+            value[:, points], panels[:, points], delta[:, points] = cur, p, d
             return value, panels, delta
+        if fin.any():
+            kernel, at = np.nonzero(fin)
+            at = points[at]
+            value[kernel, at], panels[kernel, at], delta[kernel, at] = cur[fin], p, d[fin]
+            live &= ~fin
+            keep = live.any(axis=0)
+            if not keep.all():
+                if not keep.any():
+                    return value, panels, delta
+                points, z, cur, live = points[keep], z[keep], cur[:, keep], live[:, keep]
+                upper = upper[keep] if upper.size > 1 else upper
         if p == _MAX_PANELS:
             raise ConvergenceFailure(
                 f"quadrature did not reach tol {tol:g} within {_MAX_PANELS} panels")
-        if done.any():
-            fin, keep = points[done], ~done
-            value[fin], panels[fin], delta[fin] = cur[done], p, d[done]
-            points, z, cur = points[keep], z[keep], cur[keep]
-            upper = upper[keep] if upper.size > 1 else upper
         p *= 2
-        prev, (cur,) = cur, _panel_sums(integrand, z, upper, (p,))
+        prev, cur = cur, _panel_sums(integrand, count, z, upper, (p,))[:, 0]
 
 
 def _check_tol(tol: float) -> None:
@@ -241,15 +284,15 @@ def _check_tol(tol: float) -> None:
 def transform_detail(kind: str, eta: OriginalFunction, x: Quaternion,
                      tol: float = DEFAULT_TOL) -> Tuple[Quaternion, QuadratureSpec]:
     """The lf, ffc or ffs transform of eta at x, with its quadrature record."""
-    if kind not in _KERNEL:
+    if kind not in _TRANSFORMS:
         raise DomainError(f"transform kind must be 'lf', 'ffc' or 'ffs', got {kind!r}")
     _check_tol(tol)
     split = axial_split(x)
     z = np.array([complex(split.a, split.b)])
-    val, panels, delta = _integrals(kind, _KERNEL[kind], eta, z, tol)
-    spec = QuadratureSpec("gauss_legendre_panels", _NODES_PER_PANEL, int(panels[0]),
-                          tol, float(delta[0]))
-    return from_lift(complex(val[0]), x), spec
+    val, panels, delta = _integrals(kind, _TRANSFORMS[kind], 1, eta, z, tol)
+    spec = QuadratureSpec("gauss_legendre_panels", _NODES_PER_PANEL, int(panels[0, 0]),
+                          tol, float(delta[0, 0]))
+    return from_lift(complex(val[0, 0]), x), spec
 
 
 def laplace_fueter(eta: OriginalFunction, x: Quaternion,
@@ -353,44 +396,35 @@ def bessel_integral_rep(n: int, parity: str, x: Quaternion,
 # transform-backed meridional fields (alpha = 2)
 # ---------------------------------------------------------------------------
 
-# kind -> kernels of the potential's lifts G, G' and G''
-_FIELD_KERNELS = {
-    "ffc": (lambda z, s, t: _sin(z, s, t) / t, _cos, lambda z, s, t: -t * _sin(z, s, t)),
-    "ffs": (lambda z, s, t: (np.exp(-s * t) - _cos(z, s, t)) / t, _sin,
-            lambda z, s, t: t * _cos(z, s, t)),
-}
-
-
-def _transform_lift(kind: str, kernel, eta: OriginalFunction, tol: float):
-    """z -> integral of eta(t) kernel(z, t) dt at a complex scalar or ndarray.
-
-    A scalar is a one-point batch, so both give the same bits.  A one-slot
-    memo lets V0 and Vrho read one integral of G', and the two dVrho partials
-    one integral of G''.
-    """
-    memo = [None, None]
-
-    def lift(z):
-        zs = np.asarray(z, dtype=complex)
-        key = (zs.shape, zs.tobytes())
-        if key != memo[0]:
-            vals = _integrals(kind, kernel, eta, zs.ravel(), tol)[0]
-            memo[1] = (vals.reshape(zs.shape) if isinstance(z, np.ndarray)
-                       else complex(vals[0]))
-            memo[0] = key
-        return memo[1]
-    return lift
-
-
 def transform_field(kind: str, eta: OriginalFunction,
                     tol: float = DEFAULT_TOL) -> MeridionalField:
     """Meridional field (alpha = 2) whose potential's lift is a transform of eta.
 
     G' is the ffc or ffs transform, so V0 - i*Vrho = G'(x0 + i*rho); see the
-    module docstring for the kernels of G, G' and G''.
+    module docstring for the kernels of G, G' and G''.  The profile's batch
+    integrates every lift its quantities read in one pass.  A lift called
+    at one complex point keeps its value there, so that V0 and Vrho read one
+    integral of G', and the two dVrho partials one integral of G''.
     """
-    if kind not in _FIELD_KERNELS:
+    if kind not in _LIFT_KERNELS:
         raise DomainError(f"transform field kind must be 'ffc' or 'ffs', got {kind!r}")
     _check_tol(tol)
-    G, F, F2 = (_transform_lift(kind, k, eta, tol) for k in _FIELD_KERNELS[kind])
-    return lifted_field(G, F, F2, f"transform:{kind}:{eta.name}", vectorized=True)
+
+    def batch(lifts, z):
+        vals = _integrals(kind, _lift_kernels(kind, lifts), len(lifts), eta, z.ravel(), tol)[0]
+        return [v.reshape(z.shape) for v in vals]
+
+    def lift(k: int):
+        last = [None, None]  # the last scalar point and the value there
+
+        def at(z):
+            if isinstance(z, np.ndarray):
+                return batch((k,), z)[0]
+            if z != last[0]:
+                last[:] = z, complex(batch((k,), np.array([z]))[0][0])
+            return last[1]
+        return at
+
+    G, F, F2 = (lift(k) for k in range(3))
+    return lifted_field(G, F, F2, f"transform:{kind}:{eta.name}", vectorized=True,
+                        batch=batch)

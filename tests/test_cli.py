@@ -631,3 +631,73 @@ def test_log_level_goes_to_stderr_only():
     assert loud.stdout == quiet.stdout
     assert quiet.stderr == ""
     assert "INFO meridian4.cli" in loud.stderr
+
+
+def test_log_level_holds_on_each_call_in_one_process(monkeypatch):
+    from meridian4 import cli
+
+    def call(env):
+        if env is None:
+            monkeypatch.delenv("MERIDIAN4_LOG", raising=False)
+        else:
+            monkeypatch.setenv("MERIDIAN4_LOG", env)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(list(EVAL_ARGS)) == 0
+        return out.getvalue(), err.getvalue()
+
+    quiet_out, quiet_err = call(None)
+    loud_out, loud_err = call("info")
+    assert loud_out == quiet_out and quiet_err == ""
+    # the second call's records reach the second call's stderr
+    assert loud_err == "INFO meridian4.cli: eval: 4 grid points on holo:name=qpow,n=2,coeff=0.5\n"
+    assert call("error") == (quiet_out, "")
+    assert call("debug")[1] == loud_err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+REUSE_ARGVS = [
+    ["eval", "--field", "transform:kind=ffc,original=exp,rate=2.2", "--grid", "-1:1:3,0.1:0.8:3"],
+    ["eval", "--field", "holo:name=qexp", "--grid", "0:1:2,1:2:2", "--bogus"],
+    ["spectrum", "--field", "transform:kind=ffs,original=kernel3", "--grid=-1:1:3,0.1:0.8:2",
+     "--format", "json", "--oracle"],
+    ["--help"],
+    ["verify", "epd", "--field", "transform:kind=ffc,original=unit", "--samples", "3"],
+    ["spectrum", "--help"],
+    ["flow", "--field", "holo:name=qexp", "--start=-2,0.5,0.3,-0.2", "--dt", "0.01",
+     "--horizon", "0.1"],
+    ["special", "transform", "--kind", "lf"],
+    ["special", "transform", "--kind", "ffs", "--original", "cheb2", "--at", "0.4,0.2,0.1,0"],
+    ["special", "besselrep", "--n", "1", "--parity", "odd", "--at", "0.5,0.3,0,0.1",
+     "--format", "json"],
+    ["special", "besselrep", "--n", "1", "--parity", "odd", "--at", "0.5,0.3,0,0.1"],
+]
+
+
+def test_main_reuses_one_parser_with_fresh_process_output(monkeypatch):
+    import functools
+
+    from meridian4 import cli
+
+    builds, build = [], cli.build_parser.__wrapped__
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(counting))
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    for argv in REUSE_ARGVS:
+        fresh = run_cli(*argv, env_extra={"COLUMNS": "80"})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout), argv
+        assert err.getvalue() == fresh.stderr, argv
+    assert len(builds) == 1

@@ -19,7 +19,9 @@ from meridian4.transforms import (
     transform_field,
     unit_original,
 )
-from meridian4.errors import AbscissaViolation, DomainError, KernelGrowth, Unsupported
+from meridian4 import transforms as tr
+from meridian4.errors import (AbscissaViolation, ConvergenceFailure, DomainError,
+                              KernelGrowth, Unsupported)
 
 
 def _const_half_line() -> OriginalFunction:
@@ -379,6 +381,145 @@ def test_batched_evaluate_equals_one_point_transforms(kind, eta, shape):
     for i, (a, b) in enumerate(zip(x0.tolist(), rho.tolist())):
         got, _ = transform_detail(kind, eta, Quaternion(a, b, 0, 0))
         assert (v0[i], -vr[i]) == (got.x0, got.x1)
+
+
+# ---------------------------------------------------------------------------
+# one pass for a field's lifts, against one pass per lift
+# ---------------------------------------------------------------------------
+
+def _ref_cos(z, s, t):
+    if not s:
+        return np.cos(z * t)
+    return 0.5 * (np.exp((1j * z - s) * t) + np.exp((-1j * z - s) * t))
+
+
+def _ref_sin(z, s, t):
+    if not s:
+        return np.sin(z * t)
+    return -0.5j * (np.exp((1j * z - s) * t) - np.exp((-1j * z - s) * t))
+
+
+# kind -> kernels of G, G' and G'', each on its own
+_REF_KERNELS = {
+    "ffc": (lambda z, s, t: _ref_sin(z, s, t) / t, _ref_cos,
+            lambda z, s, t: -t * _ref_sin(z, s, t)),
+    "ffs": (lambda z, s, t: (np.exp(-s * t) - _ref_cos(z, s, t)) / t, _ref_sin,
+            lambda z, s, t: t * _ref_cos(z, s, t)),
+}
+
+
+def _single_kernel_passes(kind, eta, z, tol=DEFAULT_TOL):
+    """Values and panel counts of G, G' and G'', one pass per lift."""
+    runs = [tr._integrals(kind, lambda zc, s, t, k=k: [k(zc, s, t)], 1, eta, z, tol)
+            for k in _REF_KERNELS[kind]]
+    return np.stack([r[0][0] for r in runs]), np.stack([r[1][0] for r in runs])
+
+
+_SHARED_ORIGINALS = ([exp_decay_original(2.2), unit_original()]
+                     + [cheb_original(n) for n in (1, 2, 3)]
+                     + [chebyshev_kernel(k) for k in (1, 3, 5)])
+
+
+def _bench_grid(shape):
+    nx, nr = shape
+    x0, rho = np.meshgrid(np.linspace(-1.05, 0.95, nx), np.linspace(0.12, 0.78, nr),
+                          indexing="ij")
+    return x0.ravel(), rho.ravel()
+
+
+@pytest.mark.parametrize("shape", _BENCH_SHAPES)
+@pytest.mark.parametrize("eta", _SHARED_ORIGINALS, ids=lambda eta: eta.name)
+@pytest.mark.parametrize("kind", ["ffc", "ffs"])
+def test_shared_pass_has_the_bits_of_one_pass_per_lift(kind, eta, shape):
+    x0, rho = _bench_grid(shape)
+    field = transform_field(kind, eta)
+    got = dict(zip(_QUANTITIES, field.evaluate(_QUANTITIES, x0, rho)))
+    (G, F, F2), _ = _single_kernel_passes(kind, eta, x0 + 1j * rho)
+    want = {"g": G.real, "V0": F.real, "Vrho": -F.imag, "dV0_dx0": F2.real,
+            "dVrho_dx0": -F2.imag, "dVrho_drho": -F2.real}
+    for name in _QUANTITIES:
+        assert np.array_equal(got[name], want[name]), name
+    stream = [field.stream_value(a, b) for a, b in zip(x0.tolist(), rho.tolist())]
+    assert np.array_equal(stream, G.imag)
+
+
+@pytest.mark.parametrize("eta,tol,grid", [
+    *[(eta, DEFAULT_TOL, _bench_grid((20, 20))) for eta in _SHARED_ORIGINALS],
+    # near the decay rate the points need from 2 to 512 panels, and some
+    # points need more for one lift than for another
+    (exp_decay_original(_RATE), 1e-12, _strip_grid(-1.5, 1.5)),
+    (exp_decay_original(_RATE), 1e-8, _strip_grid(-1.5, 1.5)),
+], ids=lambda v: getattr(v, "name", None))
+@pytest.mark.parametrize("kind", ["ffc", "ffs"])
+def test_shared_pass_panel_counts_are_those_of_one_pass_per_lift(kind, eta, tol, grid):
+    z = grid[0] + 1j * grid[1]
+    value, panels, _ = tr._integrals(kind, tr._lift_kernels(kind, (0, 1, 2)), 3, eta, z, tol)
+    want_value, want_panels = _single_kernel_passes(kind, eta, z, tol)
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(panels, want_panels)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--field", "transform:kind=ffc,original=exp,rate=2.2", "--grid=-1:1:4,0.1:0.8:4"],
+    ["spectrum", "--field", "transform:kind=ffs,original=kernel3", "--grid=-1:1:4,0.1:0.8:4",
+     "--oracle"],
+])
+def test_eval_and_spectrum_integrate_g_prime_and_g_second_once(monkeypatch, capsys, argv):
+    from meridian4 import cli
+
+    seen, make = [], tr._lift_kernels
+
+    def spy(kind, lifts):
+        seen.append(tuple(lifts))
+        return make(kind, lifts)
+
+    monkeypatch.setattr(tr, "_lift_kernels", spy)
+    assert cli.main(argv) == 0
+    assert seen == [(1, 2)]  # no G: neither command prints g
+    assert capsys.readouterr().out.count("\n") == 17
+    field = transform_field("ffc", unit_original())
+    field.evaluate(_QUANTITIES, np.array([0.2, 0.4]), np.array([0.3, 0.1]))
+    assert seen == [(1, 2), (0, 1, 2)]
+
+
+def test_scalar_callers_integrate_no_more_than_before(monkeypatch):
+    from meridian4.fields import lift_to_r4
+    from meridian4.spectral import eigen_closed
+
+    calls, integrals = [], tr._integrals
+
+    def spy(kind, kernels, count, eta, z, tol):
+        calls.append((count, z.size))
+        return integrals(kind, kernels, count, eta, z, tol)
+
+    monkeypatch.setattr(tr, "_integrals", spy)
+    field = transform_field("ffc", exp_decay_original(2.0))
+    x = Quaternion(0.3, 0.4, -0.2, 0.5)
+    lift_to_r4(field, x)
+    assert calls == [(1, 1)]  # V0 and Vrho read one integral of G'
+    eigen_closed(field, x)
+    assert calls == [(1, 1)] * 2  # Vrho from G' again, both dVrho partials from G''
+
+
+def test_shared_pass_raises_at_the_panel_cap(monkeypatch):
+    ps, panel_sums = [], tr._panel_sums
+
+    def spy(integrand, count, z, upper, counts):
+        ps.append(counts[-1])
+        return panel_sums(integrand, count, z, upper, counts)
+
+    monkeypatch.setattr(tr, "_panel_sums", spy)
+
+    def kernels(z, s, t):  # the first converges at once, the second never
+        return [np.ones_like(z * t), np.full(np.broadcast(z, t).shape, np.nan + 0j)]
+
+    z = np.array([0.3 + 0.2j, -0.5 + 0.7j])
+    with pytest.raises(ConvergenceFailure):
+        tr._integrals("ffc", kernels, 2, unit_original(), z, DEFAULT_TOL)
+    assert ps[-1] == tr._MAX_PANELS
+    field = transform_field("ffs", unit_original(), tol=1e-300)
+    with pytest.raises(ConvergenceFailure):
+        field.evaluate(_QUANTITIES, np.array([0.2]), np.array([0.3]))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
