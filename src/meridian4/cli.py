@@ -264,11 +264,18 @@ def parse_field_spec(text: str):
         f"unknown field kind {kind!r} (holo, separable, transform, moebius)")
 
 
+def _each(fn, *arrays) -> np.ndarray:
+    """fn at the floats of each point of flat float arrays, one call per
+    point: libm's bits, and fn's own errors."""
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
 def parse_potential_spec(text: str, default_alpha: float):
     """Scalar potentials h: R^4 -> R for the verification suites.
 
     x3pow[:alpha=A] -> x3^(1+A); rhopow:e=E -> rho^E;
     rho3 -> (x1^2+x2^2+x3^2)^{3/2}; x0sq-x3sq -> x0^2 - x3^2.
+    h maps a Quaternion whose components are flat float arrays to an array.
     """
     name, _, body = text.partition(":")
     params = _kv_pairs(body)
@@ -278,28 +285,35 @@ def parse_potential_spec(text: str, default_alpha: float):
         _reject_extras(params, name)
         expo = 1.0 + alpha
 
-        def h(x, _e=expo):
+        def h(x0, x1, x2, x3, _e=expo):
             try:
-                return math.pow(x.x3, _e)
+                return math.pow(x3, _e)
             except ValueError:
                 raise MeridianError(
                     f"x3^{_e:g} needs x3 >= 0 at non-integer exponents")
-        return h
 
-    if name == "rhopow":
+    elif name == "rhopow":
         expo = _take(params, "e", float, required=True)
         _reject_extras(params, name)
-        return lambda x, _e=expo: (x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2) ** (0.5 * _e)
 
-    if name == "rho3":
+        def h(x0, x1, x2, x3, _e=expo):
+            return (x1 ** 2 + x2 ** 2 + x3 ** 2) ** (0.5 * _e)
+
+    elif name == "rho3":
         _reject_extras(params, name)
-        return lambda x: (x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2) ** 1.5
 
-    if name == "x0sq-x3sq":
+        def h(x0, x1, x2, x3):
+            return (x1 ** 2 + x2 ** 2 + x3 ** 2) ** 1.5
+
+    elif name == "x0sq-x3sq":
         _reject_extras(params, name)
-        return lambda x: x.x0 ** 2 - x.x3 ** 2
 
-    raise SpecError(f"unknown potential {name!r} (x3pow, rhopow, rho3, x0sq-x3sq)")
+        def h(x0, x1, x2, x3):
+            return x0 ** 2 - x3 ** 2
+
+    else:
+        raise SpecError(f"unknown potential {name!r} (x3pow, rhopow, rho3, x0sq-x3sq)")
+    return lambda x: _each(h, *x.components())
 
 
 def parse_grid(text: str):
@@ -410,13 +424,12 @@ def _sample_space(rng, min_rho=0.1, x3_window=None, min_s2=0.0):
         return x
 
 
-def _run_suite(args):
-    """Max residual per named check over the seeded sample set."""
+def _suite(args):
+    """The suite's check names, its sampler, and its check: the residuals,
+    one per name, at one sample (floats) or at a cloud of them (arrays)."""
     suite = args.suite
-    rng = random.Random(args.seed)
-    n = args.samples
-    if n < 1:
-        raise SpecError(f"--samples must be at least 1, got {n}")
+    if args.samples < 1:
+        raise SpecError(f"--samples must be at least 1, got {args.samples}")
 
     field_suites = {"epd", "stokes", "system", "symmetry"}
     if suite in field_suites and args.field is None:
@@ -433,20 +446,20 @@ def _run_suite(args):
         h = parse_potential_spec(args.potential, args.alpha)
     else:
         def h(x):
-            return field.g(x.x0, x.rho())
+            return field.evaluate(("g",), x.x0, x.rho(), check=False)[0]
 
     def u(x):
         v = lift_to_r4(field, x)
         return (v.x0, -v.x1, -v.x2, -v.x3)
 
     def phi(x):
-        return x.rho() ** (-field.alpha)
+        return _each((-field.alpha).__rpow__, x.rho())
 
     def window(rng):
         return _sample_space(rng, x3_window=(0.1, 2.0))
 
-    # suite -> (check names, sampler, residuals at one sample point)
-    names, sample, check = {
+    # suite -> (check names, sampler, residuals at the samples)
+    return {
         "epd": (["epd"], _sample_plane, lambda p: (verify_epd(field, *p),)),
         "stokes": (["r1", "r2"], _sample_plane, lambda p: verify_stokes_beltrami(field, *p)),
         "system": (["continuity", "sym1", "sym2", "sym3", "curl12", "curl13", "curl23"],
@@ -461,16 +474,59 @@ def _run_suite(args):
         "axial": (["axial"], window, lambda x: (verify_axial_hyperbolic(h, args.alpha, x),)),
     }[suite]
 
-    # NaN would drop out of max(); a non-finite residual stops the suite instead
-    worst = [0.0] * len(names)
-    for _ in range(n):
-        point = sample(rng)
-        for i, r in enumerate(check(point)):
-            if not math.isfinite(r):
-                where = point.components() if isinstance(point, Quaternion) else point
-                raise DomainError(f"{names[i]} residual {r!r} at sample point {where}")
-            worst[i] = max(worst[i], r)
-    return list(zip(names, worst))
+
+def _cloud_pass(check, points) -> np.ndarray:
+    """check over the samples points at once: (checks, samples) residuals."""
+    if isinstance(points[0], Quaternion):
+        cloud = Quaternion(*map(np.array, zip(*(p.components() for p in points))))
+    else:
+        cloud = tuple(map(np.array, zip(*points)))
+    return np.array([np.broadcast_to(r, len(points)) for r in check(cloud)], dtype=float)
+
+
+def _check_finite(names, residuals: np.ndarray, points) -> None:
+    """NaN would drop out of max(): the first non-finite residual, sample by
+    sample and then in check order, stops the suite instead."""
+    bad = np.argwhere(~np.isfinite(residuals.T))
+    if bad.size:
+        i, k = bad[0]
+        where = points[i].components() if isinstance(points[i], Quaternion) else points[i]
+        raise DomainError(f"{names[k]} residual {float(residuals[k, i])!r} "
+                          f"at sample point {where}")
+
+
+def _run_suite(args):
+    """Max residual per named check over the seeded sample cloud.
+
+    The cloud is drawn first, in the rng order of drawing one sample per
+    check (no check reads the rng), and goes through the suite's check in
+    one pass, each sample with its own default_fd_step.  A suite stops as a
+    sample-by-sample run would.  When the pass raises, the first sample
+    that raises is found by bisecting the cloud; the samples before it are
+    checked for a non-finite residual, and then its error propagates.
+    """
+    names, sample, check = _suite(args)
+    rng = random.Random(args.seed)
+    points = [sample(rng) for _ in range(args.samples)]
+    try:
+        residuals = _cloud_pass(check, points)
+    except Exception as exc:
+        error = exc
+        # the pass over points[:lo] does not raise, the one over points[:hi] does
+        lo, hi = 0, len(points)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _cloud_pass(check, points[:mid])
+            except Exception as err:
+                hi, error = mid, err
+            else:
+                lo = mid
+        if lo:
+            _check_finite(names, _cloud_pass(check, points[:lo]), points)
+        raise error
+    _check_finite(names, residuals, points)
+    return list(zip(names, residuals.max(axis=1).tolist()))
 
 
 def cmd_verify(args) -> int:

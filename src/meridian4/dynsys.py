@@ -37,10 +37,6 @@ class Trajectory:
         return list(zip(self.times, self.points, self.h_values))
 
 
-def _velocity(f: MeridionalField, x0: float, rho: float) -> Tuple[float, float]:
-    return f.V0(x0, rho), f.Vrho(x0, rho)
-
-
 def _rk4_step(f: MeridionalField, x0: float, rho: float, dt: float,
               k1: Tuple[float, float]) -> Optional[Tuple[float, float]]:
     """One RK4 step from (x0, rho), or None when a stage's rho is below the
@@ -51,11 +47,15 @@ def _rk4_step(f: MeridionalField, x0: float, rho: float, dt: float,
         stage_rho = rho + c * ks[-1][1]
         if stage_rho < RHO_MIN:
             return None
-        ks.append(_velocity(f, x0 + c * ks[-1][0], stage_rho))
+        ks.append(f.at(_VELOCITY, x0 + c * ks[-1][0], stage_rho))
     k1, k2, k3, k4 = ks
     w = dt / 6.0
     return (x0 + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
             rho + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+
+
+_VELOCITY = ("V0", "Vrho")
+_ROW = ("g", "V0", "Vrho")
 
 
 def flow(f: MeridionalField, x_init: Quaternion, dt: float,
@@ -67,6 +67,10 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     step landing on or below it, is rejected and the trajectory reports
     'left_domain').  Any DomainError the field raises propagates, and so
     does one for a row whose x0, rho or h is not finite.
+
+    The field is evaluated once per RK4 stage through f.at: each row's h
+    comes with the next step's k1 from one evaluation (h alone on the row
+    at the horizon), so a step costs four evaluations.
     """
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
         raise DomainError(f"dt = {dt:g} and horizon = {horizon:g} must be positive and finite")
@@ -75,13 +79,14 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
 
     axis = axial_split(x_init).axis
     t, x0, rho = 0.0, x_init.x0, x_init.rho()
+    end = horizon - 1e-12 * horizon
+    h, *k1 = f.at(_ROW, x0, rho)
     times = [0.0]
     points = [x_init]
-    h_values = [f.g(x0, rho)]
+    h_values = [h]
     termination = "horizon"
 
-    while t < horizon - 1e-12 * horizon:
-        k1 = _velocity(f, x0, rho)
+    while t < end:
         if math.hypot(*k1) <= CONVERGED_SPEED:
             termination = "converged"
             break
@@ -92,8 +97,10 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
             break
         x0, rho = moved
         t += step
-        if not (math.isfinite(x0) and math.isfinite(rho)
-                and math.isfinite(h := f.g(x0, rho))):
+        if not (math.isfinite(x0) and math.isfinite(rho)):
+            raise DomainError(f"flow row at t = {t:g} is not finite (x0 = {x0!r}, rho = {rho!r})")
+        h, *k1 = f.at(_ROW if t < end else _ROW[:1], x0, rho)
+        if not math.isfinite(h):
             raise DomainError(f"flow row at t = {t:g} is not finite (x0 = {x0!r}, rho = {rho!r})")
         times.append(t)
         points.append(Quaternion(x0, rho * axis.x1, rho * axis.x2, rho * axis.x3))

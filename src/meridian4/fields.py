@@ -16,25 +16,32 @@ and the transform fields of the transforms module go through it.  Separable
 Bessel-type solutions (any alpha) have their own constructor, whose
 profile maps float arrays with the Bessel series summed for all points at
 once (specfun.bessel_j_array), with the bits of the scalar call at each
-point.  The module also holds the verifiers for the underlying PDE
-family.  The ones that need partials a profile does not carry take them
-from holomorphic.fd_derivative, the one difference rule of the package:
+point.  Every profile computes several quantities together through its
+batch: MeridionalField.evaluate at arrays of points, MeridionalField.at at
+one point (a lift read once, a Bessel order summed once).
+
+The module also holds the verifiers for the underlying PDE family.  Each
+takes one point or a cloud of points as arrays, and evaluates all the
+points it needs in one call per set of quantities.  The ones that need
+partials a profile does not carry take them by the one difference rule of
+the package (holomorphic.fd_derivative, here as fd_steps and fd_combine):
 Richardson extrapolation of central differences at s and s/2, with error
 O(s^4), at s = default_fd_step for first and 10 * default_fd_step for
-second derivatives.
+second derivatives, each point with its own step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError, IntegerOrderUnsupported, NoStream, NotHolomorphic
 from .holomorphic import (RadialFunction, antiholomorphy_residual, default_fd_step,
-                          fd_derivative)
+                          fd_combine, fd_steps)
 from .quaternion import Quaternion
 # bessel_y stays bound here for bench/tracing.py, which wraps it at this name
 from .specfun import (bessel_j, bessel_j_array, bessel_y, elementwise,  # noqa: F401
@@ -72,8 +79,9 @@ class MeridionalProfile:
     The callables take (x0, rho).  stream, when present, is the Stokes
     stream function paired with g by the generalized Stokes-Beltrami system.
     vectorized marks callables that also map float arrays elementwise.
-    batch, when present, maps a list of callable names and float arrays
-    x0, rho to those callables' values there, computed together.
+    batch, when present, maps a tuple of callable names and x0, rho (floats,
+    or float arrays when vectorized) to those callables' values there,
+    computed together from the factors they share.
     """
     alpha: float
     g: Scalar2
@@ -85,16 +93,74 @@ class MeridionalProfile:
     stream: Optional[Scalar2] = None
     label: str = ""
     vectorized: bool = False
-    batch: Optional[Callable[[Sequence[str], np.ndarray, np.ndarray], List[np.ndarray]]] = None
+    batch: Optional[Callable[[Tuple[str, ...], Any, Any], List[Any]]] = None
+
+    def values(self, attrs: Tuple[str, ...], x0, rho) -> list:
+        """The callables attrs at (x0, rho), through batch when there is one."""
+        if self.batch is not None:
+            return self.batch(attrs, x0, rho)
+        return [getattr(self, attr)(x0, rho) for attr in attrs]
+
+
+def _profile_from_batch(alpha: float, batch, attrs, label: str,
+                        vectorized: bool) -> MeridionalProfile:
+    """A profile whose callables attrs are one-name views of batch."""
+    def view(attr):
+        return lambda x0, rho: batch((attr,), x0, rho)[0]
+    return MeridionalProfile(alpha=alpha, **{attr: view(attr) for attr in attrs},
+                             label=label, vectorized=vectorized, batch=batch)
+
+
+def _values(p: MeridionalProfile, attrs: Tuple[str, ...], x0: np.ndarray,
+            rho: np.ndarray, strict: bool = True) -> List[np.ndarray]:
+    """The profile callables attrs at the points of the flat float arrays x0
+    and rho, one array each.
+
+    A vectorized profile takes the arrays in one call; any other is called
+    point by point.  With strict=False a point at which such a profile
+    raises DomainError is NaN.
+    """
+    if p.vectorized:
+        with np.errstate(all="ignore"):
+            values = list(p.values(attrs, x0, rho))
+        outs = []
+        while values:  # each value copied out and let go, so one is held twice at most
+            outs.append(np.empty(x0.shape))
+            outs[-1][...] = values.pop(0)
+        return outs
+    outs = [np.empty(x0.shape) for _ in attrs]
+    for i, (a, b) in enumerate(zip(x0.tolist(), rho.tolist())):
+        try:
+            row = p.values(attrs, a, b)
+        except DomainError:
+            if strict:
+                raise
+            row = [math.nan] * len(attrs)
+        for out, value in zip(outs, row):
+            out[i] = value
+    return outs
 
 
 # field quantity (a MeridionalField method name) -> profile callable
 _QUANTITY = {"g": "g", "V0": "dg_dx0", "Vrho": "dg_drho", "dV0_dx0": "d2g_dx0x0",
-             "dVrho_dx0": "d2g_dx0rho", "dVrho_drho": "d2g_drhorho"}
+             "dVrho_dx0": "d2g_dx0rho", "dVrho_drho": "d2g_drhorho", "stream": "stream"}
+
+
+_ATTRS = {}  # tuple of field quantities -> their profile callables
+
+
+def _attrs(names: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The profile callables of a tuple of field quantities."""
+    attrs = _ATTRS[names] = tuple(_QUANTITY[name] for name in names)
+    return attrs
 
 
 class MeridionalField:
-    """Field view of a profile: V0, Vrho and the partials entering the Jacobian."""
+    """Field view of a profile: V0, Vrho and the partials entering the Jacobian.
+
+    evaluate computes quantities at arrays of points and at() at one point;
+    the single-quantity methods are views of at().
+    """
 
     def __init__(self, profile: MeridionalProfile):
         self.profile = profile
@@ -107,40 +173,39 @@ class MeridionalField:
     def label(self) -> str:
         return self.profile.label
 
-    @staticmethod
-    def _check(rho: float) -> None:
+    def at(self, names: Tuple[str, ...], x0: float, rho: float) -> list:
+        """The quantities names (each one of g, V0, Vrho, dV0_dx0, dVrho_dx0,
+        dVrho_drho, stream) at the point (x0, rho), computed together: a
+        lifted field reads each lift once, a separable one sums each Bessel
+        order once."""
         if rho < RHO_MIN:
             raise DomainError(f"rho = {rho:g} below the domain floor {RHO_MIN:g}")
+        p, attrs = self.profile, _ATTRS.get(names) or _attrs(names)
+        # batch called here, not through values: this runs per RK4 stage
+        return p.batch(attrs, x0, rho) if p.batch is not None else p.values(attrs, x0, rho)
 
     def g(self, x0: float, rho: float) -> float:
-        self._check(rho)
-        return self.profile.g(x0, rho)
+        return self.at(("g",), x0, rho)[0]
 
     def V0(self, x0: float, rho: float) -> float:
-        self._check(rho)
-        return self.profile.dg_dx0(x0, rho)
+        return self.at(("V0",), x0, rho)[0]
 
     def Vrho(self, x0: float, rho: float) -> float:
-        self._check(rho)
-        return self.profile.dg_drho(x0, rho)
+        return self.at(("Vrho",), x0, rho)[0]
 
     def dV0_dx0(self, x0: float, rho: float) -> float:
-        self._check(rho)
-        return self.profile.d2g_dx0x0(x0, rho)
+        return self.at(("dV0_dx0",), x0, rho)[0]
 
     def dVrho_dx0(self, x0: float, rho: float) -> float:
-        self._check(rho)
-        return self.profile.d2g_dx0rho(x0, rho)
+        return self.at(("dVrho_dx0",), x0, rho)[0]
 
     def dVrho_drho(self, x0: float, rho: float) -> float:
-        self._check(rho)
-        return self.profile.d2g_drhorho(x0, rho)
+        return self.at(("dVrho_drho",), x0, rho)[0]
 
     def evaluate(self, names: Sequence[str], x0: np.ndarray, rho: np.ndarray,
                  check: bool = True) -> List[np.ndarray]:
-        """The quantities `names` (each one of g, V0, Vrho, dV0_dx0,
-        dVrho_dx0, dVrho_drho) at the points of the flat float arrays x0 and
-        rho, one array per name.
+        """The quantities names (as for at) at the points of the flat float
+        arrays x0 and rho, one array per name.
 
         The domain floor is checked once for the whole array.  Vectorized
         profiles (holomorphic lifts, separable Bessel profiles, and transform
@@ -153,28 +218,7 @@ class MeridionalField:
         """
         if rho.size and rho.min() < RHO_MIN:
             raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
-        attrs = [_QUANTITY[name] for name in names]
-        fns = [getattr(self.profile, attr) for attr in attrs]
-        outs = [np.empty(x0.shape) for _ in names]
-        if self.profile.batch is not None:
-            with np.errstate(all="ignore"):
-                for out, value in zip(outs, self.profile.batch(attrs, x0, rho)):
-                    out[...] = value
-        elif self.profile.vectorized:
-            with np.errstate(all="ignore"):
-                for out, fn in zip(outs, fns):
-                    out[...] = fn(x0, rho)
-        else:
-            def at(fn, a, b):
-                try:
-                    return fn(a, b)
-                except DomainError:
-                    if check:
-                        raise
-                    return math.nan
-            points = list(zip(x0.tolist(), rho.tolist()))
-            for out, fn in zip(outs, fns):
-                out[...] = [at(fn, a, b) for a, b in points]
+        outs = _values(self.profile, _attrs(tuple(names)), x0, rho, strict=check)
         for name, out in zip(names, outs if check else ()):
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
@@ -185,8 +229,7 @@ class MeridionalField:
     def stream_value(self, x0: float, rho: float) -> float:
         if self.profile.stream is None:
             raise NoStream(f"profile {self.label!r} carries no stream function")
-        self._check(rho)
-        return self.profile.stream(x0, rho)
+        return self.at(("stream",), x0, rho)[0]
 
     def has_stream(self) -> bool:
         return self.profile.stream is not None
@@ -233,7 +276,7 @@ _LIFTED = {"g": (0, 1.0, False), "dg_dx0": (1, 1.0, False), "dg_drho": (1, -1.0,
 
 
 def lifted_field(G: Lift, F: Lift, F2: Lift, label: str, vectorized: bool,
-                 batch: Optional[Callable[[Tuple[int, ...], np.ndarray], List[np.ndarray]]] = None
+                 batch: Optional[Callable[[Tuple[int, ...], Any], List[Any]]] = None
                  ) -> MeridionalField:
     """alpha = 2 field of a potential whose complex lift is G, with F = G', F2 = G''.
 
@@ -241,31 +284,36 @@ def lifted_field(G: Lift, F: Lift, F2: Lift, label: str, vectorized: bool,
     d2g_dx0x0 = Re G'', d2g_dx0rho = -Im G'', d2g_drhorho = -Re G''.
     vectorized says that the three lifts also map complex ndarrays.  batch,
     when given, maps a tuple of lift indices (0: G, 1: G', 2: G'') and a
-    complex ndarray to those lifts' values there, computed together; the
-    profile's batch reads each lift its callables need from one call.
+    complex number or ndarray to those lifts' values there, computed
+    together.  The profile's batch reads each lift its callables need once,
+    from batch or from G, F and F2.
     """
-    def part(k: int, sign: float, imag: bool) -> Scalar2:
-        fn = (G, F, F2)[k]
+    lifts = (G, F, F2)
+    plans = {}  # callable names -> (lifts to read, (lift position, sign, imag) per name)
 
-        def ev(x0, rho):
-            w = fn(x0 + 1j * rho)
-            return sign * (w.imag if imag else w.real)
-        return ev
+    def plan(attrs):
+        needed = tuple(sorted({_LIFTED[attr][0] for attr in attrs}))
+        reads = tuple((needed.index(k), sign, imag) for k, sign, imag in map(_LIFTED.get, attrs))
+        plans[attrs] = needed, reads
+        return needed, reads
 
     def profile_batch(attrs, x0, rho):
-        needed = tuple(sorted({_LIFTED[attr][0] for attr in attrs}))
-        values = dict(zip(needed, batch(needed, x0 + 1j * rho)))
-        return [sign * (values[k].imag if imag else values[k].real)
-                for k, sign, imag in (_LIFTED[attr] for attr in attrs)]
+        # loops, not comprehensions: a flow calls this at every RK4 stage,
+        # where a comprehension's own call costs as much as a cheap lift
+        needed, reads = plans.get(attrs) or plan(attrs)
+        z = x0 + 1j * rho
+        if batch is not None:
+            w = batch(needed, z)
+        else:
+            w = []
+            for k in needed:
+                w.append(lifts[k](z))
+        out = []
+        for i, sign, imag in reads:
+            out.append(sign * (w[i].imag if imag else w[i].real))
+        return out
 
-    profile = MeridionalProfile(
-        alpha=2.0,
-        **{attr: part(*recipe) for attr, recipe in _LIFTED.items()},
-        label=label,
-        vectorized=vectorized,
-        batch=None if batch is None else profile_batch,
-    )
-    return MeridionalField(profile)
+    return MeridionalField(_profile_from_batch(2.0, profile_batch, _LIFTED, label, vectorized))
 
 
 @dataclass(frozen=True)
@@ -297,23 +345,26 @@ def _xi(p: SeparableParams, ch, sh):
 
 class _SeparableAt:
     """The factors of separable quantities at a point (x0, rho): Xi and Xi'
-    at x0, and rho^e and C_order(beta rho) by the scalar series (Y by
-    reflection, with the bits of bessel_y)."""
+    at x0, and rho^e and C at every order named at construction, each order
+    summed once by the scalar series (Y by reflection, with the bits of
+    bessel_y)."""
 
-    def __init__(self, p: SeparableParams, x0: float, rho: float):
-        self.p, self.rho = p, rho
+    def __init__(self, p: SeparableParams, x0: float, rho: float, orders: List[float]):
+        self.rho = rho
         self.xi, self.xi_p = _xi(p, math.cosh(p.beta * x0), math.sinh(p.beta * x0))
+        z = p.beta * rho
+        self._cyl = {}
+        for order in orders:
+            jp = bessel_j(order, z)
+            # bessel_y(order, z) would sum J_order a second time
+            self._cyl[order] = (p.a1 * jp if p.a2 == 0.0 else
+                                p.a1 * jp + p.a2 * y_by_reflection(order, jp, bessel_j(-order, z)))
 
     def power(self, e: float):
         return self.rho ** e
 
     def cyl(self, order: float):
-        p, z = self.p, self.p.beta * self.rho
-        jp = bessel_j(order, z)
-        val = p.a1 * jp
-        if p.a2 != 0.0:  # bessel_y(order, z) would sum J_order a second time
-            val += p.a2 * y_by_reflection(order, jp, bessel_j(-order, z))
-        return val
+        return self._cyl[order]
 
 
 class _SeparableArrays:
@@ -354,9 +405,8 @@ def from_separable(p: SeparableParams) -> MeridionalField:
     and the stream function is -(Xi'/beta) rho^{mu} C_{nu-1}(beta rho), mu = (3-alpha)/2.
 
     Each quantity is one formula over the factors of _SeparableAt (floats)
-    or _SeparableArrays (arrays).  The profile is vectorized, and its batch
-    evaluates several quantities at arrays of points with one Bessel pass
-    for all the orders they use.
+    or _SeparableArrays (arrays).  The profile's batch evaluates several
+    quantities with one pass over the orders of C they use.
     """
     nu, beta, mu = 0.5 * (p.alpha - 1.0), p.beta, 0.5 * (3.0 - p.alpha)
 
@@ -378,77 +428,141 @@ def from_separable(p: SeparableParams) -> MeridionalField:
                         (nu - 1.0, nu - 2.0)),
         "stream": (lambda f: -(f.xi_p / beta) * f.power(mu) * f.cyl(nu - 1.0), (nu - 1.0,)),
     }
-
-    def scalar_or_array(formula, orders):
-        def fn(x0, rho):
-            if isinstance(rho, np.ndarray):
-                return formula(_SeparableArrays(p, x0, rho, list(orders)))
-            return formula(_SeparableAt(p, x0, rho))
-        return fn
+    orders = {}  # callable names -> the orders of C they use
 
     def batch(attrs, x0, rho):
-        orders = list(dict.fromkeys(o for a in attrs for o in formulas[a][1]))
-        at = _SeparableArrays(p, x0, rho, orders)
-        return [formulas[a][0](at) for a in attrs]
+        if attrs not in orders:
+            orders[attrs] = list(dict.fromkeys(o for a in attrs for o in formulas[a][1]))
+        factors = _SeparableArrays if isinstance(rho, np.ndarray) else _SeparableAt
+        f = factors(p, x0, rho, orders[attrs])
+        return [formulas[a][0](f) for a in attrs]
 
-    profile = MeridionalProfile(
-        alpha=p.alpha,
-        **{attr: scalar_or_array(*recipe) for attr, recipe in formulas.items()},
-        label=(f"separable:alpha={p.alpha:g},beta={p.beta:g},"
-               f"a=({p.a1:g},{p.a2:g}),b=({p.b1:g},{p.b2:g})"),
-        vectorized=True,
-        batch=batch,
-    )
-    return MeridionalField(profile)
+    label = (f"separable:alpha={p.alpha:g},beta={p.beta:g},"
+             f"a=({p.a1:g},{p.a2:g}),b=({p.b1:g},{p.b2:g})")
+    return MeridionalField(_profile_from_batch(p.alpha, batch, formulas, label, True))
 
 
 def lift_to_r4(f: MeridionalField, x: Quaternion) -> Quaternion:
-    """Field vector (V0, V1, V2, V3) at x, V_m = Vrho * x_m / rho."""
+    """Field vector (V0, V1, V2, V3) at x, V_m = Vrho * x_m / rho.
+
+    x has float components (one point, through f.at) or flat float arrays
+    of one shape (points, through f.evaluate, non-finite values kept).
+    """
     rho = x.rho()
-    if rho < RHO_MIN:
-        raise DomainError(f"rho = {rho:g} below the domain floor {RHO_MIN:g}")
-    v0 = f.V0(x.x0, rho)
-    vr = f.Vrho(x.x0, rho)
+    if isinstance(rho, np.ndarray):
+        v0, vr = f.evaluate(("V0", "Vrho"), x.x0, rho, check=False)
+    else:
+        v0, vr = f.at(("V0", "Vrho"), x.x0, rho)
     return Quaternion(v0, vr * x.x1 / rho, vr * x.x2 / rho, vr * x.x3 / rho)
 
 
 # ---------------------------------------------------------------------------
 # PDE verifiers
+#
+# Each verifier takes one point (floats) or many (float arrays of one
+# shape, each point with its own default_fd_step) and returns its residuals
+# in the same form.  The values a verifier needs, at the points
+# fd_derivative's rule reads included, come from one call per set of
+# quantities (of the profile, or of each callable it was given) on flat
+# arrays that hold all the points.
 # ---------------------------------------------------------------------------
+
+def _quiet(verifier: Callable) -> Callable:
+    """The verifier with numpy as silent as float arithmetic on overflow
+    and NaN: a non-finite residual is its caller's to report."""
+    @functools.wraps(verifier)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return verifier(*args, **kwargs)
+    return quiet
+
 
 def _profile_of(f: Union[MeridionalField, MeridionalProfile]) -> MeridionalProfile:
     return f.profile if isinstance(f, MeridionalField) else f
 
 
-def verify_epd(f: Union[MeridionalField, MeridionalProfile],
-               x0: float, rho: float) -> float:
+def _pow(x, e: float):
+    """x ** e, with libm's bits at each element of an array too."""
+    return elementwise(e.__rpow__, x) if isinstance(x, np.ndarray) else x ** e
+
+
+_CENTER = ((None,), None)  # a line of _stencil that reads the points unmoved
+
+
+def _stencil(fn: Callable, coords: Sequence, lines: Sequence) -> List[list]:
+    """fn's values along lines through the points coords.
+
+    coords are the coordinates of the points (floats, or arrays of one
+    shape S).  Each line is (offsets, axis): the points with coords[axis] + t,
+    for each t in offsets (floats or arrays of shape S).  fn is called once
+    with one flat array per coordinate that holds every moved point, and
+    returns a value there (an array, or a float for all of them), or a list
+    or tuple of such values.  Per line, the list of fn's values at its
+    offsets, each of shape S, or (len(list), *S).
+    """
+    shape = np.broadcast(*coords).shape
+    moved = [[c + t if i == axis else c for i, c in enumerate(coords)]
+             for offsets, axis in lines for t in offsets]
+    flat = [np.concatenate([np.broadcast_to(m[i], shape).ravel() for m in moved])
+            for i in range(len(coords))]
+    vals = fn(*flat)
+    single = not isinstance(vals, (list, tuple))
+    vals = np.array([np.broadcast_to(np.asarray(v, dtype=float), flat[0].shape)
+                     for v in ([vals] if single else vals)])
+    vals = np.moveaxis(vals.reshape(len(vals), len(moved), *shape), 1, 0)
+    if single:
+        vals = vals[:, 0]
+    out, k = [], 0
+    for offsets, _ in lines:
+        out.append(list(vals[k:k + len(offsets)]))
+        k += len(offsets)
+    return out
+
+
+def _stream(p: MeridionalProfile) -> Callable:
+    return lambda x0, rho: _values(p, ("stream",), x0, rho)[0]
+
+
+def _on_r4(fn: Callable) -> Callable:
+    """A field on R^4 (a callable of a Quaternion) as a callable of coordinates."""
+    return lambda *c: fn(Quaternion(*c))
+
+
+def _result(r):
+    """A residual as a float at one point, an array at many."""
+    return r if np.ndim(r) else float(r)
+
+
+@_quiet
+def verify_epd(f: Union[MeridionalField, MeridionalProfile], x0, rho):
     """|rho (g_x0x0 + g_rhorho) - (alpha-2) g_rho| from the analytic partials."""
     p = _profile_of(f)
-    if rho < RHO_MIN:
-        raise DomainError(f"rho = {rho:g} below the domain floor")
-    return abs(rho * (p.d2g_dx0x0(x0, rho) + p.d2g_drhorho(x0, rho))
-               - (p.alpha - 2.0) * p.dg_drho(x0, rho))
+    low = np.flatnonzero(np.asarray(rho) < RHO_MIN)
+    if low.size:
+        raise DomainError(f"rho = {np.ravel(rho)[low[0]]:g} below the domain floor")
+    xx, rr, r = _stencil(lambda a, b: _values(p, ("d2g_dx0x0", "d2g_drhorho", "dg_drho"), a, b),
+                         (x0, rho), [_CENTER])[0][0]
+    return _result(abs(rho * (xx + rr) - (p.alpha - 2.0) * r))
 
 
-def verify_stream(f: Union[MeridionalField, MeridionalProfile], x0: float,
-                  rho: float, fd_step: Optional[float] = None) -> float:
+@_quiet
+def verify_stream(f: Union[MeridionalField, MeridionalProfile], x0, rho,
+                  fd_step=None):
     """Stream equation |rho (gh_x0x0 + gh_rhorho) + (alpha-2) gh_rho| by fd_derivative."""
     p = _profile_of(f)
     if p.stream is None:
         raise NoStream("no stream function on this profile")
     h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-
-    def along_rho(t):
-        return p.stream(x0, rho + t)
-
-    drr = fd_derivative(along_rho, 2, h, room=rho)
-    dxx = fd_derivative(lambda t: p.stream(x0 + t, rho), 2, h)
-    return abs(rho * (dxx + drr) + (p.alpha - 2.0) * fd_derivative(along_rho, 1, h))
+    rr, xx, r = _stencil(_stream(p), (x0, rho),
+                         [(fd_steps(2, h, room=rho), 1), (fd_steps(2, h), 0),
+                          (fd_steps(1, h), 1)])
+    drr, dxx = fd_combine(rr, 2, h), fd_combine(xx, 2, h)
+    return _result(abs(rho * (dxx + drr) + (p.alpha - 2.0) * fd_combine(r, 1, h)))
 
 
-def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile],
-                           x0: float, rho: float,
-                           fd_step: Optional[float] = None) -> Tuple[float, float]:
+@_quiet
+def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile], x0, rho,
+                           fd_step=None) -> Tuple:
     """Residual pair of the generalized Stokes-Beltrami system.
 
         rho^{2-alpha} g_x0  = gh_rho
@@ -460,103 +574,110 @@ def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile],
     if p.stream is None:
         raise NoStream("no stream function on this profile")
     h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-    gh_rho = fd_derivative(lambda t: p.stream(x0, rho + t), 1, h, room=rho)
-    gh_x0 = fd_derivative(lambda t: p.stream(x0 + t, rho), 1, h)
-    w = rho ** (2.0 - p.alpha)
-    r1 = abs(w * p.dg_dx0(x0, rho) - gh_rho)
-    r2 = abs(w * p.dg_drho(x0, rho) + gh_x0)
-    return r1, r2
+    along_rho, along_x0 = _stencil(_stream(p), (x0, rho),
+                                   [(fd_steps(1, h, room=rho), 1), (fd_steps(1, h), 0)])
+    (g_x0, g_rho), = _stencil(lambda a, b: _values(p, ("dg_dx0", "dg_drho"), a, b),
+                              (x0, rho), [_CENTER])[0]
+    gh_rho, gh_x0 = fd_combine(along_rho, 1, h), fd_combine(along_x0, 1, h)
+    w = _pow(rho, 2.0 - p.alpha)
+    return _result(abs(w * g_x0 - gh_rho)), _result(abs(w * g_rho + gh_x0))
 
 
-ScalarField4 = Callable[[Quaternion], float]
+ScalarField4 = Callable[[Quaternion], Any]
+VectorField4 = Callable[[Quaternion], Sequence]
 
 
-def _partials(fn: Callable, x: Quaternion, order: int, fd_step: Optional[float],
-              axes: Sequence[int] = (0, 1, 2, 3)) -> list:
-    """fd_derivative of fn along the given coordinate axes of R^4 at x."""
-    h = fd_step if fd_step is not None else default_fd_step(x.x0, x.rho())
-    c = x.components()
-
-    def along(ax):
-        def line(t):
-            moved = list(c)
-            moved[ax] += t
-            return fn(Quaternion(*moved))
-        return line
-    return [fd_derivative(along(ax), order, h) for ax in axes]
+def _step(x: Quaternion, fd_step):
+    return fd_step if fd_step is not None else default_fd_step(x.x0, x.rho())
 
 
-def verify_weinstein(h_fn: ScalarField4, alpha: float, x: Quaternion,
-                     fd_step: Optional[float] = None) -> float:
-    """|x3 * Laplace(h) - alpha * dh/dx3| by fd_derivative."""
-    lap = sum(_partials(h_fn, x, 2, fd_step))
-    d3, = _partials(h_fn, x, 1, fd_step, axes=(3,))
-    return abs(x.x3 * lap - alpha * d3)
+@_quiet
+def verify_weinstein(h_fn: ScalarField4, alpha: float, x: Quaternion, fd_step=None):
+    """|x3 * Laplace(h) - alpha * dh/dx3| by fd_derivative.
+
+    h_fn maps a Quaternion whose components are flat float arrays (the
+    difference points) to h there, as does every callable a verifier of
+    fields on R^4 takes.
+    """
+    h = _step(x, fd_step)
+    *second, d3 = _stencil(_on_r4(h_fn), x.components(),
+                           [(fd_steps(2, h), ax) for ax in range(4)] + [(fd_steps(1, h), 3)])
+    lap = sum(fd_combine(v, 2, h) for v in second)
+    return _result(abs(x.x3 * lap - alpha * fd_combine(d3, 1, h)))
 
 
+@_quiet
 def verify_axial_hyperbolic(h_fn: ScalarField4, alpha: float, x: Quaternion,
-                            fd_step: Optional[float] = None) -> float:
+                            fd_step=None):
     """|rho^2 Laplace(h) - alpha (x1 h_x1 + x2 h_x2 + x3 h_x3)| by fd_derivative."""
-    lap = sum(_partials(h_fn, x, 2, fd_step))
-    g1, g2, g3 = _partials(h_fn, x, 1, fd_step, axes=(1, 2, 3))
+    h = _step(x, fd_step)
+    vals = _stencil(_on_r4(h_fn), x.components(),
+                    [(fd_steps(2, h), ax) for ax in range(4)]
+                    + [(fd_steps(1, h), ax) for ax in (1, 2, 3)])
+    lap = sum(fd_combine(v, 2, h) for v in vals[:4])
+    g1, g2, g3 = (fd_combine(v, 1, h) for v in vals[4:])
     rad = x.x1 * g1 + x.x2 * g2 + x.x3 * g3
-    rho2 = x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2
-    return abs(rho2 * lap - alpha * rad)
+    rho2 = _pow(x.x1, 2.0) + _pow(x.x2, 2.0) + _pow(x.x3, 2.0)
+    return _result(abs(rho2 * lap - alpha * rad))
 
 
-VectorField4 = Callable[[Quaternion], Sequence[float]]
-
-
+@_quiet
 def verify_general_system(u: VectorField4, phi: ScalarField4, x: Quaternion,
-                          fd_step: Optional[float] = None) -> Tuple[float, ...]:
+                          fd_step=None) -> Tuple:
     """Seven residuals of the static generalized potential system.
 
     Order: weighted continuity
            phi (u0_x0 - u1_x1 - u2_x2 - u3_x3) + (u0 phi_x0 - u1 phi_x1 - ...),
     then the three symmetric combinations u0_xm + um_x0 (m = 1, 2, 3),
     then the three curls u1_x2 - u2_x1, u1_x3 - u3_x1, u2_x3 - u3_x2.
+    u maps points to the four components (floats or arrays).
     """
+    h = _step(x, fd_step)
+    lines = [(fd_steps(1, h), ax) for ax in range(4)] + [_CENTER]
+    *du, (u0,) = _stencil(_on_r4(u), x.components(), lines)
+    *dphi, (p0,) = _stencil(_on_r4(phi), x.components(), lines)
     # jac[m][ax] = d u_m / d x_ax
-    jac = np.array(_partials(lambda q: np.asarray(u(q), dtype=float), x, 1, fd_step)).T.tolist()
-    u0 = u(x)
-    gphi = _partials(phi, x, 1, fd_step)
-    p0 = phi(x)
+    cols = [fd_combine(v, 1, h) for v in du]
+    jac = [[cols[ax][m] for ax in range(4)] for m in range(4)]
+    gphi = [fd_combine(v, 1, h) for v in dphi]
 
     cont = (p0 * (jac[0][0] - jac[1][1] - jac[2][2] - jac[3][3])
             + u0[0] * gphi[0] - u0[1] * gphi[1] - u0[2] * gphi[2] - u0[3] * gphi[3])
     sym = [jac[0][m] + jac[m][0] for m in (1, 2, 3)]
     curl = [jac[1][2] - jac[2][1], jac[1][3] - jac[3][1], jac[2][3] - jac[3][2]]
-    return (abs(cont), abs(sym[0]), abs(sym[1]), abs(sym[2]),
-            abs(curl[0]), abs(curl[1]), abs(curl[2]))
+    return tuple(_result(abs(r)) for r in (cont, *sym, *curl))
 
 
-def criterion_check(h_fn: ScalarField4, x: Quaternion,
-                    fd_step: Optional[float] = None
-                    ) -> Tuple[Tuple[float, float, float], Tuple[float, float]]:
+@_quiet
+def criterion_check(h_fn: ScalarField4, x: Quaternion, fd_step=None) -> Tuple:
     """Axisymmetry criterion residuals for a scalar field.
 
     Cartesian triple:  |x2 h_x1 - x1 h_x2|, |x3 h_x1 - x1 h_x3|, |x3 h_x2 - x2 h_x3|;
     angular pair: |dh/dtheta|, |dh/dpsi| via the chain rule on the same gradient.
     All five vanish iff h is constant on the (theta, psi) orbits.
     """
-    s2 = x.x2 ** 2 + x.x3 ** 2
-    if x.rho() == 0.0 or s2 == 0.0:
+    s2 = _pow(x.x2, 2.0) + _pow(x.x3, 2.0)
+    if np.any((np.asarray(x.rho()) == 0.0) | (np.asarray(s2) == 0.0)):
         raise DomainError("criterion chart needs rho > 0 and (x2, x3) != 0")
-    g1, g2, g3 = _partials(h_fn, x, 1, fd_step, axes=(1, 2, 3))
+    h = _step(x, fd_step)
+    g1, g2, g3 = (fd_combine(v, 1, h) for v in
+                  _stencil(_on_r4(h_fn), x.components(),
+                           [(fd_steps(1, h), ax) for ax in (1, 2, 3)]))
     cart = (abs(x.x2 * g1 - x.x1 * g2),
             abs(x.x3 * g1 - x.x1 * g3),
             abs(x.x3 * g2 - x.x2 * g3))
-    s = math.sqrt(s2)
+    s = np.sqrt(s2)
     dtheta = -s * g1 + (x.x1 * x.x2 / s) * g2 + (x.x1 * x.x3 / s) * g3
     dpsi = -x.x3 * g2 + x.x2 * g3
-    return cart, (abs(dtheta), abs(dpsi))
+    return tuple(map(_result, cart)), (_result(abs(dtheta)), _result(abs(dpsi)))
 
 
-def axial_symmetry_check(u: VectorField4, x: Quaternion) -> Tuple[float, float, float]:
+@_quiet
+def axial_symmetry_check(u: VectorField4, x: Quaternion) -> Tuple:
     """Algebraic axial-alignment residuals of a vector field's imaginary part.
 
     |u1 x2 - u2 x1|, |u1 x3 - u3 x1|, |u2 x3 - u3 x2| — all zero iff
-    (u1, u2, u3) is parallel to (x1, x2, x3)."""
+    (u1, u2, u3) is parallel to (x1, x2, x3).  u is called once, at x."""
     v = u(x)
     return (abs(v[1] * x.x2 - v[2] * x.x1),
             abs(v[1] * x.x3 - v[3] * x.x1),

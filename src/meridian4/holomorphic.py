@@ -45,6 +45,8 @@ __all__ = [
     "moebius_potential",
     "primitive",
     "default_fd_step",
+    "fd_steps",
+    "fd_combine",
     "fd_derivative",
 ]
 
@@ -113,34 +115,58 @@ class RadialFunction:
         )
 
 
-def default_fd_step(x0: float, rho: float) -> float:
-    """Package-wide finite-difference step: 1e-4 * max(1, |x0|, rho)."""
-    return 1e-4 * max(1.0, abs(x0), rho)
+def default_fd_step(x0, rho):
+    """Package-wide finite-difference step: 1e-4 * max(1, |x0|, rho), at
+    floats or at each element of arrays."""
+    return 1e-4 * np.maximum(np.maximum(1.0, np.abs(x0)), rho)
 
 
-def fd_derivative(line: Callable, order: int, h: float, room: float = math.inf):
+def fd_steps(order: int, h, room=math.inf) -> list:
+    """The offsets t at which fd_derivative reads its line: s/2, -s/2, s, -s
+    and, for a second derivative, 0, with s = h (first) or 10 h (second).
+
+    h and room are floats or arrays, one step per point.  Raises
+    StepTooLarge when s reaches room, the distance to the axis along the
+    line, at any point (the message names the first).
+    """
+    s = h if order == 1 else 10.0 * h
+    reach = s >= room
+    if np.any(reach):
+        i = np.flatnonzero(reach)[0]
+        s, room = (np.broadcast_to(v, np.shape(reach)).flat[i] for v in (s, room))
+        raise StepTooLarge(f"step {s:g} reaches the axis (rho = {room:g})")
+    half = 0.5 * s
+    return [half, -half, s, -s] + ([0.0 * s] if order == 2 else [])
+
+
+def fd_combine(values: list, order: int, h):
+    """The derivative from the line's values at the offsets of fd_steps.
+
+    Central differences D(s) at the step s and at s/2 combine to the
+    Richardson value (4 D(s/2) - D(s)) / 3, which cancels the s^2 term of
+    their truncation error.
+    """
+    s = h if order == 1 else 10.0 * h
+    if order == 1:
+        def central(i, d):
+            return (values[i] - values[i + 1]) / (2.0 * d)
+    else:
+        def central(i, d):
+            return (values[i] - 2.0 * values[4] + values[i + 1]) / (d * d)
+    return (4.0 * central(0, 0.5 * s) - central(2, s)) / 3.0
+
+
+def fd_derivative(line: Callable, order: int, h, room=math.inf):
     """Derivative of order 1 or 2 of t -> line(t) at t = 0, with error O(h^4).
 
-    The package's one difference rule.  Central differences D(s) at the step
-    s and at s/2 combine to the Richardson value (4 D(s/2) - D(s)) / 3, which
-    cancels the s^2 term of their truncation error.  First derivatives step
-    s = h (default_fd_step); second derivatives step s = 10 h, since their
+    The package's one difference rule: line read at the offsets of fd_steps,
+    combined by fd_combine.  First derivatives step s = h
+    (default_fd_step); second derivatives step s = 10 h, since their
     rounding error grows as eps/s^2 rather than eps/s.  line may return
     floats, complex numbers or arrays.  Raises StepTooLarge when s reaches
     room, the distance to the axis along the line.
     """
-    s = h if order == 1 else 10.0 * h
-    if s >= room:
-        raise StepTooLarge(f"step {s:g} reaches the axis (rho = {room:g})")
-    if order == 1:
-        def central(d):
-            return (line(d) - line(-d)) / (2.0 * d)
-    else:
-        mid = line(0.0)
-
-        def central(d):
-            return (line(d) - 2.0 * mid + line(-d)) / (d * d)
-    return (4.0 * central(0.5 * s) - central(s)) / 3.0
+    return fd_combine([line(t) for t in fd_steps(order, h, room)], order, h)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import HalfSpaceViolation, OnAxis, ZeroQuaternion
 
 __all__ = [
@@ -76,8 +78,12 @@ class Quaternion:
         return self.conj().scale(1.0 / n2)
 
     def rho(self) -> float:
-        """Distance from the real axis, |(x1, x2, x3)|."""
+        """Distance from the real axis, |(x1, x2, x3)|; when the components
+        are flat float arrays of one length, at each of their points."""
         # hypot scales internally, so components below 1e-154 do not underflow
+        if isinstance(self.x1, np.ndarray):
+            return np.fromiter(map(math.hypot, self.x1.tolist(), self.x2.tolist(),
+                                   self.x3.tolist()), float, len(self.x1))
         return math.hypot(self.x1, self.x2, self.x3)
 
     def components(self) -> tuple:

@@ -97,21 +97,27 @@ def _powu(x: _Num, n: int) -> _Num:
     return r
 
 
-def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, SeriesTail]:
-    """Ascending series for J_nu(z), float or complex z, |z| <= 30.
+def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, int, float]:
+    """Ascending series for J_nu(z), float or complex z, |z| <= 30, as
+    (value, terms used, tail bound).
 
-    Caller must have reduced negative integer orders already.  The tail
-    bound is geometric: once the term ratio falls below 1/2 the remainder is
-    at most twice the first neglected term; the rounding term
+    A negative integer order is reflected first, J_{-n} = (-1)^n J_n.  The
+    tail bound is geometric: once the term ratio falls below 1/2 the
+    remainder is at most twice the first neglected term; the rounding term
     (terms + 1) * eps * sum |term_i| is added to it.
     """
+    if _is_int(nu) and nu < 0:
+        n = int(-nu)
+        val, terms, bound = _jv_ascending(float(n), z)
+        sign = -1.0 if n % 2 else 1.0
+        return sign * val, terms, bound
     if not abs(z) <= MAX_ABS_Z:
         raise DomainError(f"ascending series restricted to |z| <= {MAX_ABS_Z:g}")
     if z == 0:
         if nu < 0:
             raise DomainError("J_nu(0) diverges for negative order")
         val = 1.0 if nu == 0 else 0.0
-        return (complex(val) if isinstance(z, complex) else val), SeriesTail(1, 0.0)
+        return (complex(val) if isinstance(z, complex) else val), 1, 0.0
 
     # leading coefficient (z/2)^nu / Gamma(nu+1)
     half = 0.5 * z
@@ -142,7 +148,7 @@ def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, SeriesTail]:
             # rigorous stop: the next ratio must already be in the geometric regime
             denom_next = (k + 2.0) * (nu + k + 2.0)
             if denom_next > 0 and azz / denom_next <= 0.5:
-                return total, SeriesTail(int(k) + 1, 2.0 * a + (k + 2.0) * _EPS * mass)
+                return total, int(k) + 1, 2.0 * a + (k + 2.0) * _EPS * mass
         term = nxt
         total += nxt
         t = abs(total)
@@ -154,28 +160,25 @@ def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, SeriesTail]:
     raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
 
 
-def _jv_reduced(nu: float, z: _Num) -> Tuple[_Num, SeriesTail]:
-    """Handle the negative-integer reflection J_{-n} = (-1)^n J_n, then sum."""
-    if _is_int(nu) and nu < 0:
-        n = int(-nu)
-        val, tail = _jv_ascending(float(n), z)
-        sign = -1.0 if n % 2 else 1.0
-        return sign * val, tail
+def _jv_real(nu: float, z: float) -> Tuple[float, int, float]:
+    """_jv_ascending on the real half-line z >= 0, where J_{-n}(0) = 0."""
+    if z < 0.0:
+        raise DomainError("real-branch J_nu needs z >= 0")
+    if z == 0.0 and nu < 0 and _is_int(nu):
+        # J_{-n}(0) = (-1)^n J_n(0) = 0 for n >= 1
+        return 0.0, 1, 0.0
     return _jv_ascending(nu, z)
 
 
 def bessel_j_series(nu: float, z: float) -> Tuple[float, SeriesTail]:
     """J_nu(z) for real z >= 0 with the truncation record."""
-    if z < 0.0:
-        raise DomainError("real-branch J_nu needs z >= 0")
-    if z == 0.0 and nu < 0 and _is_int(nu):
-        # J_{-n}(0) = (-1)^n J_n(0) = 0 for n >= 1
-        return 0.0, SeriesTail(1, 0.0)
-    return _jv_reduced(nu, z)
+    val, terms, bound = _jv_real(nu, z)
+    return val, SeriesTail(terms, bound)
 
 
 def bessel_j(nu: float, z: float) -> float:
-    return bessel_j_series(nu, z)[0]
+    """J_nu(z) for real z >= 0: bessel_j_series without the record."""
+    return _jv_real(nu, z)[0]
 
 
 def _check_y_order(nu: float) -> None:
@@ -320,8 +323,7 @@ def bessel_j_quat(n: Union[int, float], x: Quaternion) -> Quaternion:
     nu = float(n)
     if not _is_int(nu) and split.b == 0.0 and split.a < 0.0:
         raise DomainError("non-integer order on the negative real axis")
-    val, _ = _jv_reduced(nu, z)
-    return from_lift(val, x)
+    return from_lift(_jv_ascending(nu, z)[0], x)
 
 
 def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
@@ -335,6 +337,5 @@ def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
     total = 0j
     for n in range(big_n + 1):
         coeff = (m + 2 * n) * factorial(m + n - 1) / factorial(n)
-        jv, _ = _jv_ascending(float(m + 2 * n), z)
-        total += coeff * jv
+        total += coeff * _jv_ascending(float(m + 2 * n), z)[0]
     return from_lift(total, x)

@@ -84,12 +84,8 @@ class SpectralReport:
 
 def _meridian_data(f: MeridionalField, x: Quaternion):
     rho = x.rho()
-    if rho < RHO_MIN:
-        raise DomainError(f"rho = {rho:g} below the domain floor {RHO_MIN:g}")
-    q = f.Vrho(x.x0, rho) / rho
-    p01 = f.dVrho_dx0(x.x0, rho)
-    p11 = f.dVrho_drho(x.x0, rho)
-    return rho, q, p01, p11
+    vrho, p01, p11 = f.at(("Vrho", "dVrho_dx0", "dVrho_drho"), x.x0, rho)
+    return rho, vrho / rho, p01, p11
 
 
 def jacobian_stack(alpha: float, q, p01, p11, axis) -> np.ndarray:

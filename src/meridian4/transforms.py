@@ -402,28 +402,21 @@ def transform_field(kind: str, eta: OriginalFunction,
 
     G' is the ffc or ffs transform, so V0 - i*Vrho = G'(x0 + i*rho); see the
     module docstring for the kernels of G, G' and G''.  The profile's batch
-    integrates every lift its quantities read in one pass.  A lift called
-    at one complex point keeps its value there, so that V0 and Vrho read one
-    integral of G', and the two dVrho partials one integral of G''.
+    integrates every lift its quantities read in one pass, at arrays of
+    points and at one point alike.
     """
     if kind not in _LIFT_KERNELS:
         raise DomainError(f"transform field kind must be 'ffc' or 'ffs', got {kind!r}")
     _check_tol(tol)
 
     def batch(lifts, z):
-        vals = _integrals(kind, _lift_kernels(kind, lifts), len(lifts), eta, z.ravel(), tol)[0]
-        return [v.reshape(z.shape) for v in vals]
+        zs = np.asarray(z, dtype=complex)
+        vals = _integrals(kind, _lift_kernels(kind, lifts), len(lifts), eta, zs.reshape(-1),
+                          tol)[0]
+        return [v.reshape(zs.shape) if zs.ndim else complex(v[0]) for v in vals]
 
     def lift(k: int):
-        last = [None, None]  # the last scalar point and the value there
-
-        def at(z):
-            if isinstance(z, np.ndarray):
-                return batch((k,), z)[0]
-            if z != last[0]:
-                last[:] = z, complex(batch((k,), np.array([z]))[0][0])
-            return last[1]
-        return at
+        return lambda z: batch((k,), z)[0]
 
     G, F, F2 = (lift(k) for k in range(3))
     return lifted_field(G, F, F2, f"transform:{kind}:{eta.name}", vectorized=True,

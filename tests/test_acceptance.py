@@ -345,8 +345,8 @@ def test_acceptance_06_axisymmetry_criterion():
     worst = 0.0
     checks = 0
     for f in fields:
-        def lifted(xq, ff=f):
-            return ff.g(xq.x0, xq.rho())
+        def lifted(xq, ff=f):  # the verifier hands over its difference points as arrays
+            return ff.evaluate(("g",), xq.x0, xq.rho())[0]
         for _ in range(12):
             v = [rng.choice((-1.0, 1.0)) * rng.uniform(0.4, 1.2) for _ in range(3)]
             x = Quaternion(rng.uniform(-1.0, 1.0), v[0], v[1], v[2])

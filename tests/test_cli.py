@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from meridian4.cli import _BLOCK_ROWS, _emit_table
 from meridian4.errors import DomainError
+from meridian4.quaternion import Quaternion
 
 CMD = [sys.executable, "-m", "meridian4"]
 
@@ -202,17 +204,19 @@ def test_verify_infinite_residual_exits_3_with_the_point():
 def test_verify_nan_residual_is_never_skipped(monkeypatch, capsys):
     from meridian4 import cli
 
-    calls = []
+    clouds = []
 
-    def nan_on_third(field, x0, rho):
-        calls.append((x0, rho))
-        return math.nan if len(calls) == 3 else 0.0
+    def nan_at_third(field, x0, rho):
+        clouds.append((x0.tolist(), rho.tolist()))
+        return np.where(np.arange(len(x0)) == 2, math.nan, 0.0)
 
-    monkeypatch.setattr(cli, "verify_epd", nan_on_third)
+    monkeypatch.setattr(cli, "verify_epd", nan_at_third)
     assert cli.main(["verify", "epd", "--field", "holo:name=qexp"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: DomainError: epd residual nan at sample point {calls[2]}\n"
+    assert len(clouds) == 1 and len(clouds[0][0]) == 100  # the whole cloud in one call
+    x0, rho = clouds[0]
+    assert err == f"error: DomainError: epd residual nan at sample point {(x0[2], rho[2])}\n"
 
 
 def test_verify_failure_exits_4():
@@ -264,6 +268,175 @@ def test_verify_requires_target():
     assert run_cli("verify", "epd").returncode == 2
     assert run_cli("verify", "weinstein").returncode == 2
     assert run_cli("verify", "criterion").returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# verify: one pass over the cloud against the sample-by-sample loop
+# ---------------------------------------------------------------------------
+
+def _per_sample_run_suite(args):
+    """Reference: the sample-by-sample loop that ran the suites before the
+    cloud went through one pass.  Each check gets one sample as floats."""
+    from meridian4 import cli
+
+    names, sample, check = cli._suite(args)
+    rng = random.Random(args.seed)
+    worst = [0.0] * len(names)
+    for _ in range(args.samples):
+        point = sample(rng)
+        for i, r in enumerate(check(point)):
+            if not math.isfinite(r):
+                where = point.components() if isinstance(point, Quaternion) else point
+                raise DomainError(f"{names[i]} residual {r!r} at sample point {where}")
+            worst[i] = max(worst[i], r)
+    return list(zip(names, worst))
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of one in-process cli.main call."""
+    from meridian4 import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _against_reference(monkeypatch, argv):
+    """The runner's outcome, asserted equal to the reference loop's."""
+    from meridian4 import cli
+
+    got = _main(argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_run_suite", _per_sample_run_suite)
+        assert _main(argv) == got, argv
+    return got
+
+
+CLOUD_FIELDS = ["separable:alpha=3,beta=1.1,b1=0.5,b2=0.5",
+                "separable:alpha=2.5,beta=1.1,a2=0.5,b1=1,b2=0.3",
+                "holo:name=qexp", "holo:name=qpow,n=2,coeff=0.5", "holo:name=qln",
+                "moebius:a=0.25,d=1.5", "transform:kind=ffc,original=exp,rate=2.5"]
+CLOUD_POTENTIALS = ["x3pow", "rhopow:e=-1.5", "rho3", "x0sq-x3sq"]
+CLOUD_RUNS = [("0", "csv"), ("7", "csv"), ("3", "json")]
+CLOUD_CASES = (
+    [(suite, "--field", target) for suite in ("epd", "stokes", "system", "symmetry", "criterion")
+     for target in CLOUD_FIELDS]
+    + [(suite, "--potential", target) for suite in ("weinstein", "axial", "criterion")
+       for target in CLOUD_POTENTIALS])
+
+
+@pytest.mark.parametrize("suite,flag,target", CLOUD_CASES,
+                         ids=[f"{s}-{t}" for s, _, t in CLOUD_CASES])
+def test_verify_cloud_matches_the_per_sample_loop(monkeypatch, suite, flag, target):
+    samples = "4" if target.startswith("transform") else "12"
+    for seed, fmt in CLOUD_RUNS:
+        argv = ["verify", suite, flag, target, "--alpha", "1.5", "--samples", samples,
+                "--seed", seed, "--format", fmt]
+        code, out, err = _against_reference(monkeypatch, argv)
+        assert (code in (0, 4) and out) or (code == 3 and err.startswith("error: ")), argv
+
+
+def _patched_sampler(monkeypatch, name, changes):
+    """Replace cli.<name> by a sampler that draws as before and passes
+    draw number i through changes[i], where there is one."""
+    from meridian4 import cli
+
+    original, draws = getattr(cli, name), []
+
+    def sample(*args, **kwargs):
+        point = original(*args, **kwargs)
+        draws.append(point)
+        change = changes.get(len(draws) - 1)
+        return change(point) if change else point
+    monkeypatch.setattr(cli, name, sample)
+
+
+def _verify_error(monkeypatch, argv, sampler=None):
+    """Runner and reference on argv, each with a fresh patched sampler."""
+    from meridian4 import cli
+
+    def run():
+        with monkeypatch.context() as m:
+            if sampler:
+                _patched_sampler(m, *sampler)
+            return _main(argv)
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_run_suite", _per_sample_run_suite)
+        assert run() == got, argv
+    return got
+
+
+def test_verify_error_is_the_first_non_finite_residual_by_sample_then_check(monkeypatch):
+    from meridian4 import cli
+
+    def residuals(field, x0, rho):
+        # r1 fails where x0 > 1, r2 where rho < 0.7: the first sample that
+        # fails either decides, and r1 before r2 within it
+        def plain(v):
+            return float(v) if np.ndim(v) == 0 else v
+        return (plain(np.where(np.asarray(x0) > 1.0, math.nan, 0.0)),
+                plain(np.where(np.asarray(rho) < 0.7, math.inf, 0.0)))
+
+    monkeypatch.setattr(cli, "verify_stokes_beltrami", residuals)
+    for seed in range(6):
+        code, out, err = _verify_error(
+            monkeypatch, ["verify", "stokes", "--field", "holo:name=qexp", "--seed", str(seed)])
+        assert (code, out) == (3, "")
+        assert err.startswith(("error: DomainError: r1 residual nan at sample point (",
+                               "error: DomainError: r2 residual inf at sample point ("))
+    code, out, err = _verify_error(
+        monkeypatch, ["verify", "axial", "--potential", "rho3", "--alpha", "1e308"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: DomainError: axial residual inf at sample point (")
+
+
+def test_verify_step_too_large_after_an_earlier_non_finite_sample(monkeypatch):
+    argv = ["verify", "stokes", "--field", "holo:name=qexp", "--samples", "10"]
+    # the fifth sample sits closer to the axis than its difference step
+    near_axis = {4: lambda p: (p[0], 5e-5)}
+    code, out, err = _verify_error(monkeypatch, argv, ("_sample_plane", near_axis))
+    assert (code, out) == (3, "")
+    assert err == "error: StepTooLarge: step 0.0001 reaches the axis (rho = 5e-05)\n"
+    # a third sample where exp overflows fails first, with its residual
+    code, out, err = _verify_error(monkeypatch, argv, (
+        "_sample_plane", {2: lambda p: (800.0, p[1]), **near_axis}))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: DomainError: r1 residual nan at sample point (800.0, ")
+
+
+def test_verify_x3pow_below_the_plane_keeps_its_error(monkeypatch):
+    code, out, err = _verify_error(
+        monkeypatch, ["verify", "criterion", "--potential", "x3pow:alpha=0.5", "--seed", "4"])
+    assert (code, out) == (3, "")
+    assert err == "error: MeridianError: x3^1.5 needs x3 >= 0 at non-integer exponents\n"
+
+
+def test_verify_criterion_chart_error_at_a_later_sample(monkeypatch):
+    code, out, err = _verify_error(
+        monkeypatch, ["verify", "criterion", "--field", "holo:name=qexp", "--samples", "20"],
+        ("_sample_space", {13: lambda x: Quaternion(x.x0, x.x1, 0.0, 0.0)}))
+    assert (code, out) == (3, "")
+    assert err == "error: DomainError: criterion chart needs rho > 0 and (x2, x3) != 0\n"
+
+
+def test_verify_sends_the_cloud_through_one_field_evaluation(monkeypatch):
+    from meridian4.fields import MeridionalField
+
+    calls, evaluate = [], MeridionalField.evaluate
+
+    def counted(self, names, x0, rho, check=True):
+        calls.append(len(x0))
+        return evaluate(self, names, x0, rho, check)
+
+    monkeypatch.setattr(MeridionalField, "evaluate", counted)
+    code, _, _ = _main(["verify", "criterion", "--field", "holo:name=qexp", "--samples", "30"])
+    assert code == 0
+    assert calls == [30 * 3 * 4]  # three axes, four difference points each
+    calls.clear()
+    assert _main(["verify", "system", "--field", "holo:name=qexp", "--samples", "30"])[0] == 0
+    assert calls == [30 * (4 * 4 + 1)]  # four axes and the sample itself
 
 
 # ---------------------------------------------------------------------------
@@ -701,3 +874,34 @@ def test_main_reuses_one_parser_with_fresh_process_output(monkeypatch):
         assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout), argv
         assert err.getvalue() == fresh.stderr, argv
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+def _readme_commands():
+    """(argv, expected exit code) of each meridian4 line in README's sh blocks;
+    the code is the line's "# exits N" note, 0 when it has none."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            command, _, note = line.partition("#")
+            if command.startswith("meridian4 "):
+                code = re.match(r"\s*exits (\d+)", note)
+                commands.append((shlex.split(command)[1:], int(code.group(1)) if code else 0))
+    return commands
+
+
+def test_readme_examples_exit_as_noted():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for argv, want in commands:
+        code, out, _ = _main(argv)
+        assert code == want, argv
+        assert out

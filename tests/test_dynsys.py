@@ -104,25 +104,48 @@ def test_flow_is_deterministic():
 
 
 def test_flow_evaluates_the_field_four_times_per_step(monkeypatch):
-    calls = {"V0": 0, "Vrho": 0}
+    calls = []
+    at = MeridionalField.at
 
-    def counting(name):
-        method = getattr(MeridionalField, name)
+    def counted(self, names, x0, rho):
+        calls.append(names)
+        return at(self, names, x0, rho)
 
-        def counted(self, x0, rho):
-            calls[name] += 1
-            return method(self, x0, rho)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(MeridionalField, name, counting(name))
+    monkeypatch.setattr(MeridionalField, "at", counted)
     f = from_holomorphic_potential(qexp())
     tr = flow(f, Quaternion(0.1, 0.2, 0.1, 0.0), dt=1e-3, horizon=0.2)
     assert tr.termination == "horizon"
     steps = len(tr.times) - 1
     assert steps == 200
-    # k1 of each step is the speed the convergence test already computed
-    assert calls == {"V0": 4 * steps, "Vrho": 4 * steps}
+    # k1 of each step comes with the last row's h, so a step evaluates the
+    # field at its three later stages and at its end point; the row at the
+    # horizon asks for h alone
+    assert len(calls) == 4 * steps + 1
+    assert calls.count(("g", "V0", "Vrho")) == steps
+    assert calls.count(("V0", "Vrho")) == 3 * steps
+    assert calls[-1] == ("g",)
+
+
+@pytest.mark.parametrize("a2,per_step", [(0.0, 8), (0.4, 16)])
+def test_separable_flow_sums_each_bessel_order_once_per_point(monkeypatch, a2, per_step):
+    import meridian4.fields as fields
+
+    calls, bessel_j = [], fields.bessel_j
+
+    def counted(nu, z):
+        calls.append(nu)
+        return bessel_j(nu, z)
+
+    monkeypatch.setattr(fields, "bessel_j", counted)
+    f = from_separable(SeparableParams(2.5 if a2 else 3.0, 1.05, a2=a2, b1=0.75, b2=0.05))
+    tr = flow(f, Quaternion(0.1, 1.5, 0.0, 0.0), dt=0.002, horizon=0.4)
+    steps = len(tr.times) - 1
+    assert tr.termination == "horizon" and steps == 200
+    # V0 and Vrho read C at orders nu and nu - 1, h at nu: three stages and
+    # the end point cost 2 orders each, one J per order (two with a Y part).
+    # The start point adds a row; the row at the horizon asks for h alone.
+    orders = 2 if a2 else 1
+    assert len(calls) == per_step * steps + orders
 
 
 def test_flow_keeps_a_three_component_start_axis():

@@ -498,7 +498,8 @@ def test_scalar_callers_integrate_no_more_than_before(monkeypatch):
     lift_to_r4(field, x)
     assert calls == [(1, 1)]  # V0 and Vrho read one integral of G'
     eigen_closed(field, x)
-    assert calls == [(1, 1)] * 2  # Vrho from G' again, both dVrho partials from G''
+    # Vrho and both dVrho partials: G' and G'' from one pass
+    assert calls == [(1, 1), (2, 1)]
 
 
 def test_shared_pass_raises_at_the_panel_cap(monkeypatch):
