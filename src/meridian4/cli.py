@@ -9,6 +9,7 @@ failure.  Identical invocations produce byte-identical output.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -425,8 +426,8 @@ def _sample_space(rng, min_rho=0.1, x3_window=None, min_s2=0.0):
 
 
 def _suite(args):
-    """The suite's check names, its sampler, and its check: the residuals,
-    one per name, at one sample (floats) or at a cloud of them (arrays)."""
+    """The suite's check names, sampler, check (the residuals, one per name,
+    at one sample of floats or a cloud of arrays) and field (or None)."""
     suite = args.suite
     if args.samples < 1:
         raise SpecError(f"--samples must be at least 1, got {args.samples}")
@@ -443,7 +444,7 @@ def _suite(args):
         raise SpecError(f"--alpha must be finite, got {args.alpha!r}")
     field = parse_field_spec(args.field) if args.field is not None else None
     if suite in ("weinstein", "axial") or field is None:
-        h = parse_potential_spec(args.potential, args.alpha)
+        field, h = None, parse_potential_spec(args.potential, args.alpha)
     else:
         def h(x):
             return field.evaluate(("g",), x.x0, x.rho(), check=False)[0]
@@ -459,7 +460,7 @@ def _suite(args):
         return _sample_space(rng, x3_window=(0.1, 2.0))
 
     # suite -> (check names, sampler, residuals at the samples)
-    return {
+    return *{
         "epd": (["epd"], _sample_plane, lambda p: (verify_epd(field, *p),)),
         "stokes": (["r1", "r2"], _sample_plane, lambda p: verify_stokes_beltrami(field, *p)),
         "system": (["continuity", "sym1", "sym2", "sym3", "curl12", "curl13", "curl23"],
@@ -472,7 +473,7 @@ def _suite(args):
                       lambda x: sum(criterion_check(h, x), ())),
         "weinstein": (["weinstein"], window, lambda x: (verify_weinstein(h, args.alpha, x),)),
         "axial": (["axial"], window, lambda x: (verify_axial_hyperbolic(h, args.alpha, x),)),
-    }[suite]
+    }[suite], field
 
 
 def _cloud_pass(check, points) -> np.ndarray:
@@ -484,13 +485,19 @@ def _cloud_pass(check, points) -> np.ndarray:
     return np.array([np.broadcast_to(r, len(points)) for r in check(cloud)], dtype=float)
 
 
-def _check_finite(names, residuals: np.ndarray, points) -> None:
+def _check_finite(names, residuals: np.ndarray, points, field) -> None:
     """NaN would drop out of max(): the first non-finite residual, sample by
-    sample and then in check order, stops the suite instead."""
+    sample and then in check order, stops the suite instead, after the error
+    (not a float error) that the field, if any, raises at that sample."""
     bad = np.argwhere(~np.isfinite(residuals.T))
     if bad.size:
         i, k = bad[0]
-        where = points[i].components() if isinstance(points[i], Quaternion) else points[i]
+        p = points[i]
+        if field is not None:
+            with contextlib.suppress(ArithmeticError):
+                field.at(("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho"),
+                         *((p.x0, p.rho()) if isinstance(p, Quaternion) else p))
+        where = p.components() if isinstance(p, Quaternion) else p
         raise DomainError(f"{names[k]} residual {float(residuals[k, i])!r} "
                           f"at sample point {where}")
 
@@ -505,7 +512,7 @@ def _run_suite(args):
     that raises is found by bisecting the cloud; the samples before it are
     checked for a non-finite residual, and then its error propagates.
     """
-    names, sample, check = _suite(args)
+    names, sample, check, field = _suite(args)
     rng = random.Random(args.seed)
     points = [sample(rng) for _ in range(args.samples)]
     try:
@@ -523,9 +530,9 @@ def _run_suite(args):
             else:
                 lo = mid
         if lo:
-            _check_finite(names, _cloud_pass(check, points[:lo]), points)
+            _check_finite(names, _cloud_pass(check, points[:lo]), points, field)
         raise error
-    _check_finite(names, residuals, points)
+    _check_finite(names, residuals, points, field)
     return list(zip(names, residuals.max(axis=1).tolist()))
 
 

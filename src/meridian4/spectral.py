@@ -240,31 +240,36 @@ def _check_window(window: Window, grid: Tuple[int, int]) -> None:
         raise DomainError(f"window reaches below the rho floor {RHO_MIN:g}")
 
 
-def _bisect_edges(fn, edges, tol=1e-10, max_iter=200):
-    """Bisection of every edge (eq, pa, pb, fa, fb) for a sign change of
-    equation eq of fn, all edges at once: each halving calls fn once, on
-    the midpoints of the edges still open.  An edge stops where
-    |fn| <= tol at its midpoint, or where its two ends stall (then at
-    their midpoint), as a loop over one edge would.
-    """
-    eq, (xa, ra), (xb, rb), fa, _ = (np.array(v).T for v in zip(*edges))
+def _edge_roots(fn, edges, tol=1e-10, max_iter=200):
+    """Illinois false position on every edge (eq, pa, pb, fa, fb) for a sign
+    change of equation eq of fn, all edges at once: each pass calls fn once,
+    at s = fa/(fa - fb) along each edge still open (at its midpoint where s is
+    not in (0, 1)), and halves the stored value of an end kept two passes in
+    a row (Dowell & Jarratt 1971).  An edge stops where |fn| <= tol at the new
+    point, or where its two ends stall (then at their midpoint)."""
+    eq, (xa, ra), (xb, rb), fa, fb = (np.array(v).T for v in zip(*edges))
     out = np.empty((len(edges), 2))
-    open_ = np.arange(len(edges))
+    open_, kept_a = np.arange(len(edges)), np.full(len(edges), np.nan)  # nan: no pass yet
     for _ in range(max_iter):
         if not open_.size:
             break
-        xm, rm = 0.5 * (xa + xb), 0.5 * (ra + rb)
+        s = fa / (fa - fb)
+        s = np.where((s > 0.0) & (s < 1.0), s, 0.5)
+        xm, rm = xa + s * (xb - xa), ra + s * (rb - ra)
         fm = fn(xm, rm)[eq, np.arange(open_.size)]
         hit = np.abs(fm) <= tol
         out[open_[hit]] = np.stack((xm, rm), axis=-1)[hit]
-        flip = (fa < 0.0) != (fm < 0.0)
-        xb, rb = np.where(flip, xm, xb), np.where(flip, rm, rb)
+        flip = (fa < 0.0) != (fm < 0.0)  # the new point replaces b, and a is kept
+        twice = flip == kept_a  # the end kept last pass is kept again: halve its value
+        fa, fb = np.where(twice & flip, 0.5 * fa, fa), np.where(twice & ~flip, 0.5 * fb, fb)
+        xb, rb, fb = np.where(flip, xm, xb), np.where(flip, rm, rb), np.where(flip, fm, fb)
         xa, ra, fa = np.where(flip, xa, xm), np.where(flip, ra, rm), np.where(flip, fa, fm)
         gap = np.abs(xb - xa) + np.abs(rb - ra)
         stall = ~hit & (gap < 1e-15 * (1.0 + np.abs(xa) + np.abs(ra)))
         out[open_[stall]] = np.stack((0.5 * (xa + xb), 0.5 * (ra + rb)), axis=-1)[stall]
         keep = ~(hit | stall)
-        open_, eq, xa, ra, xb, rb, fa = (v[keep] for v in (open_, eq, xa, ra, xb, rb, fa))
+        open_, eq, xa, ra, xb, rb, fa, fb, kept_a = (
+            v[keep] for v in (open_, eq, xa, ra, xb, rb, fa, fb, flip))
     out[open_] = np.stack((0.5 * (xa + xb), 0.5 * (ra + rb)), axis=-1)
     return [tuple(p) for p in out.tolist()]
 
@@ -275,15 +280,11 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
 
     fn maps arrays of x0 and rho to the equations' values there (equations
     x points); the node table is one call.  For each equation the cells are
-    taken x0-outer, and each cell walks its four edges in turn.  An edge is
-    bisected once, keyed by its unordered pair of nodes, in the orientation
-    of the first cell that finds its sign change; the edges of every
-    equation are bisected in one batch (_bisect_edges), and the cell that
-    shares an edge reuses the result.  Both orientations of an edge visit
-    the same midpoints and keep the same half (the end values have opposite
-    signs), so the shared result is the one either cell would compute (the
-    stall stop reads one end's coordinates, so the two could differ only on
-    a last-bit tie after some fifty halvings).
+    taken x0-outer, and each cell walks its four edges in turn.  An edge
+    with a sign change is solved once, from its lower (i, j) node to its
+    higher one whichever cell finds it (false position, unlike bisection, is
+    not symmetric in its ends), and the cell that shares it reuses the root;
+    the edges of every equation are solved in one batch (_edge_roots).
     """
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
@@ -305,20 +306,21 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
             nodes = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
             corners = [(xs[a], rs[b]) for a, b in nodes]
             f = [vals[a][b] for a, b in nodes]
-            crossings = []  # a corner, or the index of a bisected edge
+            crossings = []  # a corner, or the index of a solved edge
             for e in range(4):
                 a, b = e, (e + 1) % 4
                 if f[a] == 0.0:
                     crossings.append(corners[a])
                 elif (f[a] < 0.0) != (f[b] < 0.0):
-                    edge = (eq, frozenset((nodes[a], nodes[b])))
+                    lo, hi = sorted((a, b), key=nodes.__getitem__)
+                    edge = (eq, nodes[lo], nodes[hi])
                     if edge not in edge_index:
                         edge_index[edge] = len(edges)
-                        edges.append((eq, corners[a], corners[b], f[a], f[b]))
+                        edges.append((eq, corners[lo], corners[hi], f[lo], f[hi]))
                     crossings.append(edge_index[edge])
             cells.append((eq, crossings))
 
-    roots = _bisect_edges(fn, edges) if edges else []
+    roots = _edge_roots(fn, edges) if edges else []
     segments = [[] for _ in tables]
     for eq, crossings in cells:
         # dedupe corner hits
@@ -388,8 +390,8 @@ def degenerate_set(f: MeridionalField, window: Window,
     The spectrum degenerates exactly where Vrho = 0 (the double eigenvalue
     vanishes) or where E2 = p01^2 + p11^2 - (alpha-2) q p11 = 0 (the product
     lambda_2 lambda_3 vanishes; det J = -q^2 E2).  Both loci are located by
-    grid sign changes plus bisection along cell edges and returned as
-    polylines tagged by their defining equation.
+    grid sign changes plus false position along the crossing cell edges
+    (_edge_roots) and returned as polylines tagged by their defining equation.
     """
     _check_window(window, grid)
     alpha = f.alpha

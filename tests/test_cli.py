@@ -201,6 +201,19 @@ def test_verify_infinite_residual_exits_3_with_the_point():
     assert r.stderr.startswith("error: DomainError: axial residual inf at sample point (")
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["epd", "--field", "separable:alpha=3,beta=20,b1=1"],
+     "DomainError: ascending series restricted to |z| <= 30"),
+    (["system", "--field", "separable:alpha=400,beta=1.1"],
+     "DomainError: leading term (z/2)^nu / Gamma(nu+1) overflows at nu = 199.5, "
+     "|z| = 1.1942648528337607"),
+], ids=["epd-series-cap", "system-leading-term"])
+def test_verify_reports_the_field_error_at_a_non_finite_sample(argv, error):
+    # the field's own error at the sample, not the NaN residual it leads to
+    r = run_cli("verify", *argv)
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", f"error: {error}\n")
+
+
 def test_verify_nan_residual_is_never_skipped(monkeypatch, capsys):
     from meridian4 import cli
 
@@ -276,10 +289,12 @@ def test_verify_requires_target():
 
 def _per_sample_run_suite(args):
     """Reference: the sample-by-sample loop that ran the suites before the
-    cloud went through one pass.  Each check gets one sample as floats."""
+    cloud went through one pass.  Each check gets one sample as floats; a
+    non-finite residual is reported unless the field's scalar methods raise
+    at that sample on purpose."""
     from meridian4 import cli
 
-    names, sample, check = cli._suite(args)
+    names, sample, check, field = cli._suite(args)
     rng = random.Random(args.seed)
     worst = [0.0] * len(names)
     for _ in range(args.samples):
@@ -287,6 +302,11 @@ def _per_sample_run_suite(args):
         for i, r in enumerate(check(point)):
             if not math.isfinite(r):
                 where = point.components() if isinstance(point, Quaternion) else point
+                if field is not None:  # the field's own error at the sample comes first
+                    x0, rho = (point.x0, point.rho()) if isinstance(point, Quaternion) else point
+                    for name in ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho"):
+                        with contextlib.suppress(ArithmeticError):
+                            getattr(field, name)(x0, rho)
                 raise DomainError(f"{names[i]} residual {r!r} at sample point {where}")
             worst[i] = max(worst[i], r)
     return list(zip(names, worst))

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meridian4.quaternion import Quaternion
 from meridian4.holomorphic import moebius_potential, qexp, qpow
@@ -227,18 +229,28 @@ def test_zero_divergence_alpha_zero():
         zero_divergence_scan(f, (-1.0, 1.0, 0.5, 2.0))
 
 
-def _bisect_edge(fn, pa, pb, fa, fb, tol=1e-10, max_iter=200):
-    """Reference bisection along the segment pa-pb for a sign change of fn."""
+def _illinois_edge(fn, pa, pb, fa, fb, tol=1e-10, max_iter=200):
+    """Reference Illinois false position along the segment pa-pb for a sign
+    change of fn: the next point at s = fa/(fa - fb) (the midpoint where s is
+    not in (0, 1)), and an end kept two passes in a row has its value halved."""
     (xa, ra), (xb, rb) = pa, pb
+    kept = None
     for _ in range(max_iter):
-        xm, rm = 0.5 * (xa + xb), 0.5 * (ra + rb)
+        s = fa / (fa - fb)
+        if not 0.0 < s < 1.0:
+            s = 0.5
+        xm, rm = xa + s * (xb - xa), ra + s * (rb - ra)
         fm = fn(xm, rm)
         if abs(fm) <= tol:
             return (xm, rm)
         if (fa < 0.0) != (fm < 0.0):
-            xb, rb, fb = xm, rm, fm
+            if kept == "a":
+                fa = 0.5 * fa
+            xb, rb, fb, kept = xm, rm, fm, "a"
         else:
-            xa, ra, fa = xm, rm, fm
+            if kept == "b":
+                fb = 0.5 * fb
+            xa, ra, fa, kept = xm, rm, fm, "b"
         if abs(xb - xa) + abs(rb - ra) < 1e-15 * (1.0 + abs(xa) + abs(ra)):
             break
     return (0.5 * (xa + xb), 0.5 * (ra + rb))
@@ -246,8 +258,9 @@ def _bisect_edge(fn, pa, pb, fa, fb, tol=1e-10, max_iter=200):
 
 def _per_cell_crossings(fn, window, grid):
     """Reference marching squares: fn (the scans' array function) taken one
-    point at a time, the node table filled x0-outer, and every cell bisecting
-    each of its own crossing edges."""
+    point at a time, the node table filled x0-outer, and every cell solving
+    each of its own crossing edges from its lower (i, j) node to its higher
+    one."""
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
     xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
@@ -260,16 +273,18 @@ def _per_cell_crossings(fn, window, grid):
         segments = []
         for i in range(nx - 1):
             for j in range(nr - 1):
-                corners = [(xs[i], rs[j]), (xs[i + 1], rs[j]),
-                           (xs[i + 1], rs[j + 1]), (xs[i], rs[j + 1])]
-                f = [vals[i][j], vals[i + 1][j], vals[i + 1][j + 1], vals[i][j + 1]]
+                nodes = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                corners = [(xs[a], rs[b]) for a, b in nodes]
+                f = [vals[a][b] for a, b in nodes]
                 crossings = []
                 for a in range(4):
                     b = (a + 1) % 4
                     if f[a] == 0.0:
                         crossings.append(corners[a])
                     elif (f[a] < 0.0) != (f[b] < 0.0):
-                        crossings.append(_bisect_edge(one, corners[a], corners[b], f[a], f[b]))
+                        lo, hi = sorted((a, b), key=nodes.__getitem__)
+                        crossings.append(
+                            _illinois_edge(one, corners[lo], corners[hi], f[lo], f[hi]))
                 uniq = []
                 for c in crossings:
                     if all(abs(c[0] - u[0]) + abs(c[1] - u[1]) > 1e-12 for u in uniq):
@@ -284,15 +299,15 @@ def _per_cell_crossings(fn, window, grid):
     SeparableParams(alpha=2.5, beta=1.05, a2=0.4, b1=0.75, b2=0.05),
     SeparableParams(alpha=3.0, beta=1.1, b1=0.7, b2=0.2),
 ], ids=("a2!=0", "a2=0"))
-def test_grid_crossings_bisect_each_edge_once(monkeypatch, params):
+def test_grid_crossings_solve_each_edge_once(monkeypatch, params):
     batches = []
-    bisect = spectral._bisect_edges
+    edge_roots = spectral._edge_roots
 
     def recording(fn, edges):
         batches.append([(eq, frozenset((pa, pb))) for eq, pa, pb, _, _ in edges])
-        return bisect(fn, edges)
+        return edge_roots(fn, edges)
 
-    monkeypatch.setattr(spectral, "_bisect_edges", recording)
+    monkeypatch.setattr(spectral, "_edge_roots", recording)
     f = from_separable(params)
     window, grid = (-1.0, 1.0, 0.22, 5.7), (30, 30)
     chains = degenerate_set(f, window, grid)
@@ -306,6 +321,83 @@ def test_grid_crossings_bisect_each_edge_once(monkeypatch, params):
     monkeypatch.setattr(spectral, "_grid_crossings", _per_cell_crossings)
     assert degenerate_set(from_separable(params), window, grid) == chains
     assert zero_divergence_scan(from_separable(params), window, grid) == zeros
+
+
+def test_scans_need_few_field_passes(monkeypatch):
+    # false position converges superlinearly: bisection took about 31 passes
+    calls = []
+    evaluate = MeridionalField.evaluate
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(MeridionalField, "evaluate", counting)
+    f = from_separable(SeparableParams(alpha=2.5, beta=1.05, a2=0.4, b1=0.75, b2=0.05))
+    window, grid = (-1.0, 1.0, 0.22, 5.7), (30, 30)
+    assert degenerate_set(f, window, grid)
+    assert len(calls) <= 12
+    calls.clear()
+    assert zero_divergence_scan(f, window, grid)
+    assert len(calls) <= 8
+
+
+def _scan_field(kind, scale, a, b):
+    if kind == "holo":  # G' = scale (x^2 + a): Vrho vanishes on x0 = 0
+        return from_holomorphic_potential((scale / 3.0) * qpow(3) + (scale * a) * qpow(1))
+    if kind == "moebius":  # G' = scale (a - 1/(x + 2b) - 2b x): Vrho vanishes on a circle
+        return from_holomorphic_potential(scale * (moebius_potential(a, 2.0 * b) - b * qpow(2)))
+    return from_separable(SeparableParams(alpha=1.5 + 2.0 * a, beta=0.8 + 0.4 * b,
+                                          a2=0.5 * a, b1=scale, b2=0.1 * b - 0.05))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["holo", "moebius", "separable"]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e7]),
+       a=st.floats(0.1, 1.0), b=st.floats(0.25, 1.0),
+       x0_lo=st.floats(-1.5, -0.5), x0_hi=st.floats(0.5, 1.5),
+       rho_lo=st.floats(0.2, 0.5), rho_hi=st.floats(2.0, 4.0),
+       grid=st.tuples(st.integers(4, 16), st.integers(4, 16)))
+@example(kind="separable", scale=0.75, a=0.8, b=0.625, x0_lo=-1.0, x0_hi=1.0,
+         rho_lo=0.22, rho_hi=5.7, grid=(30, 30))
+def test_edge_roots_land_on_their_edges(kind, scale, a, b, x0_lo, x0_hi, rho_lo, rho_hi,
+                                        grid):
+    """Each crossing lies on the edge it was solved on, where |f| <= 1e-10 or
+    two points the solver read of opposite sign stall around it."""
+    solved, edge_roots = [], spectral._edge_roots
+
+    def recording(fn, edges):
+        reads = []
+
+        def reading(x0, rho):
+            values = fn(x0, rho)
+            reads.append((x0.tolist(), rho.tolist(), values))
+            return values
+        roots = edge_roots(reading, edges)
+        solved.extend((fn, reads, edge, root) for edge, root in zip(edges, roots))
+        return roots
+
+    f = _scan_field(kind, scale, a, b)
+    window = (x0_lo, x0_hi, rho_lo, rho_hi)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_edge_roots", recording)
+        degenerate_set(f, window, grid)
+        zero_divergence_scan(f, window, grid)
+
+    def on_edge(p, box):
+        return all(min(u, v) <= w <= max(u, v) for (u, v), w in zip(box, p))
+
+    for fn, reads, (eq, pa, pb, fa, fb), (x, r) in solved:
+        box = list(zip(pa, pb))  # grid edges are axis-parallel: the box is the segment
+        assert on_edge((x, r), box)
+        if abs(fn(np.array([x]), np.array([r]))[eq, 0]) <= 1e-10:
+            continue
+        # a stalled bracket: the solver read both signs right next to (x, r)
+        read = [(pa, fa), (pb, fb)] + [(p, values[eq, n]) for xs, rs, values in reads
+                                       for n, p in enumerate(zip(xs, rs))]
+        near = [v for p, v in read if on_edge(p, box)
+                and abs(p[0] - x) + abs(p[1] - r) < 1e-14 * (1.0 + abs(x) + abs(r))]
+        assert min(near) < 0.0 <= max(near)
 
 
 def _stitch_by_scan(segments):
