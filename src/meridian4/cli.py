@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, MeridianError
+from .errors import DomainError, MeridianError, Unsupported
 from .quaternion import Quaternion
 from .holomorphic import elementary, moebius_potential
 from .fields import (
@@ -226,10 +226,13 @@ def parse_field_spec(text: str):
 
     if kind == "holo":
         name = _take(params, "name", str, required=True)
-        n = _take(params, "n", float)
+        n = _take(params, "n", float, required=True) if name == "qpow" else None
         coeff = _take(params, "coeff", float, default=1.0)
         _reject_extras(params, kind)
-        pot = elementary(name, n)
+        try:
+            pot = elementary(name, n)
+        except Unsupported as exc:
+            raise SpecError(str(exc)) from None
         if coeff != 1.0:
             pot = coeff * pot
         return from_holomorphic_potential(pot)

@@ -74,6 +74,8 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     """
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
         raise DomainError(f"dt = {dt:g} and horizon = {horizon:g} must be positive and finite")
+    if not all(map(math.isfinite, x_init.components())):
+        raise DomainError(f"initial point {x_init.components()} is not finite")
     if x_init.rho() < RHO_MIN:
         raise DomainError(f"initial point has rho = {x_init.rho():g} below the floor")
 

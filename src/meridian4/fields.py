@@ -9,16 +9,18 @@ where g satisfies the degenerate-elliptic meridian equation
 
     rho (g_x0x0 + g_rhorho) - (alpha - 2) g_rho = 0.
 
-Fields of radially holomorphic potentials G (alpha = 2) share one builder,
-lifted_field, which reads g, the field and its partials off the complex
-lifts of G, G' and G''.  Both the table functions (from_holomorphic_potential)
-and the transform fields of the transforms module go through it.  Separable
-Bessel-type solutions (any alpha) have their own constructor, whose
-profile maps float arrays with the Bessel series summed for all points at
-once (specfun.bessel_j_array), with the bits of the scalar call at each
-point.  Every profile computes several quantities together through its
-batch: MeridionalField.evaluate at arrays of points, MeridionalField.at at
-one point (a lift read once, a Bessel order summed once).
+Every profile evaluates under one contract: its callables and its batch
+take (x0, rho) as two floats (one point) or as two flat float arrays (many
+points), and a batch computes several quantities together from the factors
+they share.  MeridionalField.at reads one point (a lift read once, a Bessel
+order summed once), MeridionalField.evaluate arrays of points in one batch
+call.  Fields of radially holomorphic potentials G (alpha = 2) share one
+builder, lifted_field, which reads g, the field and its partials off the
+complex lifts of G, G' and G''.  Both the table functions
+(from_holomorphic_potential) and the transform fields of the transforms
+module go through it.  Separable Bessel-type solutions (any alpha) have
+their own constructor, which sums the Bessel series for all points at once
+(specfun.bessel_j_array), with the bits of the scalar call at each point.
 
 The module also holds the verifiers for the underlying PDE family.  Each
 takes one point or a cloud of points as arrays, and evaluates all the
@@ -68,20 +70,26 @@ __all__ = [
 
 RHO_MIN = 1e-6
 
-Scalar2 = Callable[[float, float], float]
-Lift = Callable[[complex], complex]
+Scalar2 = Callable[[Any, Any], Any]
+
+# field quantity -> the profile callable with its value
+_PROFILE_NAMES = {"g": "g", "V0": "dg_dx0", "Vrho": "dg_drho", "dV0_dx0": "d2g_dx0x0",
+                  "dVrho_dx0": "d2g_dx0rho", "dVrho_drho": "d2g_drhorho", "stream": "stream"}
 
 
 @dataclass
 class MeridionalProfile:
     """Analytic data of an axisymmetric potential: g and its first/second partials.
 
-    The callables take (x0, rho).  stream, when present, is the Stokes
-    stream function paired with g by the generalized Stokes-Beltrami system.
-    vectorized marks callables that also map float arrays elementwise.
-    batch, when present, maps a tuple of callable names and x0, rho (floats,
-    or float arrays when vectorized) to those callables' values there,
-    computed together from the factors they share.
+    The callables take (x0, rho): two floats, or two flat float arrays of
+    one shape, at which they return an array of that shape (or a float for
+    all the points).  Hand-built callables must accept float arrays too.
+    stream, when present, is the Stokes stream function paired with g by
+    the generalized Stokes-Beltrami system.  batch maps a tuple of field
+    quantities (g, V0, Vrho, dV0_dx0, dVrho_dx0, dVrho_drho, stream) and
+    x0, rho to those quantities' values there, computed together from the
+    factors they share; a profile given no batch gets one that calls each
+    callable once.
     """
     alpha: float
     g: Scalar2
@@ -92,67 +100,34 @@ class MeridionalProfile:
     d2g_drhorho: Scalar2
     stream: Optional[Scalar2] = None
     label: str = ""
-    vectorized: bool = False
     batch: Optional[Callable[[Tuple[str, ...], Any, Any], List[Any]]] = None
 
-    def values(self, attrs: Tuple[str, ...], x0, rho) -> list:
-        """The callables attrs at (x0, rho), through batch when there is one."""
-        if self.batch is not None:
-            return self.batch(attrs, x0, rho)
-        return [getattr(self, attr)(x0, rho) for attr in attrs]
+    def __post_init__(self):
+        if self.batch is None:
+            def batch(names, x0, rho):
+                return [getattr(self, _PROFILE_NAMES[name])(x0, rho) for name in names]
+            self.batch = batch
 
 
-def _profile_from_batch(alpha: float, batch, attrs, label: str,
-                        vectorized: bool) -> MeridionalProfile:
-    """A profile whose callables attrs are one-name views of batch."""
-    def view(attr):
-        return lambda x0, rho: batch((attr,), x0, rho)[0]
-    return MeridionalProfile(alpha=alpha, **{attr: view(attr) for attr in attrs},
-                             label=label, vectorized=vectorized, batch=batch)
+def _profile_from_batch(alpha: float, batch, label: str) -> MeridionalProfile:
+    """A profile whose callables are one-quantity views of batch."""
+    def view(name):
+        return lambda x0, rho: batch((name,), x0, rho)[0]
+    views = {attr: view(name) for name, attr in _PROFILE_NAMES.items()}
+    return MeridionalProfile(alpha=alpha, **views, label=label, batch=batch)
 
 
-def _values(p: MeridionalProfile, attrs: Tuple[str, ...], x0: np.ndarray,
-            rho: np.ndarray, strict: bool = True) -> List[np.ndarray]:
-    """The profile callables attrs at the points of the flat float arrays x0
-    and rho, one array each.
-
-    A vectorized profile takes the arrays in one call; any other is called
-    point by point.  With strict=False a point at which such a profile
-    raises DomainError is NaN.
-    """
-    if p.vectorized:
-        with np.errstate(all="ignore"):
-            values = list(p.values(attrs, x0, rho))
-        outs = []
-        while values:  # each value copied out and let go, so one is held twice at most
-            outs.append(np.empty(x0.shape))
-            outs[-1][...] = values.pop(0)
-        return outs
-    outs = [np.empty(x0.shape) for _ in attrs]
-    for i, (a, b) in enumerate(zip(x0.tolist(), rho.tolist())):
-        try:
-            row = p.values(attrs, a, b)
-        except DomainError:
-            if strict:
-                raise
-            row = [math.nan] * len(attrs)
-        for out, value in zip(outs, row):
-            out[i] = value
+def _values(p: MeridionalProfile, names: Tuple[str, ...], x0: np.ndarray,
+            rho: np.ndarray) -> List[np.ndarray]:
+    """The quantities names of p at the points of the flat float arrays x0
+    and rho, one array each, from one batch call."""
+    with np.errstate(all="ignore"):
+        values = list(p.batch(names, x0, rho))
+    outs = []
+    while values:  # each value copied out and let go, so one is held twice at most
+        outs.append(np.empty(x0.shape))
+        outs[-1][...] = values.pop(0)
     return outs
-
-
-# field quantity (a MeridionalField method name) -> profile callable
-_QUANTITY = {"g": "g", "V0": "dg_dx0", "Vrho": "dg_drho", "dV0_dx0": "d2g_dx0x0",
-             "dVrho_dx0": "d2g_dx0rho", "dVrho_drho": "d2g_drhorho", "stream": "stream"}
-
-
-_ATTRS = {}  # tuple of field quantities -> their profile callables
-
-
-def _attrs(names: Tuple[str, ...]) -> Tuple[str, ...]:
-    """The profile callables of a tuple of field quantities."""
-    attrs = _ATTRS[names] = tuple(_QUANTITY[name] for name in names)
-    return attrs
 
 
 class MeridionalField:
@@ -180,9 +155,7 @@ class MeridionalField:
         order once."""
         if rho < RHO_MIN:
             raise DomainError(f"rho = {rho:g} below the domain floor {RHO_MIN:g}")
-        p, attrs = self.profile, _ATTRS.get(names) or _attrs(names)
-        # batch called here, not through values: this runs per RK4 stage
-        return p.batch(attrs, x0, rho) if p.batch is not None else p.values(attrs, x0, rho)
+        return self.profile.batch(names, x0, rho)
 
     def g(self, x0: float, rho: float) -> float:
         return self.at(("g",), x0, rho)[0]
@@ -207,18 +180,14 @@ class MeridionalField:
         """The quantities names (as for at) at the points of the flat float
         arrays x0 and rho, one array per name.
 
-        The domain floor is checked once for the whole array.  Vectorized
-        profiles (holomorphic lifts, separable Bessel profiles, and transform
-        fields, whose quadrature takes all points and lifts in one pass) take
-        the arrays directly; the profile of a RadialFunction without array lifts
-        is called point by point.  Raises DomainError when any value is not
-        finite.  With check=False, for callers that mask such points
-        instead, the values come back as they are, and a point at which a
-        point-by-point profile raises DomainError is NaN.
+        The domain floor is checked once for the whole array, and the
+        profile's batch takes the arrays in one call.  Raises DomainError
+        when any value is not finite.  With check=False, for callers that
+        mask such points instead, the values come back as they are.
         """
         if rho.size and rho.min() < RHO_MIN:
             raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
-        outs = _values(self.profile, _attrs(tuple(names)), x0, rho, strict=check)
+        outs = _values(self.profile, tuple(names), x0, rho)
         for name, out in zip(names, outs if check else ()):
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
@@ -246,7 +215,7 @@ def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
     """alpha = 2 field of a radially holomorphic potential G = g + I*gh.
 
     G is probed for antiholomorphy, then its lift and the lifts of G' and G''
-    go to lifted_field.
+    go to lifted_field as one lift source.
     """
     probed = 0
     for px, pr in _PROBES:
@@ -264,56 +233,53 @@ def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
         raise NotHolomorphic(f"could not probe {G.name} anywhere")
 
     F = G.derivative()
-    F2 = F.derivative()
-    return lifted_field(G.lift, F.lift, F2.lift, f"holo:{G.name}",
-                        G.vectorized and F.vectorized and F2.vectorized)
+    fns = (G.lift, F.lift, F.derivative().lift)
+
+    def lifts(needed, z):
+        # a loop, not a comprehension: a flow calls this at every RK4 stage,
+        # where a comprehension's own call costs as much as a cheap lift
+        w = []
+        for k in needed:
+            w.append(fns[k](z))
+        return w
+    return lifted_field(lifts, f"holo:{G.name}")
 
 
-# profile callable -> (lift read: 0 for G, 1 for G', 2 for G''; sign; imaginary part?)
-_LIFTED = {"g": (0, 1.0, False), "dg_dx0": (1, 1.0, False), "dg_drho": (1, -1.0, True),
-           "d2g_dx0x0": (2, 1.0, False), "d2g_dx0rho": (2, -1.0, True),
-           "d2g_drhorho": (2, -1.0, False), "stream": (0, 1.0, True)}
+# field quantity -> (lift read: 0 for G, 1 for G', 2 for G''; sign; imaginary part?)
+_LIFTED = {"g": (0, 1.0, False), "V0": (1, 1.0, False), "Vrho": (1, -1.0, True),
+           "dV0_dx0": (2, 1.0, False), "dVrho_dx0": (2, -1.0, True),
+           "dVrho_drho": (2, -1.0, False), "stream": (0, 1.0, True)}
 
 
-def lifted_field(G: Lift, F: Lift, F2: Lift, label: str, vectorized: bool,
-                 batch: Optional[Callable[[Tuple[int, ...], Any], List[Any]]] = None
-                 ) -> MeridionalField:
-    """alpha = 2 field of a potential whose complex lift is G, with F = G', F2 = G''.
+def lifted_field(lifts: Callable[[Tuple[int, ...], Any], List[Any]],
+                 label: str) -> MeridionalField:
+    """alpha = 2 field of a potential G whose complex lifts come from lifts.
 
-    At z = x0 + i*rho: g = Re G, stream = Im G, V0 = Re G', Vrho = -Im G',
-    d2g_dx0x0 = Re G'', d2g_dx0rho = -Im G'', d2g_drhorho = -Re G''.
-    vectorized says that the three lifts also map complex ndarrays.  batch,
-    when given, maps a tuple of lift indices (0: G, 1: G', 2: G'') and a
-    complex number or ndarray to those lifts' values there, computed
-    together.  The profile's batch reads each lift its callables need once,
-    from batch or from G, F and F2.
+    lifts maps a tuple of lift indices (0: G, 1: G', 2: G'') and z, a
+    complex number or a flat complex ndarray, to those lifts' values at z,
+    computed together.  At z = x0 + i*rho: g = Re G, stream = Im G,
+    V0 = Re G', Vrho = -Im G', dV0_dx0 = Re G'', dVrho_dx0 = -Im G'',
+    dVrho_drho = -Re G''.  The profile's batch reads the lifts its
+    quantities need in one call of lifts.
     """
-    lifts = (G, F, F2)
-    plans = {}  # callable names -> (lifts to read, (lift position, sign, imag) per name)
+    plans = {}  # quantities -> (lifts to read, (lift position, sign, imag) per quantity)
 
-    def plan(attrs):
-        needed = tuple(sorted({_LIFTED[attr][0] for attr in attrs}))
-        reads = tuple((needed.index(k), sign, imag) for k, sign, imag in map(_LIFTED.get, attrs))
-        plans[attrs] = needed, reads
+    def plan(names):
+        needed = tuple(sorted({_LIFTED[name][0] for name in names}))
+        reads = tuple((needed.index(k), sign, imag) for k, sign, imag in map(_LIFTED.get, names))
+        plans[names] = needed, reads
         return needed, reads
 
-    def profile_batch(attrs, x0, rho):
-        # loops, not comprehensions: a flow calls this at every RK4 stage,
-        # where a comprehension's own call costs as much as a cheap lift
-        needed, reads = plans.get(attrs) or plan(attrs)
-        z = x0 + 1j * rho
-        if batch is not None:
-            w = batch(needed, z)
-        else:
-            w = []
-            for k in needed:
-                w.append(lifts[k](z))
+    def batch(names, x0, rho):
+        # a loop, not a comprehension, as in from_holomorphic_potential
+        needed, reads = plans.get(names) or plan(names)
+        w = lifts(needed, x0 + 1j * rho)
         out = []
         for i, sign, imag in reads:
             out.append(sign * (w[i].imag if imag else w[i].real))
         return out
 
-    return MeridionalField(_profile_from_batch(2.0, profile_batch, _LIFTED, label, vectorized))
+    return MeridionalField(_profile_from_batch(2.0, batch, label))
 
 
 @dataclass(frozen=True)
@@ -416,30 +382,30 @@ def from_separable(p: SeparableParams) -> MeridionalField:
     def ups_p(f):
         return beta * f.power(nu) * f.cyl(nu - 1.0)
 
-    # profile callable -> (formula over the factors, the orders of C it uses)
+    # field quantity -> (formula over the factors, the orders of C it uses)
     formulas = {
         "g": (lambda f: f.xi * ups(f), (nu,)),
-        "dg_dx0": (lambda f: f.xi_p * ups(f), (nu,)),
-        "dg_drho": (lambda f: f.xi * ups_p(f), (nu - 1.0,)),
-        "d2g_dx0x0": (lambda f: beta * beta * f.xi * ups(f), (nu,)),
-        "d2g_dx0rho": (lambda f: f.xi_p * ups_p(f), (nu - 1.0,)),
-        "d2g_drhorho": (lambda f: f.xi * (beta * (f.power(nu - 1.0) * f.cyl(nu - 1.0)
-                                                  + beta * f.power(nu) * f.cyl(nu - 2.0))),
-                        (nu - 1.0, nu - 2.0)),
+        "V0": (lambda f: f.xi_p * ups(f), (nu,)),
+        "Vrho": (lambda f: f.xi * ups_p(f), (nu - 1.0,)),
+        "dV0_dx0": (lambda f: beta * beta * f.xi * ups(f), (nu,)),
+        "dVrho_dx0": (lambda f: f.xi_p * ups_p(f), (nu - 1.0,)),
+        "dVrho_drho": (lambda f: f.xi * (beta * (f.power(nu - 1.0) * f.cyl(nu - 1.0)
+                                                 + beta * f.power(nu) * f.cyl(nu - 2.0))),
+                       (nu - 1.0, nu - 2.0)),
         "stream": (lambda f: -(f.xi_p / beta) * f.power(mu) * f.cyl(nu - 1.0), (nu - 1.0,)),
     }
-    orders = {}  # callable names -> the orders of C they use
+    orders = {}  # quantities -> the orders of C they use
 
-    def batch(attrs, x0, rho):
-        if attrs not in orders:
-            orders[attrs] = list(dict.fromkeys(o for a in attrs for o in formulas[a][1]))
+    def batch(names, x0, rho):
+        if names not in orders:
+            orders[names] = list(dict.fromkeys(o for n in names for o in formulas[n][1]))
         factors = _SeparableArrays if isinstance(rho, np.ndarray) else _SeparableAt
-        f = factors(p, x0, rho, orders[attrs])
-        return [formulas[a][0](f) for a in attrs]
+        f = factors(p, x0, rho, orders[names])
+        return [formulas[n][0](f) for n in names]
 
     label = (f"separable:alpha={p.alpha:g},beta={p.beta:g},"
              f"a=({p.a1:g},{p.a2:g}),b=({p.b1:g},{p.b2:g})")
-    return MeridionalField(_profile_from_batch(p.alpha, batch, formulas, label, True))
+    return MeridionalField(_profile_from_batch(p.alpha, batch, label))
 
 
 def lift_to_r4(f: MeridionalField, x: Quaternion) -> Quaternion:
@@ -540,7 +506,7 @@ def verify_epd(f: Union[MeridionalField, MeridionalProfile], x0, rho):
     low = np.flatnonzero(np.asarray(rho) < RHO_MIN)
     if low.size:
         raise DomainError(f"rho = {np.ravel(rho)[low[0]]:g} below the domain floor")
-    xx, rr, r = _stencil(lambda a, b: _values(p, ("d2g_dx0x0", "d2g_drhorho", "dg_drho"), a, b),
+    xx, rr, r = _stencil(lambda a, b: _values(p, ("dV0_dx0", "dVrho_drho", "Vrho"), a, b),
                          (x0, rho), [_CENTER])[0][0]
     return _result(abs(rho * (xx + rr) - (p.alpha - 2.0) * r))
 
@@ -576,7 +542,7 @@ def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile], x0, rho
     h = fd_step if fd_step is not None else default_fd_step(x0, rho)
     along_rho, along_x0 = _stencil(_stream(p), (x0, rho),
                                    [(fd_steps(1, h, room=rho), 1), (fd_steps(1, h), 0)])
-    (g_x0, g_rho), = _stencil(lambda a, b: _values(p, ("dg_dx0", "dg_drho"), a, b),
+    (g_x0, g_rho), = _stencil(lambda a, b: _values(p, ("V0", "Vrho"), a, b),
                               (x0, rho), [_CENTER])[0]
     gh_rho, gh_x0 = fd_combine(along_rho, 1, h), fd_combine(along_x0, 1, h)
     w = _pow(rho, 2.0 - p.alpha)

@@ -10,9 +10,10 @@ The radial derivative f' = (1/2)(d/dx0 - I d/drho)f coincides with the
 complex derivative of the lift, so each RadialFunction carries its lift's
 derivative, where registered, as another RadialFunction (derivative()).
 
-The lifts of the table accept a complex ndarray as well as a complex scalar:
-arrays go through numpy, scalars through cmath (and come back as a Python
-complex).  The flag RadialFunction.vectorized records which lifts do.
+Every lift takes a complex scalar or a complex ndarray: arrays go through
+numpy, scalars through cmath (and come back as a Python complex).  A field
+built from a RadialFunction reads its lifts at one point and at arrays of
+points alike, so a lift outside the table must accept both as well.
 """
 
 from __future__ import annotations
@@ -62,16 +63,15 @@ class MeridianValue:
 class RadialFunction:
     """A radially holomorphic function presented through its complex lift.
 
-    lift       : z -> w(z), the defining analytic function
-    deriv      : thunk producing the derivative as a RadialFunction, if registered
-    prim       : thunk producing a primitive (constant 0), if registered
-    vectorized : lift also maps a complex ndarray elementwise
+    lift  : z -> w(z), the defining analytic function, at a complex scalar
+            or elementwise on a complex ndarray
+    deriv : thunk producing the derivative as a RadialFunction, if registered
+    prim  : thunk producing a primitive (constant 0), if registered
     """
     name: str
     lift: Callable[[complex], complex]
     deriv: Optional[Callable[[], "RadialFunction"]] = field(default=None, repr=False)
     prim: Optional[Callable[[], "RadialFunction"]] = field(default=None, repr=False)
-    vectorized: bool = False
 
     def derivative(self) -> "RadialFunction":
         if self.deriv is None:
@@ -94,7 +94,6 @@ class RadialFunction:
                    else lambda: f.derivative() + g.derivative()),
             prim=(None if f.prim is None or g.prim is None
                   else lambda: f.primitive() + g.primitive()),
-            vectorized=f.vectorized and g.vectorized,
         )
 
     def __sub__(self, other: "RadialFunction") -> "RadialFunction":
@@ -111,7 +110,6 @@ class RadialFunction:
             lift=lambda z: c * f.lift(z),
             deriv=None if f.deriv is None else (lambda: c * f.derivative()),
             prim=None if f.prim is None else (lambda: c * f.primitive()),
-            vectorized=f.vectorized,
         )
 
 
@@ -226,7 +224,7 @@ def _spow(d: float, n: float, c: float) -> RadialFunction:
             return _sln(_d, _c)
         return _spow(_d, _n + 1, _c / (_n + 1))
 
-    return RadialFunction(name, lift, deriv, prim, vectorized=True)
+    return RadialFunction(name, lift, deriv, prim)
 
 
 def _ln_guard(z, d: float):
@@ -239,13 +237,9 @@ def _ln_guard(z, d: float):
 def _sln(d: float, c: float) -> RadialFunction:
     """c*ln(x + d), principal branch (arg in (0, pi) off the real axis)."""
     name = f"{c:g}*ln(x + {d:g})" if d != 0.0 else (f"{c:g}*ln(x)" if c != 1.0 else "ln(x)")
-    return RadialFunction(
-        name,
-        lift=lambda z, _d=d, _c=c: _c * _log(_ln_guard(z, _d)),
-        deriv=lambda _d=d, _c=c: _spow(_d, -1, _c),
-        prim=lambda _d=d, _c=c: _xlnx(_d, _c),
-        vectorized=True,
-    )
+    return RadialFunction(name, lift=lambda z, _d=d, _c=c: _c * _log(_ln_guard(z, _d)),
+                          deriv=lambda _d=d, _c=c: _spow(_d, -1, _c),
+                          prim=lambda _d=d, _c=c: _xlnx(_d, _c))
 
 
 def _xlnx(d: float, c: float) -> RadialFunction:
@@ -256,13 +250,7 @@ def _xlnx(d: float, c: float) -> RadialFunction:
         zz = _ln_guard(z, _d)
         return _c * (zz * _log(zz) - zz)
 
-    return RadialFunction(
-        name,
-        lift=lift,
-        deriv=lambda _d=d, _c=c: _sln(_d, _c),
-        prim=None,
-        vectorized=True,
-    )
+    return RadialFunction(name, lift, deriv=lambda _d=d, _c=c: _sln(_d, _c))
 
 
 def qpow(n: float) -> RadialFunction:
@@ -281,14 +269,12 @@ def _trig(phase: int) -> RadialFunction:
         lift=lambda z, _p=p: sgn[_p] * fns[_p](z),
         deriv=lambda _p=p: _trig(_p + 1),
         prim=lambda _p=p: _trig(_p + 3),
-        vectorized=True,
     )
 
 
 def qexp() -> RadialFunction:
     """e^x = e^{x0}(cos rho + I sin rho)."""
-    return RadialFunction("exp(x)", lift=_exp, deriv=lambda: qexp(), prim=lambda: qexp(),
-                          vectorized=True)
+    return RadialFunction("exp(x)", lift=_exp, deriv=lambda: qexp(), prim=lambda: qexp())
 
 
 def qcos() -> RadialFunction:
@@ -325,11 +311,7 @@ def elementary(name: str, n: Optional[float] = None) -> RadialFunction:
 
 def conjugate(f: RadialFunction) -> RadialFunction:
     """Pointwise quaternionic conjugate: radially anti-holomorphic, no derivative."""
-    return RadialFunction(
-        name=f"conj({f.name})",
-        lift=lambda z: f.lift(z).conjugate(),
-        deriv=None, prim=None, vectorized=f.vectorized,
-    )
+    return RadialFunction(f"conj({f.name})", lambda z: f.lift(z).conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +340,7 @@ def _mob_pow(c: float, d: float, n: int, coeff: float) -> RadialFunction:
             raise Pole(f"pole at x = {-d / c:g}")
         return coeff / den ** n
 
-    return RadialFunction(
-        name,
-        lift=lift,
-        deriv=lambda: _mob_pow(c, d, n + 1, -n * c * coeff),
-        prim=None,
-        vectorized=True,
-    )
+    return RadialFunction(name, lift, deriv=lambda: _mob_pow(c, d, n + 1, -n * c * coeff))
 
 
 def moebius(m: MoebiusRealCoeffs) -> RadialFunction:
@@ -381,13 +357,8 @@ def moebius(m: MoebiusRealCoeffs) -> RadialFunction:
         return (a * z + b) / den
 
     # F = a/c + (bc - ad)/c * 1/(cx+d), so F' = (ad - bc)/(cx+d)^2 = 1/(cx+d)^2
-    return RadialFunction(
-        name=f"({a:g}x + {b:g})({c:g}x + {d:g})^-1",
-        lift=lift,
-        deriv=lambda: _mob_pow(c, d, 2, 1.0),
-        prim=None,
-        vectorized=True,
-    )
+    return RadialFunction(f"({a:g}x + {b:g})({c:g}x + {d:g})^-1", lift,
+                          deriv=lambda: _mob_pow(c, d, 2, 1.0))
 
 
 def moebius_potential(a: float, d: float) -> RadialFunction:

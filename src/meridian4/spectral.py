@@ -234,6 +234,8 @@ class LevelChain:
 def _check_window(window: Window, grid: Tuple[int, int]) -> None:
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
+    if not all(map(math.isfinite, window)):
+        raise DomainError(f"window {window} has a non-finite bound")
     if nx < 2 or nr < 2 or x0_lo >= x0_hi or rho_lo >= rho_hi:
         raise EmptyWindow(f"window {window} with grid {grid} has no interior")
     if rho_lo < RHO_MIN:

@@ -28,9 +28,10 @@ G (with G(0) = 0), G' and G'' integrate eta against the kernels
     ffc :  sin(z t)/t          cos(z t)    -t sin(z t)
     ffs :  (1 - cos(z t))/t    sin(z t)     t cos(z t)
 
-and go to fields.lifted_field.  The field's batch integrates every lift its
-quantities read in one pass: all three for the six quantities, G' and G''
-alone for the columns of eval and spectrum.
+and go to fields.lifted_field as one lift source: one quadrature pass
+integrates every lift a set of quantities reads, at one point or at arrays
+of points (all three for the six quantities, G' and G'' alone for the
+columns of eval and spectrum).
 """
 
 from __future__ import annotations
@@ -401,23 +402,17 @@ def transform_field(kind: str, eta: OriginalFunction,
     """Meridional field (alpha = 2) whose potential's lift is a transform of eta.
 
     G' is the ffc or ffs transform, so V0 - i*Vrho = G'(x0 + i*rho); see the
-    module docstring for the kernels of G, G' and G''.  The profile's batch
-    integrates every lift its quantities read in one pass, at arrays of
-    points and at one point alike.
+    module docstring for the kernels of G, G' and G''.  Every lift its
+    quantities read is integrated in one pass, at arrays of points and at
+    one point alike.
     """
     if kind not in _LIFT_KERNELS:
         raise DomainError(f"transform field kind must be 'ffc' or 'ffs', got {kind!r}")
     _check_tol(tol)
 
-    def batch(lifts, z):
+    def lifts(needed, z):
         zs = np.asarray(z, dtype=complex)
-        vals = _integrals(kind, _lift_kernels(kind, lifts), len(lifts), eta, zs.reshape(-1),
+        vals = _integrals(kind, _lift_kernels(kind, needed), len(needed), eta, zs.reshape(-1),
                           tol)[0]
         return [v.reshape(zs.shape) if zs.ndim else complex(v[0]) for v in vals]
-
-    def lift(k: int):
-        return lambda z: batch((k,), z)[0]
-
-    G, F, F2 = (lift(k) for k in range(3))
-    return lifted_field(G, F, F2, f"transform:{kind}:{eta.name}", vectorized=True,
-                        batch=batch)
+    return lifted_field(lifts, f"transform:{kind}:{eta.name}")

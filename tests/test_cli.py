@@ -103,6 +103,9 @@ def test_eval_is_byte_deterministic():
     ("holo:name=qpow,n=2", "0:1:2"),                 # missing rho axis
     ("separable:alpha=3,beta=nan", "0:1:2,1:2:2"),   # non-finite parameter
     ("holo:name=qpow,n=inf", "0:1:2,1:2:2"),         # non-finite parameter
+    ("holo:name=qexp,n=2", "0:1:2,0.5:1:2"),         # n is qpow's alone
+    ("holo:name=qfoo", "0:1:2,0.5:1:2"),             # unknown function
+    ("holo:name=qpow", "0:1:2,0.5:1:2"),             # qpow without n
 ])
 def test_spec_errors_exit_2(field, grid):
     r = run_cli("eval", "--field", field, "--grid", grid)
@@ -900,16 +903,23 @@ def test_main_reuses_one_parser_with_fresh_process_output(monkeypatch):
 # README examples
 # ---------------------------------------------------------------------------
 
+def _readme_blocks(lang):
+    """The bodies of README's fenced code blocks in language lang."""
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
 def _readme_commands():
     """(argv, expected exit code) of each meridian4 line in README's sh blocks;
     the code is the line's "# exits N" note, 0 when it has none."""
     import re
     import shlex
-    from pathlib import Path
 
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+    for block in _readme_blocks("sh"):
         for line in block.splitlines():
             command, _, note = line.partition("#")
             if command.startswith("meridian4 "):
@@ -925,3 +935,11 @@ def test_readme_examples_exit_as_noted():
         code, out, _ = _main(argv)
         assert code == want, argv
         assert out
+
+
+def test_readme_quick_start_runs(capsys):
+    block, = _readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})  # the block asserts the oracle's agreement
+    epd, flow_end = capsys.readouterr().out.splitlines()
+    assert float(epd) < 1e-12
+    assert flow_end.startswith("horizon ")

@@ -217,6 +217,12 @@ def test_flow_rejects_non_finite_step_or_horizon(dt, horizon):
         flow(_saddle_field(), Quaternion(0.5, 0.1, 0, 0), dt=dt, horizon=horizon)
 
 
+@pytest.mark.parametrize("start", [(math.nan, 1.0, 0.0, 0.0), (0.5, 0.1, 0.0, math.inf)])
+def test_flow_rejects_a_non_finite_start(start):
+    with pytest.raises(DomainError, match="initial point"):
+        flow(_saddle_field(), Quaternion(*start), dt=0.01, horizon=1.0)
+
+
 def test_converged_speed_constant():
     assert CONVERGED_SPEED == 1e-10
 

@@ -289,6 +289,30 @@ def test_no_stream_on_field_view():
         f.stream_value(0.3, 1.0)
 
 
+def test_profile_of_callables_evaluates_arrays_one_call_per_quantity():
+    # the batch of a hand-built profile hands each callable the whole array
+    # once, and a callable may answer with one float for every point
+    from meridian4.fields import MeridionalField
+    base, calls = _cubic_profile(alpha=4.0), {}
+
+    def counted(attr, fn):
+        def call(x0, rho):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(x0, rho)
+        return call
+    attrs = dict(PROFILE_CALLABLE, stream="stream")
+    fns = {attr: getattr(base, attr) for attr in PROFILE_CALLABLE.values()}
+    fns["stream"] = lambda x0, rho: x0 * rho
+    f = MeridionalField(MeridionalProfile(
+        alpha=4.0, label="counted", **{attr: counted(attr, fn) for attr, fn in fns.items()}))
+    x0, rho = np.linspace(-1.0, 1.0, 9), np.linspace(0.2, 2.0, 9)
+    got = f.evaluate(tuple(attrs), x0, rho)
+    assert calls == {attr: 1 for attr in attrs.values()}
+    for name, col in zip(attrs, got):
+        at = f.stream_value if name == "stream" else getattr(f, name)
+        assert col.tolist() == [at(a, b) for a, b in zip(x0.tolist(), rho.tolist())], name
+
+
 # ---------------------------------------------------------------------------
 # Weinstein / axial verifiers (scalar fields on R^4)
 # ---------------------------------------------------------------------------

@@ -292,10 +292,14 @@ _QUANTITIES = ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho")
 
 
 @pytest.mark.parametrize("kind", ["ffc", "ffs"])
-def test_transform_field_memo_never_goes_stale(kind):
+def test_transform_field_memo_never_goes_stale(kind, monkeypatch):
     eta = exp_decay_original(2.0)
     field = transform_field(kind, eta)
-    assert field.profile.vectorized
+    integrals, passes = tr._integrals, []
+    monkeypatch.setattr(tr, "_integrals", lambda *args: passes.append(args[2]) or integrals(*args))
+    field.evaluate(_QUANTITIES, np.array([0.3, -0.8]), np.array([0.4, 0.9]))
+    assert passes == [3]  # G, G' and G'' of both points in one quadrature pass
+    monkeypatch.undo()
     grid_a = (np.array([0.3, -0.8, 1.1]), np.array([0.4, 0.9, 1.5]))
     grid_b = (np.array([0.3, -0.8, 1.2]), np.array([0.4, 0.9, 1.5]))  # one node moved
     for x0, rho in (grid_a, grid_b, grid_a):
