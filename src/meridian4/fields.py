@@ -34,6 +34,7 @@ second derivatives, each point with its own step.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -181,9 +182,10 @@ class MeridionalField:
         arrays x0 and rho, one array per name.
 
         The domain floor is checked once for the whole array, and the
-        profile's batch takes the arrays in one call.  Raises DomainError
-        when any value is not finite.  With check=False, for callers that
-        mask such points instead, the values come back as they are.
+        profile's batch takes the arrays in one call.  At the first value
+        that is not finite, the error at() raises there (not a float error),
+        or else a DomainError.  With check=False, for callers that mask such
+        points instead, the values come back as they are.
         """
         if rho.size and rho.min() < RHO_MIN:
             raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
@@ -192,6 +194,8 @@ class MeridionalField:
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
                 i = bad[0]
+                with contextlib.suppress(ArithmeticError):
+                    self.at(tuple(names), float(x0[i]), float(rho[i]))
                 raise DomainError(f"{name} = {out[i]:g} at (x0, rho) = ({x0[i]:g}, {rho[i]:g})")
         return outs
 

@@ -2,24 +2,24 @@
 and second kind, including the quaternionic Bessel functions obtained by
 evaluating the ascending series on the complex lift.
 
-The Bessel route is deliberately a single one: the ascending series
-
-    J_nu(z) = sum_m (-1)^m / (m! Gamma(nu+m+1)) (z/2)^(nu+2m)
-
-summed by one loop with a geometric tail bound, valid for |z| <= 30.  A
-float z (bessel_j_series, bessel_j, bessel_y) is summed in float arithmetic,
-a complex z (bessel_j_quat, power_to_bessel_partial) in complex arithmetic.
-A real z gives the same bits either way: integer-order leading powers come
-from _powu, which does the multiplications of CPython's complex ** int for
-both types (float ** int rounds differently).  A leading term that
-overflows is a DomainError.  The reported bound is the truncation tail plus
-the rounding term (terms + 1) * eps * sum |term_i|.  Y_nu is derived from J
-by the reflection formula and therefore refuses integer orders.
-Closed-form half-integer checks live in the tests, not here.
+Every Bessel value comes from one rule, the ascending series summed by
+Horner's rule for |z| <= 30: J_nu(z) = c0 Q(w), c0 = (z/2)^nu/Gamma(nu+1),
+w = -z^2/4, Q(w) = sum_k b_k w^k with b_0 = 1, b_k = b_{k-1}/(k (nu+k)).
+An order's b_k, and Q's degree for each ceil(|z|), are built at its first
+call (_tables), not at import.  Float z (bessel_j_series, bessel_j,
+bessel_y), complex z (bessel_j_quat, power_to_bessel_partial) and arrays
+(bessel_j_array) take the same steps, so they give the same bits at the
+same real point (integer-order leading powers come from _powu, which does
+the multiplications of CPython's complex ** int for both types).  A leading
+term that overflows is a DomainError.  Only bessel_j_series reports a
+bound: the truncation tail plus (terms + 1) * eps * |c0| sum |b_k| |w|^k.
+Y_nu is derived from J by the reflection formula and therefore refuses
+integer orders.  Closed-form half-integer checks live in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ __all__ = [
 
 MAX_ABS_Z = 30.0
 _MAX_TERMS = 300
-_BLOCK_PAIRS = 256
+_BLOCK_PAIRS = 2048
 _EPS = sys.float_info.epsilon
 _MAX_FACTORIAL = 170
 _Num = Union[float, complex]
@@ -97,32 +97,50 @@ def _powu(x: _Num, n: int) -> _Num:
     return r
 
 
-def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, int, float]:
-    """Ascending series for J_nu(z), float or complex z, |z| <= 30, as
-    (value, terms used, tail bound).
+@functools.lru_cache(maxsize=256)
+def _tables(nu: float) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
+    """b_0 .. b_{_MAX_TERMS} for the order nu (not a negative integer), and
+    Q's degree for each bucket ceil(|z|) = 0 .. 30: the first n (else -1)
+    at which, at the bucket's upper edge on the real line, the next term is
+    at most 1e-16 of the largest partial sum and the term ratio after it at
+    most 1/2, so that the tail is at most twice the next term."""
+    k = np.arange(1.0, _MAX_TERMS + 2.0)
+    denom = k * (nu + k)
+    aw = 0.25 * np.arange(1.0, MAX_ABS_Z + 1.0) ** 2  # |w| at each bucket's edge
+    with np.errstate(all="ignore"):
+        b = np.divide.accumulate(np.concatenate(([1.0], denom[:-1])))
+        # the terms at each edge (a column), and their partial sums' running scale
+        terms = np.multiply.accumulate(
+            np.vstack([np.ones_like(aw), -aw / denom[:-1, None]]), axis=0)
+        scale = np.maximum.accumulate(np.abs(np.add.accumulate(terms, axis=0)), axis=0)
+        stop = ((np.abs(terms[1:]) <= 1e-16 * scale[:-1])
+                & (denom[1:, None] > 0) & (aw / denom[1:, None] <= 0.5))
+    degrees = np.where(stop.any(axis=0), stop.argmax(axis=0), -1).tolist()
+    return tuple(b.tolist()), (0,) + tuple(degrees)
 
-    A negative integer order is reflected first, J_{-n} = (-1)^n J_n.  The
-    tail bound is geometric: once the term ratio falls below 1/2 the
-    remainder is at most twice the first neglected term; the rounding term
-    (terms + 1) * eps * sum |term_i| is added to it.
-    """
-    if _is_int(nu) and nu < 0:
+
+def _jv_terms(nu: float, z: _Num) -> Tuple[_Num, _Num, Tuple[float, ...], int, bool]:
+    """J_nu(z) = (-1)^odd c0 Q(w), Q = sum of b[k] w^k for k <= n, as
+    (c0, w, b, n, odd) for complex z or real z >= 0, |z| <= 30: a negative
+    integer order is reflected, J_{-n} = (-1)^n J_n; at z = 0, c0 = J_nu(0)."""
+    if not isinstance(z, complex) and z < 0.0:
+        raise DomainError("real-branch J_nu needs z >= 0")
+    integer, odd = _is_int(nu), False
+    if integer and nu < 0:
         n = int(-nu)
-        val, terms, bound = _jv_ascending(float(n), z)
-        sign = -1.0 if n % 2 else 1.0
-        return sign * val, terms, bound
-    if not abs(z) <= MAX_ABS_Z:
+        nu, odd = float(n), n % 2 == 1
+    az = abs(z)
+    if not az <= MAX_ABS_Z:
         raise DomainError(f"ascending series restricted to |z| <= {MAX_ABS_Z:g}")
     if z == 0:
         if nu < 0:
             raise DomainError("J_nu(0) diverges for negative order")
-        val = 1.0 if nu == 0 else 0.0
-        return (complex(val) if isinstance(z, complex) else val), 1, 0.0
+        val = 1.0 if nu == 0 else 0.0  # J_{-n}(0) = 0 too: odd stays False
+        return (complex(val) if isinstance(z, complex) else val), 0.0, (1.0,), 0, False
 
-    # leading coefficient (z/2)^nu / Gamma(nu+1)
     half = 0.5 * z
     try:
-        if _is_int(nu):
+        if integer:
             n = int(nu)
             c0 = (_powu(half, n) if n <= 100 else half ** nu) / factorial(n)
         else:
@@ -132,53 +150,47 @@ def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, int, float]:
         scale = math.inf
     if not scale < math.inf:
         raise DomainError(f"leading term (z/2)^nu / Gamma(nu+1) overflows at "
-                          f"nu = {nu!r}, |z| = {abs(z)!r}")
-
-    # k is the term index as a float; lim caches the stop rule's scale test
-    term = total = c0
-    mass = scale
-    lim = 1e-16 * max(scale, 1e-300)
-    zz = half * half
-    nzz, azz = -zz, abs(zz)
-    k = 0.0
-    while k < _MAX_TERMS:
-        nxt = term * (nzz / ((k + 1.0) * (nu + k + 1.0)))
-        a = abs(nxt)
-        if a <= lim:
-            # rigorous stop: the next ratio must already be in the geometric regime
-            denom_next = (k + 2.0) * (nu + k + 2.0)
-            if denom_next > 0 and azz / denom_next <= 0.5:
-                return total, int(k) + 1, 2.0 * a + (k + 2.0) * _EPS * mass
-        term = nxt
-        total += nxt
-        t = abs(total)
-        if t > scale:
-            scale = t
-            lim = 1e-16 * max(scale, 1e-300)
-        mass += a
-        k += 1.0
-    raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
+                          f"nu = {nu!r}, |z| = {az!r}")
+    b, degrees = _tables(nu)
+    n = degrees[math.ceil(az)]
+    if n < 0:
+        raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
+    return c0, -(half * half), b, n, odd
 
 
-def _jv_real(nu: float, z: float) -> Tuple[float, int, float]:
-    """_jv_ascending on the real half-line z >= 0, where J_{-n}(0) = 0."""
-    if z < 0.0:
-        raise DomainError("real-branch J_nu needs z >= 0")
-    if z == 0.0 and nu < 0 and _is_int(nu):
-        # J_{-n}(0) = (-1)^n J_n(0) = 0 for n >= 1
-        return 0.0, 1, 0.0
-    return _jv_ascending(nu, z)
+def _horner(c0: _Num, w: _Num, b: Tuple[float, ...], n: int, odd: bool) -> _Num:
+    """(-1)^odd c0 Q(w) as c0 + c0 (w Q1(w)), Q1 = (Q - 1)/w by Horner's
+    rule.  c0 comes last, so that where Q is near 1 (small |z|) Q's rounding
+    does not add to c0's; the sign too, so that a float and a complex z with
+    the same real value give zeros of the same sign."""
+    acc = 0.0
+    for bk in reversed(b[1:n + 1]):
+        acc = acc * w + bk
+    val = c0 + c0 * (acc * w)
+    return -val if odd else val
+
+
+def _jv_ascending(nu: float, z: _Num) -> Tuple[_Num, int, float]:
+    """_jv_terms summed, with its record: (value, terms used, bound), the
+    rounding term's sum by Horner's rule on |w|."""
+    c0, w, b, n, odd = _jv_terms(nu, z)
+    aw, mass = abs(w), 0.0
+    for bk in reversed(b[:n + 1]):
+        mass = mass * aw + abs(bk)
+    # in logs: |w|^(n+1) alone may overflow where the term does not
+    nxt = math.exp(math.log(abs(b[n + 1])) + (n + 1) * math.log(aw)) if aw and b[n + 1] else 0.0
+    return _horner(c0, w, b, n, odd), n + 1, abs(c0) * (2.0 * nxt + (n + 2) * _EPS * mass)
 
 
 def bessel_j_series(nu: float, z: float) -> Tuple[float, SeriesTail]:
     """J_nu(z) for real z >= 0 with the truncation record."""
-    val, terms, bound = _jv_real(nu, z)
+    val, terms, bound = _jv_ascending(nu, z)
     return val, SeriesTail(terms, bound)
 
 
 def bessel_j(nu: float, z: float) -> float:
     """J_nu(z) for real z >= 0: bessel_j_series without the record."""
-    return _jv_real(nu, z)[0]
+    return _horner(*_jv_terms(nu, z))
 
 
 def _check_y_order(nu: float) -> None:
@@ -231,63 +243,17 @@ def _leading(nu: float, half: np.ndarray) -> np.ndarray:
         return np.full(half.shape, math.inf)
 
 
-def _ascending_sums(nu: np.ndarray, half: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """The partial sums at which _jv_ascending stops, for orders nu (a
-    column), points half = z/2 (a row) and finite leading terms c0 (orders
-    x points); every pair sees the loop's operations in the loop's order.
-
-    The terms are np.multiply.accumulate of c0 and the term ratios along a
-    term axis, and the partial sums np.add.accumulate of the terms (both
-    sequential), up to a guessed term count; pairs the guess leaves open
-    are summed again to the loop's cap.  Blocks of at most _BLOCK_PAIRS
-    pairs bound the (terms x pairs) arrays.
-    """
-    vals = np.empty(c0.shape)
-    step = max(1, _BLOCK_PAIRS // len(nu))
-    for lo in range(0, half.size, step):
-        h, c = half[lo:lo + step], c0[:, lo:lo + step]
-        zz = h * h
-        v, done = _accumulated_sums(nu, zz, c, 20 + 2 * int(h.max(initial=0.0)))
-        redo = ~done.all(axis=0)
-        if redo.any():
-            v[:, redo], done[:, redo] = _accumulated_sums(nu, zz[redo], c[:, redo], _MAX_TERMS)
-        if not done.all():
-            raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
-        vals[:, lo:lo + step] = v
-    return vals
-
-
-def _accumulated_sums(nu: np.ndarray, zz: np.ndarray, c0: np.ndarray, terms: int):
-    """_ascending_sums by accumulation along a term axis, for at most
-    `terms` terms; and the mask of pairs whose stop rule fired."""
-    k = np.arange(terms, dtype=float)[:, None, None]
-    term = np.empty((terms + 1,) + c0.shape)  # the term ratios, then the terms
-    term[0] = c0
-    np.divide(-zz, (k + 1.0) * (nu + k + 1.0), out=term[1:])
-    np.multiply.accumulate(term, axis=0, out=term)
-    total = np.add.accumulate(term, axis=0)
-    lim = np.abs(total[:-1])  # then its running maximum, then the stop rule's bound
-    np.maximum.accumulate(lim, axis=0, out=lim)
-    np.maximum(lim, 1e-300, out=lim)
-    lim *= 1e-16
-    denom_next = (k + 2.0) * (nu + k + 2.0)
-    stop = np.abs(term[1:], out=term[1:]) <= lim
-    stop &= (denom_next > 0) & (zz / denom_next <= 0.5)
-    first, pair = stop.reshape(terms, -1).argmax(axis=0), np.arange(c0.size)
-    return (total[:-1].reshape(terms, -1)[first, pair].reshape(c0.shape),
-            stop.reshape(terms, -1)[first, pair].reshape(c0.shape))
-
-
 def bessel_j_array(nu, z) -> np.ndarray:
     """J_nu at each element of a float array z >= 0, with the bits bessel_j
     gives there.  nu is one order, or a sequence of orders: then the result
     has a leading axis over the orders, and all of them are summed at once.
 
-    The loop of _jv_ascending runs for every (order, point) pair together
-    (_ascending_sums).  The leading power is libm's per element
-    (non-integer order) or _powu's.  An element with z > MAX_ABS_Z, or
-    whose leading term overflows, is NaN where bessel_j raises DomainError.
-    Scalar calls are cheaper through bessel_j.
+    _horner's steps run for all (order, point) pairs of a block (at most
+    _BLOCK_PAIRS, which bounds its (degree x pairs) coefficients) from its
+    largest degree down, with b_k = 0 above a pair's own degree, where acc
+    stays 0 exactly.  The leading power is libm's per element (non-integer
+    order) or _powu's.  An element with z > MAX_ABS_Z, or whose leading
+    term overflows, is NaN where bessel_j raises DomainError.
     """
     orders = np.atleast_1d(np.asarray(nu, dtype=float)).tolist()
     z = np.asarray(z, dtype=float)
@@ -296,8 +262,10 @@ def bessel_j_array(nu, z) -> np.ndarray:
     out = np.full((len(orders),) + z.shape, math.nan)
     live = (z > 0.0) & (z <= MAX_ABS_Z)
     half = 0.5 * z[live]
+    w = -(half * half)
+    bucket = np.ceil(z[live]).astype(np.intp)
     at0 = z == 0.0
-    reduced, signs, lead = [], [], []
+    signs, lead, degree, coeffs = [], [], [], []
     with np.errstate(all="ignore"):
         for row, order in zip(out, orders):
             sign = 1.0
@@ -305,12 +273,31 @@ def bessel_j_array(nu, z) -> np.ndarray:
                 row[at0] = 1.0 if order == 0 else 0.0
             if _is_int(order) and order < 0:  # J_{-n} = (-1)^n J_n
                 order, sign = -order, (-1.0 if int(order) % 2 else 1.0)
-            reduced.append([order])
+            b, degrees = _tables(order)
             signs.append([sign])
             lead.append(_leading(order, half))
+            degree.append(np.array(degrees)[bucket])
+            coeffs.append(b)
         c0 = np.array(lead)
         bad = ~(np.abs(c0) < math.inf)  # the leading term overflows
-        vals = _ascending_sums(np.array(reduced), half, np.where(bad, 0.0, c0))
+        n = np.where(bad, 0, np.array(degree).reshape(c0.shape))
+        if np.any(n < 0):
+            raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
+        table = np.array([b[:1 + n.max(initial=0)] for b in coeffs])
+        q = np.empty(c0.shape)
+        step = max(1, _BLOCK_PAIRS // len(orders))
+        for lo in range(0, half.size, step):
+            nb, wb = n[:, lo:lo + step], w[lo:lo + step]
+            top = nb.max()
+            # the Horner coefficients b_top .. b_1 of every pair, 0 above its degree
+            steps = np.where(np.arange(top, 0, -1)[:, None, None] <= nb,
+                             table[:, top:0:-1].T[:, :, None], 0.0)
+            acc = np.zeros(nb.shape)
+            for coeff in steps:
+                acc *= wb
+                acc += coeff
+            q[:, lo:lo + step] = acc * wb
+        vals = c0 + c0 * q
     vals[bad] = math.nan
     out[:, live] = np.array(signs) * vals
     return out if np.ndim(nu) else out[0]
@@ -323,7 +310,7 @@ def bessel_j_quat(n: Union[int, float], x: Quaternion) -> Quaternion:
     nu = float(n)
     if not _is_int(nu) and split.b == 0.0 and split.a < 0.0:
         raise DomainError("non-integer order on the negative real axis")
-    return from_lift(_jv_ascending(nu, z)[0], x)
+    return from_lift(_horner(*_jv_terms(nu, z)), x)
 
 
 def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
@@ -337,5 +324,5 @@ def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
     total = 0j
     for n in range(big_n + 1):
         coeff = (m + 2 * n) * factorial(m + n - 1) / factorial(n)
-        total += coeff * _jv_ascending(float(m + 2 * n), z)[0]
+        total += coeff * _horner(*_jv_terms(float(m + 2 * n), z))
     return from_lift(total, x)

@@ -83,6 +83,8 @@ class SpectralReport:
 
 
 def _meridian_data(f: MeridionalField, x: Quaternion):
+    if not all(map(math.isfinite, x.components())):
+        raise DomainError(f"non-finite point {x.components()}")
     rho = x.rho()
     vrho, p01, p11 = f.at(("Vrho", "dVrho_dx0", "dVrho_drho"), x.x0, rho)
     return rho, vrho / rho, p01, p11

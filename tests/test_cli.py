@@ -217,6 +217,14 @@ def test_verify_reports_the_field_error_at_a_non_finite_sample(argv, error):
     assert (r.returncode, r.stdout, r.stderr) == (3, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("cmd", ["eval", "spectrum"])
+def test_grid_commands_report_the_field_error_at_a_non_finite_value(cmd):
+    # beta * rho = 33 is past the series cap: the cap, not the NaN it leads to
+    r = run_cli(cmd, "--field", "separable:alpha=3,beta=11,b1=1", "--grid", "0:1:2,2.5:3:2")
+    assert (r.returncode, r.stdout, r.stderr) == (
+        3, "", "error: DomainError: ascending series restricted to |z| <= 30\n")
+
+
 def test_verify_nan_residual_is_never_skipped(monkeypatch, capsys):
     from meridian4 import cli
 

@@ -256,6 +256,11 @@ def test_classify_source_and_sink():
     assert snk.kind == "sink"
 
 
+def test_classify_names_a_non_finite_point():
+    with pytest.raises(DomainError, match="non-finite point"):
+        classify(_saddle_field(), Quaternion(0.3, math.nan, 0, 0))
+
+
 def test_classify_degenerate_on_vrho_zero():
     v = classify(_sin_field(), Quaternion(0.4, 0.5 * math.pi, 0, 0))
     assert v.kind == "degenerate"

@@ -23,3 +23,13 @@ def test_module_imports_first(module):
     r = subprocess.run([sys.executable, "-c", f"import {module}"],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("module", ["meridian4"] + [f"meridian4.{m}" for m in _MODULES])
+def test_module_loads_no_test_oracle(module):
+    # scipy and mpmath are oracles of the tests only
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_SRC), env.get("PYTHONPATH")) if p)
+    code = f"import sys, {module}; print(sorted({{'scipy', 'mpmath'}} & set(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr

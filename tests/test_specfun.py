@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_series_tail_metadata():
 
 
 # ---------------------------------------------------------------------------
-# one series loop: float arguments against complex ones, and pinned bits
+# one series rule: float arguments against complex ones, and pinned bits
 # ---------------------------------------------------------------------------
 
 def _outcome(fn, *args):
@@ -164,26 +165,27 @@ def test_bessel_j_series_keeps_real_arguments_in_float_arithmetic():
     assert type(bessel_y(0.5, math.pi)) is float
 
 
-# float.hex() of values returned when real and complex arguments ran in two
-# separate loops; any change to the summation order shows up here
+# float.hex() of values returned by the Horner rule; any change to the
+# summation order shows up here (each checked against mpmath at 30 digits,
+# within its reported bound)
 J_BITS = {
     (0, 1.0): '0x1.87c7fdbd7b8f0p-1',
-    (1, 3.7): '0x1.b9020e18f5f33p-5',
+    (1, 3.7): '0x1.b9020e18f5f00p-5',
     (2, 0.05): '0x1.479c9ae7be13fp-12',
-    (-3, 2.2): '-0x1.4c714c29037e9p-3',
-    (7, 11.0): '0x1.2d12aad02e74cp-6',
-    (0.5, 29.0): '-0x1.92c0ca28f7aecp-4',
+    (-3, 2.2): '-0x1.4c714c29037eap-3',
+    (7, 11.0): '0x1.2d12aad02c000p-6',
+    (0.5, 29.0): '-0x1.92ba7c7e57b00p-4',
     (-1.75, 0.4): '-0x1.d06b22bc3275bp+1',
-    (3.25, 17.5): '0x1.36c525e042fe4p-3',
-    (12.6, 0.9): '0x1.56b4db1b48916p-46',
+    (3.25, 17.5): '0x1.36c525e14dc00p-3',
+    (12.6, 0.9): '0x1.56b4db1b48917p-46',
 }
 
 Y_BITS = {
-    (0.5, 3.0): '0x1.d2fe764ac4ee0p-2',
+    (0.5, 3.0): '0x1.d2fe764ac4ee3p-2',
     (-0.5, 2.0): '0x1.06aa0d11b4e66p-1',
     (2.5, 0.7): '-0x1.97a20bb4849c4p+2',
-    (-3.5, 6.0): '-0x1.118cd926fd123p-2',
-    (1.25, 19.0): '-0x1.99c7ec1448924p-4',
+    (-3.5, 6.0): '-0x1.118cd926fd12ap-2',
+    (1.25, 19.0): '-0x1.99c7ec1ca74eap-4',
 }
 
 JQ_BITS = {
@@ -191,16 +193,16 @@ JQ_BITS = {
         ('0x1.e00e37e0ab258p-1', '-0x1.3111686f84922p-2',
          '-0x0.0p+0', '-0x1.96c1e094b0c2ep-2'),
     (2, (0.3, -1.2, 0.4, 0.0)):
-        ('-0x1.a771546e47185p-3', '-0x1.d398537416e60p-4',
+        ('-0x1.a771546e47186p-3', '-0x1.d398537416e60p-4',
          '0x1.37bae24d64996p-5', '0x0.0p+0'),
     (-3, (2.5, 0.0, 1.5, -2.0)):
-        ('0x1.c72808c244ef0p-7', '-0x0.0p+0',
-         '-0x1.2bf5d816669e2p-1', '0x1.8ff27573337d9p-1'),
+        ('0x1.c72808c244ec0p-7', '-0x0.0p+0',
+         '-0x1.2bf5d816669e1p-1', '0x1.8ff27573337d7p-1'),
     (5, (-4.0, 0.1, 0.2, 0.3)):
-        ('-0x1.07e8d28063dd4p-3', '0x1.7f63ea48ce6e0p-7',
-         '0x1.7f63ea48ce6e0p-6', '0x1.1f8aefb69ad28p-5'),
+        ('-0x1.07e8d28063dd4p-3', '0x1.7f63ea48ce6ddp-7',
+         '0x1.7f63ea48ce6ddp-6', '0x1.1f8aefb69ad26p-5'),
     (1.5, (6.0, 3.0, 0.0, 0.0)):
-        ('-0x1.74cdac57398d2p+1', '0x1.1143001d7357ep-2',
+        ('-0x1.74cdac57398d0p+1', '0x1.1143001d735b8p-2',
          '0x0.0p+0', '0x0.0p+0'),
 }
 
@@ -280,13 +282,13 @@ def test_bessel_j_array_has_the_bits_of_bessel_j(size):
             assert _same_bits(a, want) and _same_bits(b, want), (nu, zi, a, b, want)
 
 
-def test_bessel_j_array_beyond_its_first_term_guess():
-    # order -9.5 at z = 29.9 stops after 49 terms, one more than the first
-    # pass of the series takes for that z
-    assert bessel_j_series(-9.5, 29.9)[1].terms_used == 49
-    z = np.array([0.5, 29.9])
+def test_bessel_j_array_has_the_bits_of_bessel_j_at_bucket_edges():
+    # the degree of Q follows ceil(z): on either side of each integer z the
+    # array form must pick the scalar call's degree
+    z = np.array([np.nextafter(float(b), side) for b in range(1, 31) for side in (-np.inf, np.inf)])
     for nu in (-9.5, 40.0):
-        assert bessel_j_array(nu, z).tolist() == [bessel_j(nu, v) for v in z.tolist()]
+        for zi, a in zip(z.tolist(), bessel_j_array(nu, z).tolist()):
+            assert _same_bits(a, _scalar_j(nu, zi)), (nu, zi)
 
 
 def test_bessel_j_array_marks_what_bessel_j_refuses():
@@ -325,9 +327,41 @@ def test_tail_bound_covers_rounding_against_mpmath():
                 val, tail = bessel_j_series(nu, z)
                 err = abs(mpmath.mpf(val) - mpmath.besselj(nu, z))
                 assert err <= tail.tail_bound, (nu, z, float(err), tail.tail_bound)
-        # J_1(20) is off by 9.0e-10, more than the truncation tail of 6.6e-10
-        val, tail = bessel_j_series(1.0, 20.0)
-        assert abs(mpmath.mpf(val) - mpmath.besselj(1, 20)) > 6.6e-10
+        # J_0(25) is off by 8.7e-8, more than its truncation tail of 1.7e-8
+        val, tail = bessel_j_series(0.0, 25.0)
+        assert abs(mpmath.mpf(val) - mpmath.besselj(0, 25)) > 1.7e-8
+
+
+def test_reported_bound_covers_the_error_on_a_dense_grid():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for nu in REAL_LOOP_ORDERS:
+            for k in range(1, 121):
+                z = 0.25 * k
+                val, tail = bessel_j_series(nu, z)
+                err = abs(mpmath.mpf(val) - mpmath.besselj(nu, z))
+                assert err <= tail.tail_bound, (nu, z, float(err), tail.tail_bound)
+
+
+def test_quaternion_bessel_error_against_mpmath():
+    # J_n at complex z, |z| <= 30, within 4 eps sum_k (k + 1)|term_k|: the
+    # rounding of w = -z^2/4 moves term k by k times its relative error, and
+    # near the imaginary axis, where the terms do not cancel, that reaches
+    # |z|/2 eps sum_k |term_k|
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    with mpmath.workdps(30):
+        for n in range(-8, 13):
+            for _ in range(12):
+                r, angle = 30.0 * math.sqrt(rng.random()), rng.uniform(0.0, math.pi)
+                a, b = r * math.cos(angle), r * math.sin(angle)
+                got = bessel_j_quat(n, Quaternion(a, b, 0.0, 0.0))
+                h, mass = abs(mpmath.mpc(a, b)) / 2, 0
+                for k in range(80):
+                    mass += (k + 1) * h ** (abs(n) + 2 * k) / (mpmath.factorial(k)
+                                                               * mpmath.factorial(abs(n) + k))
+                err = abs(mpmath.mpc(got.x0, got.x1) - mpmath.besselj(n, mpmath.mpc(a, b)))
+                assert err <= 4 * sys.float_info.epsilon * mass, (n, a, b, float(err / mass))
 
 
 def test_recurrence_frozen_instance():

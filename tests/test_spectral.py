@@ -112,6 +112,13 @@ def test_moebius_inverse_spectrum():
     assert not rep.degenerate
 
 
+@pytest.mark.parametrize("point", [(math.nan, 1.0, 0.0, 0.0), (0.5, 0.8, math.inf, 0.0)])
+def test_eigen_closed_names_a_non_finite_point(point):
+    # the point is at fault, not an overflow of the closed form
+    with pytest.raises(DomainError, match="non-finite point"):
+        eigen_closed(from_holomorphic_potential(qexp()), Quaternion(*point))
+
+
 def test_alpha2_extremes_are_plus_minus_fprime():
     # for a holomorphic potential the straddling pair is +-|F'(z)|
     f = from_holomorphic_potential(qexp())
