@@ -268,12 +268,6 @@ def parse_field_spec(text: str):
         f"unknown field kind {kind!r} (holo, separable, transform, moebius)")
 
 
-def _each(fn, *arrays) -> np.ndarray:
-    """fn at the floats of each point of flat float arrays, one call per
-    point: libm's bits, and fn's own errors."""
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
-
-
 def parse_potential_spec(text: str, default_alpha: float):
     """Scalar potentials h: R^4 -> R for the verification suites.
 
@@ -289,35 +283,34 @@ def parse_potential_spec(text: str, default_alpha: float):
         _reject_extras(params, name)
         expo = 1.0 + alpha
 
-        def h(x0, x1, x2, x3, _e=expo):
-            try:
-                return math.pow(x3, _e)
-            except ValueError:
+        def h(x, _e=expo):
+            if not _e.is_integer() and np.any(x.x3 < 0.0):
                 raise MeridianError(
                     f"x3^{_e:g} needs x3 >= 0 at non-integer exponents")
+            return x.x3 ** _e
 
     elif name == "rhopow":
         expo = _take(params, "e", float, required=True)
         _reject_extras(params, name)
 
-        def h(x0, x1, x2, x3, _e=expo):
-            return (x1 ** 2 + x2 ** 2 + x3 ** 2) ** (0.5 * _e)
+        def h(x, _e=expo):
+            return (x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2) ** (0.5 * _e)
 
     elif name == "rho3":
         _reject_extras(params, name)
 
-        def h(x0, x1, x2, x3):
-            return (x1 ** 2 + x2 ** 2 + x3 ** 2) ** 1.5
+        def h(x):
+            return (x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2) ** 1.5
 
     elif name == "x0sq-x3sq":
         _reject_extras(params, name)
 
-        def h(x0, x1, x2, x3):
-            return x0 ** 2 - x3 ** 2
+        def h(x):
+            return x.x0 ** 2 - x.x3 ** 2
 
     else:
         raise SpecError(f"unknown potential {name!r} (x3pow, rhopow, rho3, x0sq-x3sq)")
-    return lambda x: _each(h, *x.components())
+    return h
 
 
 def parse_grid(text: str):
@@ -457,7 +450,7 @@ def _suite(args):
         return (v.x0, -v.x1, -v.x2, -v.x3)
 
     def phi(x):
-        return _each((-field.alpha).__rpow__, x.rho())
+        return x.rho() ** -field.alpha
 
     def window(rng):
         return _sample_space(rng, x3_window=(0.1, 2.0))

@@ -21,9 +21,10 @@ from .quaternion import Quaternion, axial_split
 from .spectral import SpectralReport, eigen_closed
 
 __all__ = ["Trajectory", "StabilityVerdict", "flow", "classify", "monotonicity_audit",
-           "CONVERGED_SPEED"]
+           "CONVERGED_SPEED", "MAX_STEPS"]
 
 CONVERGED_SPEED = 1e-10
+MAX_STEPS = 1_000_000  # qexp: about 10 s and 300 MB of rows; t += dt stalls near 2**53
 
 
 @dataclass
@@ -66,7 +67,8 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     step would leave the domain rho > rho_min (a stage below the floor, or a
     step landing on or below it, is rejected and the trajectory reports
     'left_domain').  Any DomainError the field raises propagates, and so
-    does one for a row whose x0, rho or h is not finite.
+    does one for a row whose x0, rho or h is not finite, or for a horizon
+    of more than MAX_STEPS steps of dt (raised before the first step).
 
     The field is evaluated once per RK4 stage through f.at: each row's h
     comes with the next step's k1 from one evaluation (h alone on the row
@@ -74,6 +76,9 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     """
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
         raise DomainError(f"dt = {dt:g} and horizon = {horizon:g} must be positive and finite")
+    if horizon / dt > MAX_STEPS:
+        raise DomainError(f"horizon / dt = {horizon / dt:.6g} steps is more than "
+                          f"MAX_STEPS = {MAX_STEPS}")
     if not all(map(math.isfinite, x_init.components())):
         raise DomainError(f"initial point {x_init.components()} is not finite")
     if x_init.rho() < RHO_MIN:

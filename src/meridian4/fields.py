@@ -20,7 +20,9 @@ complex lifts of G, G' and G''.  Both the table functions
 (from_holomorphic_potential) and the transform fields of the transforms
 module go through it.  Separable Bessel-type solutions (any alpha) have
 their own constructor, which sums the Bessel series for all points at once
-(specfun.bessel_j_array), with the bits of the scalar call at each point.
+(specfun.bessel_j_array).  Array passes use numpy's math: a point's value
+does not depend on the array's other points, and agrees with at's to within
+rounding.
 
 The module also holds the verifiers for the underlying PDE family.  Each
 takes one point or a cloud of points as arrays, and evaluates all the
@@ -47,8 +49,7 @@ from .holomorphic import (RadialFunction, antiholomorphy_residual, default_fd_st
                           fd_combine, fd_steps)
 from .quaternion import Quaternion
 # bessel_y stays bound here for bench/tracing.py, which wraps it at this name
-from .specfun import (bessel_j, bessel_j_array, bessel_y, elementwise,  # noqa: F401
-                      y_by_reflection)
+from .specfun import bessel_j, bessel_j_array, bessel_y, y_by_reflection  # noqa: F401
 
 __all__ = [
     "RHO_MIN",
@@ -338,16 +339,15 @@ class _SeparableAt:
 
 
 class _SeparableArrays:
-    """The same factors at arrays of points, each computed once: cosh, sinh
-    and the powers from libm per element, and C at every order named at
-    construction from one bessel_j_array pass (Y by reflection), so each
-    value has the bits of _SeparableAt at that point."""
+    """The same factors at arrays of points, each computed once by numpy,
+    and C at every order named at construction from one bessel_j_array pass
+    (Y by reflection): a value depends on its own point alone, and agrees
+    with _SeparableAt's to within rounding."""
 
     def __init__(self, p: SeparableParams, x0: np.ndarray, rho: np.ndarray,
                  orders: List[float]):
         self.rho, self._pow = rho, {}
-        self.xi, self.xi_p = _xi(p, elementwise(math.cosh, p.beta * x0),
-                                 elementwise(math.sinh, p.beta * x0))
+        self.xi, self.xi_p = _xi(p, np.cosh(p.beta * x0), np.sinh(p.beta * x0))
         z = p.beta * rho
         if p.a2 == 0.0:
             self._cyl = dict(zip(orders, p.a1 * bessel_j_array(orders, z)))
@@ -358,7 +358,7 @@ class _SeparableArrays:
 
     def power(self, e: float):
         if e not in self._pow:
-            self._pow[e] = elementwise(e.__rpow__, self.rho)
+            self._pow[e] = self.rho ** e
         return self._pow[e]
 
     def cyl(self, order: float):
@@ -449,11 +449,6 @@ def _quiet(verifier: Callable) -> Callable:
 
 def _profile_of(f: Union[MeridionalField, MeridionalProfile]) -> MeridionalProfile:
     return f.profile if isinstance(f, MeridionalField) else f
-
-
-def _pow(x, e: float):
-    """x ** e, with libm's bits at each element of an array too."""
-    return elementwise(e.__rpow__, x) if isinstance(x, np.ndarray) else x ** e
 
 
 _CENTER = ((None,), None)  # a line of _stencil that reads the points unmoved
@@ -549,7 +544,7 @@ def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile], x0, rho
     (g_x0, g_rho), = _stencil(lambda a, b: _values(p, ("V0", "Vrho"), a, b),
                               (x0, rho), [_CENTER])[0]
     gh_rho, gh_x0 = fd_combine(along_rho, 1, h), fd_combine(along_x0, 1, h)
-    w = _pow(rho, 2.0 - p.alpha)
+    w = rho ** (2.0 - p.alpha)
     return _result(abs(w * g_x0 - gh_rho)), _result(abs(w * g_rho + gh_x0))
 
 
@@ -587,7 +582,7 @@ def verify_axial_hyperbolic(h_fn: ScalarField4, alpha: float, x: Quaternion,
     lap = sum(fd_combine(v, 2, h) for v in vals[:4])
     g1, g2, g3 = (fd_combine(v, 1, h) for v in vals[4:])
     rad = x.x1 * g1 + x.x2 * g2 + x.x3 * g3
-    rho2 = _pow(x.x1, 2.0) + _pow(x.x2, 2.0) + _pow(x.x3, 2.0)
+    rho2 = x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2
     return _result(abs(rho2 * lap - alpha * rad))
 
 
@@ -626,7 +621,7 @@ def criterion_check(h_fn: ScalarField4, x: Quaternion, fd_step=None) -> Tuple:
     angular pair: |dh/dtheta|, |dh/dpsi| via the chain rule on the same gradient.
     All five vanish iff h is constant on the (theta, psi) orbits.
     """
-    s2 = _pow(x.x2, 2.0) + _pow(x.x3, 2.0)
+    s2 = x.x2 ** 2 + x.x3 ** 2
     if np.any((np.asarray(x.rho()) == 0.0) | (np.asarray(s2) == 0.0)):
         raise DomainError("criterion chart needs rho > 0 and (x2, x3) != 0")
     h = _step(x, fd_step)

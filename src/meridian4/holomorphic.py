@@ -64,7 +64,7 @@ class RadialFunction:
     """A radially holomorphic function presented through its complex lift.
 
     lift  : z -> w(z), the defining analytic function, at a complex scalar
-            or elementwise on a complex ndarray
+            or entry by entry on a complex ndarray
     deriv : thunk producing the derivative as a RadialFunction, if registered
     prim  : thunk producing a primitive (constant 0), if registered
     """
@@ -189,7 +189,7 @@ def _hits(mask) -> bool:
     return bool(np.any(mask)) if isinstance(mask, np.ndarray) else mask
 
 
-def _pow_guard(z, n: float, d: float):
+def _guarded_base(z, n: float, d: float):
     zz = z + d
     if _hits(zz == 0):
         if n < 0:
@@ -209,7 +209,7 @@ def _spow(d: float, n: float, c: float) -> RadialFunction:
         name = f"{c:g}*(x + {d:g})^{n:g}"
 
     def lift(z, _d=d, _n=n, _c=c):
-        zz = _pow_guard(z, _n, _d)
+        zz = _guarded_base(z, _n, _d)
         if _n == 0:
             return np.full(zz.shape, complex(_c)) if isinstance(zz, np.ndarray) else complex(_c)
         return _c * zz ** _n

@@ -80,10 +80,9 @@ class Quaternion:
     def rho(self) -> float:
         """Distance from the real axis, |(x1, x2, x3)|; when the components
         are flat float arrays of one length, at each of their points."""
-        # hypot scales internally, so components below 1e-154 do not underflow
+        # hypot scales internally (nested for numpy), so components below 1e-154 do not underflow
         if isinstance(self.x1, np.ndarray):
-            return np.fromiter(map(math.hypot, self.x1.tolist(), self.x2.tolist(),
-                                   self.x3.tolist()), float, len(self.x1))
+            return np.hypot(np.hypot(self.x1, self.x2), self.x3)
         return math.hypot(self.x1, self.x2, self.x3)
 
     def components(self) -> tuple:

@@ -7,11 +7,12 @@ Horner's rule for |z| <= 30: J_nu(z) = c0 Q(w), c0 = (z/2)^nu/Gamma(nu+1),
 w = -z^2/4, Q(w) = sum_k b_k w^k with b_0 = 1, b_k = b_{k-1}/(k (nu+k)).
 An order's b_k, and Q's degree for each ceil(|z|), are built at its first
 call (_tables), not at import.  Float z (bessel_j_series, bessel_j,
-bessel_y), complex z (bessel_j_quat, power_to_bessel_partial) and arrays
-(bessel_j_array) take the same steps, so they give the same bits at the
-same real point (integer-order leading powers come from _powu, which does
-the multiplications of CPython's complex ** int for both types).  A leading
-term that overflows is a DomainError.  Only bessel_j_series reports a
+bessel_y) and complex z (bessel_j_quat, power_to_bessel_partial) give the
+same bits at the same real point (_c_powu does CPython's complex ** int
+for both).  Arrays (bessel_j_array) take the same steps, with numpy's
+power in c0: a value does not depend on the array's other points, and
+differs from bessel_j's only by c0's rounding.  A leading term that
+overflows is a DomainError.  Only bessel_j_series reports a
 bound: the truncation tail plus (terms + 1) * eps * |c0| sum |b_k| |w|^k.
 Y_nu is derived from J by the reflection formula and therefore refuses
 integer orders.  Closed-form half-integer checks live in the tests.
@@ -39,7 +40,6 @@ __all__ = [
     "bessel_j_array",
     "bessel_y",
     "y_by_reflection",
-    "elementwise",
     "bessel_j_quat",
     "power_to_bessel_partial",
 ]
@@ -59,7 +59,7 @@ for _k in range(1, _MAX_FACTORIAL + 1):
 def factorial(n: int) -> float:
     """n! as a float, table-backed; n must be in [0, 170] (float overflow above)."""
     if not 0 <= n <= _MAX_FACTORIAL:
-        raise DomainError(f"factorial table covers 0..{_MAX_FACTORIAL}, got {n}")
+        raise DomainError(f"factorial table covers 0..{_MAX_FACTORIAL}, got {n:.6g}")
     return _FACT[n]
 
 
@@ -85,7 +85,7 @@ def _is_int(nu: float) -> bool:
         raise DomainError(f"order nu = {nu!r} must be finite") from None
 
 
-def _powu(x: _Num, n: int) -> _Num:
+def _c_powu(x: _Num, n: int) -> _Num:
     """x**n for 0 <= n <= 100 by CPython's complex binary powering (c_powu),
     so a complex x gets the bits of x ** n and a float x the same steps."""
     r, mask = x ** 0, 1  # 1.0 or (1+0j), as c_powu starts
@@ -142,7 +142,7 @@ def _jv_terms(nu: float, z: _Num) -> Tuple[_Num, _Num, Tuple[float, ...], int, b
     try:
         if integer:
             n = int(nu)
-            c0 = (_powu(half, n) if n <= 100 else half ** nu) / factorial(n)
+            c0 = (_c_powu(half, n) if n <= 100 else half ** nu) / factorial(n)
         else:
             c0 = half ** nu / gamma(nu + 1.0)
         scale = abs(c0)
@@ -212,48 +212,18 @@ def bessel_y(nu: float, z: float) -> float:
     return y_by_reflection(nu, bessel_j(nu, z), bessel_j(-nu, z))
 
 
-def elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn, a float routine (math.cosh, a bound float.__rpow__), at each
-    element of x, one call per element: the values are libm's, whose last
-    bit numpy's own power, cosh and sinh do not always share.  An element
-    at which fn raises ArithmeticError (it overflows, or raises 0 to a
-    negative power) is NaN."""
-    vals = x.ravel().tolist()
-    try:
-        out = np.fromiter(map(fn, vals), float, len(vals))
-    except ArithmeticError:
-        out = np.empty(len(vals))
-        for i, v in enumerate(vals):
-            try:
-                out[i] = fn(v)
-            except ArithmeticError:
-                out[i] = math.nan
-    return out.reshape(x.shape)
-
-
-def _leading(nu: float, half: np.ndarray) -> np.ndarray:
-    """(z/2)^nu / Gamma(nu+1) at each element of half = z/2, as _jv_ascending
-    computes it (nu not a negative integer); inf or NaN where it overflows."""
-    if _is_int(nu):
-        n = int(nu)
-        return (_powu(half, n) if n <= 100 else elementwise(nu.__rpow__, half)) / factorial(n)
-    try:
-        return elementwise(nu.__rpow__, half) / gamma(nu + 1.0)
-    except OverflowError:  # Gamma(nu + 1) overflows
-        return np.full(half.shape, math.inf)
-
-
 def bessel_j_array(nu, z) -> np.ndarray:
-    """J_nu at each element of a float array z >= 0, with the bits bessel_j
-    gives there.  nu is one order, or a sequence of orders: then the result
-    has a leading axis over the orders, and all of them are summed at once.
+    """J_nu at each element of a float array z >= 0.  nu is one order, or a
+    sequence of orders: then the result has a leading axis over the orders,
+    and all of them are summed at once.
 
     _horner's steps run for all (order, point) pairs of a block (at most
     _BLOCK_PAIRS, which bounds its (degree x pairs) coefficients) from its
     largest degree down, with b_k = 0 above a pair's own degree, where acc
-    stays 0 exactly.  The leading power is libm's per element (non-integer
-    order) or _powu's.  An element with z > MAX_ABS_Z, or whose leading
-    term overflows, is NaN where bessel_j raises DomainError.
+    stays 0 exactly: each pair's value is that of the same point alone.  It
+    differs from bessel_j's only through the leading power, numpy's here.
+    An element with z > MAX_ABS_Z, or whose leading term overflows, is NaN
+    where bessel_j raises DomainError.
     """
     orders = np.atleast_1d(np.asarray(nu, dtype=float)).tolist()
     z = np.asarray(z, dtype=float)
@@ -275,7 +245,11 @@ def bessel_j_array(nu, z) -> np.ndarray:
                 order, sign = -order, (-1.0 if int(order) % 2 else 1.0)
             b, degrees = _tables(order)
             signs.append([sign])
-            lead.append(_leading(order, half))
+            try:  # (z/2)^nu / Gamma(nu+1); inf or NaN where it overflows
+                lead.append(half ** order / (factorial(int(order)) if _is_int(order)
+                                             else gamma(order + 1.0)))
+            except OverflowError:  # Gamma(nu + 1) overflows
+                lead.append(np.full(half.shape, math.inf))
             degree.append(np.array(degrees)[bucket])
             coeffs.append(b)
         c0 = np.array(lead)

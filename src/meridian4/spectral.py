@@ -31,7 +31,6 @@ import numpy as np
 from .errors import AlphaZero, DomainError, EmptyWindow, NotSymmetric
 from .fields import RHO_MIN, MeridionalField
 from .quaternion import Quaternion
-from .specfun import elementwise
 
 __all__ = [
     "SpectralReport",
@@ -381,12 +380,6 @@ def _stitch(segments) -> List[List[Tuple[float, float]]]:
     return chains
 
 
-def _square(v: np.ndarray) -> np.ndarray:
-    """v ** 2 per element as a float's ** takes it (libm pow; v * v can differ
-    in the last bit)."""
-    return elementwise(lambda t: t ** 2, v)
-
-
 def degenerate_set(f: MeridionalField, window: Window,
                    grid: Tuple[int, int] = (40, 40)) -> List[LevelChain]:
     """Approximate the degenerate set in the meridian half plane.
@@ -402,8 +395,8 @@ def degenerate_set(f: MeridionalField, window: Window,
 
     def equations(x0, rho):
         vrho, p01, p11 = f.evaluate(("Vrho", "dVrho_dx0", "dVrho_drho"), x0, rho)
-        q = vrho / rho
-        return np.stack((vrho, _square(p01) + _square(p11) - (alpha - 2.0) * q * p11))
+        with np.errstate(all="ignore"):  # a square past the float range is inf, as is E2
+            return np.stack((vrho, p01 ** 2 + p11 ** 2 - (alpha - 2.0) * (vrho / rho) * p11))
 
     out: List[LevelChain] = []
     for tag, segments in zip(("Vrho", "E2"), _grid_crossings(equations, window, grid)):
@@ -447,8 +440,8 @@ def zero_divergence_scan(f: MeridionalField, window: Window,
     # the points lie on the e1 axis of R^4: x = (x0, rho, 0, 0)
     J = jacobian_stack(f.alpha, vrho / rho, p01, p11, (1.0, 0.0, 0.0))
     det = invariants(J)[3]
-    frob = np.sqrt(np.sum(J ** 2, axis=(-2, -1)))
-    bound = 1e-8 * elementwise((4.0).__rpow__, np.maximum(frob, 1e-300))
+    with np.errstate(all="ignore"):  # an overflowing bound is inf
+        bound = 1e-8 * np.sqrt(np.sum(J ** 2, axis=(-2, -1))) ** 4
     return [ZeroDivergencePoint(a, b, d, t, abs(d) <= t)
             for a, b, d, t in zip(x0.tolist(), rho.tolist(), det.tolist(), bound.tolist())]
 
@@ -495,15 +488,14 @@ def critical_points(f: MeridionalField, window: Window,
         if not live.size:
             break
         v0, vr, a, b, c = f.evaluate(_NEWTON, x0[live], rho[live], check=False)
-        # b = dVrho/dx0 = dV0/drho by symmetry of g; math.hypot, not np.hypot,
-        # rounds as the one-seed loop did
-        done = np.array(list(map(math.hypot, v0.tolist(), vr.tolist()))) <= vtol
-        ok[live[done]] = True
+        # b = dVrho/dx0 = dV0/drho by symmetry of g; hypot scales, so no square overflows
         with np.errstate(all="ignore"):
+            done = np.hypot(v0, vr) <= vtol
             det = a * c - b * b
             dx = (c * v0 - b * vr) / det
             dr = (a * vr - b * v0) / det
-        step = np.array(list(map(math.hypot, dx.tolist(), dr.tolist())))
+            step = np.hypot(dx, dr)
+        ok[live[done]] = True
         going = ~done & (det != 0.0) & np.isfinite(det) & ~(step > span)
         live, xn, rn = live[going], x0[live][going] - dx[going], rho[live][going] - dr[going]
         x0[live], rho[live] = xn, rn

@@ -75,7 +75,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 class OriginalFunction:
     """Metadata-carrying original eta(tau) on [0, support_t] (inf = half line).
 
-    evaluator and smooth_numerator map float arrays of tau elementwise (a
+    evaluator and smooth_numerator map float arrays of tau entry by entry (a
     constant may come back as a scalar).  growth_rate_s0 and bound_m assert
     |eta(tau)| <= bound_m * e^{s0 tau}; decay_rate > 0 asserts
     |eta(tau)| <= bound_m * e^{-decay_rate tau} (needed for Fourier kernels

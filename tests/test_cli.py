@@ -300,9 +300,11 @@ def test_verify_requires_target():
 
 def _per_sample_run_suite(args):
     """Reference: the sample-by-sample loop that ran the suites before the
-    cloud went through one pass.  Each check gets one sample as floats; a
-    non-finite residual is reported unless the field's scalar methods raise
-    at that sample on purpose."""
+    cloud went through one pass.  Each check gets one sample as a cloud of
+    one, so the runner's outcome equals it only if a sample's residuals do
+    not depend on the other samples of the cloud; a non-finite residual is
+    reported unless the field's scalar methods raise at that sample on
+    purpose."""
     from meridian4 import cli
 
     names, sample, check, field = cli._suite(args)
@@ -310,7 +312,7 @@ def _per_sample_run_suite(args):
     worst = [0.0] * len(names)
     for _ in range(args.samples):
         point = sample(rng)
-        for i, r in enumerate(check(point)):
+        for i, r in enumerate(cli._cloud_pass(check, [point])[:, 0].tolist()):
             if not math.isfinite(r):
                 where = point.components() if isinstance(point, Quaternion) else point
                 if field is not None:  # the field's own error at the sample comes first
@@ -693,6 +695,19 @@ def test_overflow_exits_3_without_output(argv):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+def test_flow_of_too_many_steps_exits_3_at_once():
+    # past about 2**53 steps t += dt stops moving t, and the loop never ends;
+    # a horizon of more than MAX_STEPS steps is refused before the first
+    for dt in ("1e-300", "9.99e-7"):
+        r = subprocess.run(CMD + ["flow", "--field", "holo:name=qexp", "--start", "0,1,0,0",
+                                  "--dt", dt, "--horizon", "1"],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: DomainError: horizon / dt = ")
+        assert r.stderr.count("\n") == 1 and "MAX_STEPS = 1000000" in r.stderr
+
+
 def test_flow_stage_through_the_axis_leaves_the_domain():
     # rho shrinks while x0 grows; an RK4 stage crosses the axis before x0 overflows
     r = run_cli("flow", "--field", "holo:name=qexp", "--start", "0.5,0.1,0.2,0",
@@ -759,6 +774,20 @@ def test_special_bessel_bad_inputs_exit_with_one_error_line(nu, z, code):
     assert r.returncode == code
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,order", [
+    (("special", "bessel", "--nu", "1e300", "--z", "1"), "1e+300"),
+    (("eval", "--field", "separable:alpha=1e300,beta=1", "--grid", "0:1:2,1:2:2"), "5e+299"),
+], ids=["special-bessel", "eval-separable"])
+def test_huge_order_names_it_in_a_short_line(argv, order):
+    # the factorial table's error names the order as a float, not its
+    # 301-digit integer
+    r = run_cli(*argv)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert len(r.stderr) < 200 and f"got {order}" in r.stderr
 
 
 @pytest.mark.parametrize("argv", [

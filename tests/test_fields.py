@@ -165,21 +165,30 @@ PROFILE_CALLABLE = {"g": "g", "V0": "dg_dx0", "Vrho": "dg_drho", "dV0_dx0": "d2g
     SeparableParams(alpha=2.5, beta=1.05, a1=0.9, a2=0.4, b1=0.8, b2=-0.1),
 ], ids=("a2=0", "a2!=0"))
 @pytest.mark.parametrize("size", [1, 40, 400], ids=["one-point", "one-block", "blocks"])
-def test_separable_evaluate_equals_scalar_methods(params, size):
+def test_separable_evaluate_equals_scalar_methods(separable_gap, params, size):
     # points interleaved in rho (with repeats) and in x0, in one block of
-    # (order, point) pairs of the array series or in several, against the
-    # scalar methods value for value, and the profile callables on arrays too
+    # (order, point) pairs of the array series or in several: each value has
+    # the bits of the same point evaluated alone, the profile callables on
+    # arrays give them too, and the scalar methods agree within the gap of
+    # conftest.SEPARABLE_GAP_EPS
     f = from_separable(params)
     k = np.arange(size)
     x0 = np.array((-0.3, 0.4, 0.4, 1.7))[k % 4] + 1e-3 * (k // 8)
     rho = np.array((0.7, 1.9, 1.9, 0.7, 4.8))[k % 5] + 1e-3 * (k // 10)
     points = list(zip(x0.tolist(), rho.tolist()))
     names = SEPARABLE_QUANTITIES[::-1] + SEPARABLE_QUANTITIES[::2]
-    for name, got in zip(names, f.evaluate(names, x0, rho)):
-        assert got.tolist() == [getattr(f, name)(a, b) for a, b in points], name
+    alone = [f.evaluate(names, x0[i:i + 1], rho[i:i + 1]) for i in range(size)]
+    gaps = [separable_gap(params, a, b) for a, b in points]
+    for j, (name, got) in enumerate(zip(names, f.evaluate(names, x0, rho))):
+        assert got.tolist() == [float(v[j][0]) for v in alone], name
+        for (a, b), v, gap in zip(points, got.tolist(), gaps):
+            assert abs(v - getattr(f, name)(a, b)) <= gap[name], (name, a, b)
         whole = getattr(f.profile, PROFILE_CALLABLE[name])(x0, rho)
         assert whole.tolist() == got.tolist(), name
-    assert f.profile.stream(x0, rho).tolist() == [f.stream_value(a, b) for a, b in points]
+    stream = f.profile.stream(x0, rho).tolist()
+    assert stream == [f.profile.stream(x0[i:i + 1], rho[i:i + 1])[0] for i in range(size)]
+    for (a, b), v, gap in zip(points, stream, gaps):
+        assert abs(v - f.stream_value(a, b)) <= gap["stream"], (a, b)
 
 
 def test_separable_evaluate_marks_the_series_cap_as_eval_reports_it(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from meridian4.cli import EVAL_HEADER, main, parse_field_spec, parse_grid
 from meridian4.errors import BranchCut, DomainError, Pole
+from meridian4.fields import SeparableParams
 from meridian4.holomorphic import moebius_potential, qln, qpow
 from meridian4.quaternion import Quaternion
 from meridian4.spectral import eigen_closed, eigen_numeric, jacobian
@@ -138,7 +139,8 @@ def test_evaluate_checks_the_floor_for_the_whole_array():
 
 
 @pytest.mark.parametrize("spec", SPECS[4:6])
-def test_separable_eval_computes_bessel_data_once_per_rho(monkeypatch, capsys, spec):
+def test_separable_eval_computes_bessel_data_once_per_rho(monkeypatch, capsys, separable_gap,
+                                                          spec):
     import meridian4.fields as fields
 
     scalar, passes = [], []
@@ -165,8 +167,17 @@ def test_separable_eval_computes_bessel_data_once_per_rho(monkeypatch, capsys, s
     assert passes == [([k * (nu - d) for k in kinds for d in (0.0, 1.0, 2.0)], 400)]
     assert scalar == []
 
+    # each row has the bits of its point evaluated alone, and the scalar
+    # methods agree within the gap of conftest.SEPARABLE_GAP_EPS
     names = EVAL_HEADER.split(",")[2:]
+    field = parse_field_spec(spec)
+    params = SeparableParams(**{k: float(v) for k, v in
+                                (kv.split("=") for kv in spec.partition(":")[2].split(","))})
     x0s, rhos = parse_grid(grid.partition("=")[2])
     for cells, (x0, rho) in zip(rows, [(a, b) for a in x0s for b in rhos]):
-        want = [x0, rho] + [getattr(parse_field_spec(spec), n)(x0, rho) for n in names]
-        assert [float(c) for c in cells] == want
+        got = [float(c) for c in cells]
+        alone = field.evaluate(tuple(names), np.array([x0]), np.array([rho]))
+        assert got == [x0, rho] + [float(v[0]) for v in alone]
+        gap = separable_gap(params, x0, rho)
+        for n, v in zip(names, got[2:]):
+            assert abs(v - getattr(field, n)(x0, rho)) <= gap[n], (n, x0, rho)
