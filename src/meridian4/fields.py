@@ -299,6 +299,9 @@ class SeparableParams:
     b2: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"separable {name} = {value!r} must be finite")
         if self.beta <= 0.0:
             raise DomainError("beta must be positive")
         if self.a1 == 0.0 and self.a2 == 0.0:
@@ -314,47 +317,26 @@ def _xi(p: SeparableParams, ch, sh):
     return p.b1 * ch + p.b2 * sh, p.beta * (p.b1 * sh + p.b2 * ch)
 
 
-class _SeparableAt:
-    """The factors of separable quantities at a point (x0, rho): Xi and Xi'
-    at x0, and rho^e and C at every order named at construction, each order
-    summed once by the scalar series (Y by reflection, with the bits of
-    bessel_y)."""
-
-    def __init__(self, p: SeparableParams, x0: float, rho: float, orders: List[float]):
-        self.rho = rho
-        self.xi, self.xi_p = _xi(p, math.cosh(p.beta * x0), math.sinh(p.beta * x0))
-        z = p.beta * rho
-        self._cyl = {}
-        for order in orders:
-            jp = bessel_j(order, z)
-            # bessel_y(order, z) would sum J_order a second time
-            self._cyl[order] = (p.a1 * jp if p.a2 == 0.0 else
-                                p.a1 * jp + p.a2 * y_by_reflection(order, jp, bessel_j(-order, z)))
-
-    def power(self, e: float):
-        return self.rho ** e
-
-    def cyl(self, order: float):
-        return self._cyl[order]
+def _bessel_j_each(orders: List[float], z: float) -> List[float]:
+    """bessel_j at each of orders, as bessel_j_array gives them for arrays."""
+    return [bessel_j(order, z) for order in orders]
 
 
-class _SeparableArrays:
-    """The same factors at arrays of points, each computed once by numpy,
-    and C at every order named at construction from one bessel_j_array pass
-    (Y by reflection): a value depends on its own point alone, and agrees
-    with _SeparableAt's to within rounding."""
+class _Separable:
+    """The factors of separable quantities at (x0, rho), two floats or two
+    arrays: Xi and Xi' at x0, rho^e, and C at every order named at
+    construction from one Bessel call over them (Y by reflection).  lib
+    (math or numpy) and bessel (_bessel_j_each or bessel_j_array) are the
+    only steps the two routes do not share."""
 
-    def __init__(self, p: SeparableParams, x0: np.ndarray, rho: np.ndarray,
-                 orders: List[float]):
-        self.rho, self._pow = rho, {}
-        self.xi, self.xi_p = _xi(p, np.cosh(p.beta * x0), np.sinh(p.beta * x0))
-        z = p.beta * rho
-        if p.a2 == 0.0:
-            self._cyl = dict(zip(orders, p.a1 * bessel_j_array(orders, z)))
-        else:
-            j = bessel_j_array(orders + [-order for order in orders], z)
-            self._cyl = {order: p.a1 * jp + p.a2 * y_by_reflection(order, jp, jm)
-                         for order, jp, jm in zip(orders, j, j[len(orders):])}
+    def __init__(self, p: SeparableParams, x0, rho, orders: List[float], lib, bessel):
+        self.rho, self._pow, self._cyl = rho, {}, {}
+        self.xi, self.xi_p = _xi(p, lib.cosh(p.beta * x0), lib.sinh(p.beta * x0))
+        k = len(orders)
+        j = bessel(orders if p.a2 == 0.0 else orders + [-order for order in orders], p.beta * rho)
+        for i, order in enumerate(orders):
+            self._cyl[order] = (p.a1 * j[i] if p.a2 == 0.0 else
+                                p.a1 * j[i] + p.a2 * y_by_reflection(order, j[i], j[k + i]))
 
     def power(self, e: float):
         if e not in self._pow:
@@ -374,9 +356,9 @@ def from_separable(p: SeparableParams) -> MeridionalField:
         Ups''(rho) = beta [rho^{nu-1} C_{nu-1}(beta rho) + beta rho^nu C_{nu-2}(beta rho)]
     and the stream function is -(Xi'/beta) rho^{mu} C_{nu-1}(beta rho), mu = (3-alpha)/2.
 
-    Each quantity is one formula over the factors of _SeparableAt (floats)
-    or _SeparableArrays (arrays).  The profile's batch evaluates several
-    quantities with one pass over the orders of C they use.
+    Each quantity is one formula over the factors of _Separable, at floats
+    or at arrays.  The profile's batch evaluates several quantities with one
+    pass over the orders of C they use.
     """
     nu, beta, mu = 0.5 * (p.alpha - 1.0), p.beta, 0.5 * (3.0 - p.alpha)
 
@@ -403,8 +385,9 @@ def from_separable(p: SeparableParams) -> MeridionalField:
     def batch(names, x0, rho):
         if names not in orders:
             orders[names] = list(dict.fromkeys(o for n in names for o in formulas[n][1]))
-        factors = _SeparableArrays if isinstance(rho, np.ndarray) else _SeparableAt
-        f = factors(p, x0, rho, orders[names])
+        lib, bessel = ((np, bessel_j_array) if isinstance(rho, np.ndarray)
+                       else (math, _bessel_j_each))
+        f = _Separable(p, x0, rho, orders[names], lib, bessel)
         return [formulas[n][0](f) for n in names]
 
     label = (f"separable:alpha={p.alpha:g},beta={p.beta:g},"

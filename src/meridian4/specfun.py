@@ -5,17 +5,20 @@ evaluating the ascending series on the complex lift.
 Every Bessel value comes from one rule, the ascending series summed by
 Horner's rule for |z| <= 30: J_nu(z) = c0 Q(w), c0 = (z/2)^nu/Gamma(nu+1),
 w = -z^2/4, Q(w) = sum_k b_k w^k with b_0 = 1, b_k = b_{k-1}/(k (nu+k)).
-An order's b_k, and Q's degree for each ceil(|z|), are built at its first
-call (_tables), not at import.  Float z (bessel_j_series, bessel_j,
-bessel_y) and complex z (bessel_j_quat, power_to_bessel_partial) give the
-same bits at the same real point (_c_powu does CPython's complex ** int
-for both).  Arrays (bessel_j_array) take the same steps, with numpy's
-power in c0: a value does not depend on the array's other points, and
-differs from bessel_j's only by c0's rounding.  A leading term that
-overflows is a DomainError.  Only bessel_j_series reports a
-bound: the truncation tail plus (terms + 1) * eps * |c0| sum |b_k| |w|^k.
-Y_nu is derived from J by the reflection formula and therefore refuses
-integer orders.  Closed-form half-integer checks live in the tests.
+What the rule needs of an order (the b_k, Q's degree for each ceil(|z|),
+Gamma(nu+1) and the reflection J_{-n} = (-1)^n J_n) is built at the
+order's first call (_order), not at import.  Float z (bessel_j_series,
+bessel_j, bessel_y) runs the rule in float arithmetic, complex z
+(bessel_j_quat, power_to_bessel_partial) in complex arithmetic, and arrays
+(bessel_j_array) with numpy's, where a value does not depend on the
+array's other points.  The routes differ only in the power in c0: libm's
+pow, CPython's complex power (binary powering at integer orders up to
+100) and numpy's, except at nu = +-2, where all three take the square.  A
+leading term that overflows, Gamma(nu+1) included, is a DomainError.
+Only bessel_j_series reports a bound: the truncation tail plus
+(terms + 1) * eps * |c0| sum |b_k| |w|^k.  Y_nu is derived from J by the
+reflection formula and therefore refuses integer orders.  Closed-form
+half-integer checks live in the tests.
 """
 
 from __future__ import annotations
@@ -80,30 +83,38 @@ class SeriesTail:
 
 def _is_int(nu: float) -> bool:
     try:
-        return nu == int(nu)
-    except (ValueError, OverflowError):  # int(nan), int(inf)
+        return float(nu) == int(nu)
+    except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
         raise DomainError(f"order nu = {nu!r} must be finite") from None
 
 
-def _c_powu(x: _Num, n: int) -> _Num:
-    """x**n for 0 <= n <= 100 by CPython's complex binary powering (c_powu),
-    so a complex x gets the bits of x ** n and a float x the same steps."""
-    r, mask = x ** 0, 1  # 1.0 or (1+0j), as c_powu starts
-    while n >= mask:
-        if n & mask:
-            r = r * x
-        mask <<= 1
-        x = x * x  # not *=: an ndarray argument must stay as it is
-    return r
+@dataclass(frozen=True)
+class _Order:
+    """What the series of J at one order needs: the order summed (|nu| at
+    a negative integer order, odd when J_{-n} = -J_n), Gamma(nu+1) (n! at
+    an integer order, NaN where it overflows, so that c0 is NaN too), b_0
+    .. b_{_MAX_TERMS}, and Q's degree for each bucket ceil(|z|) = 0 .. 30."""
+    nu: float
+    odd: bool
+    gamma: float
+    b: Tuple[float, ...]
+    degrees: Tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=256)
-def _tables(nu: float) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
-    """b_0 .. b_{_MAX_TERMS} for the order nu (not a negative integer), and
-    Q's degree for each bucket ceil(|z|) = 0 .. 30: the first n (else -1)
-    at which, at the bucket's upper edge on the real line, the next term is
-    at most 1e-16 of the largest partial sum and the term ratio after it at
-    most 1/2, so that the tail is at most twice the next term."""
+def _order(nu: float) -> _Order:
+    """The record of the order nu.  A bucket's degree is the first n (else
+    -1) at which, at the bucket's upper edge on the real line, the next
+    term is at most 1e-16 of the largest partial sum and the term ratio
+    after it at most 1/2, so that the tail is at most twice the next term."""
+    integer = _is_int(nu)
+    nu, odd = float(nu), False
+    if integer and nu < 0:
+        nu, odd = -nu, nu % 2 == 1
+    try:
+        gam = _FACT[int(nu)] if integer else math.gamma(nu + 1.0)
+    except (IndexError, OverflowError):  # past 170!, or math.gamma overflows
+        gam = math.nan
     k = np.arange(1.0, _MAX_TERMS + 2.0)
     denom = k * (nu + k)
     aw = 0.25 * np.arange(1.0, MAX_ABS_Z + 1.0) ** 2  # |w| at each bucket's edge
@@ -116,7 +127,7 @@ def _tables(nu: float) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
         stop = ((np.abs(terms[1:]) <= 1e-16 * scale[:-1])
                 & (denom[1:, None] > 0) & (aw / denom[1:, None] <= 0.5))
     degrees = np.where(stop.any(axis=0), stop.argmax(axis=0), -1).tolist()
-    return tuple(b.tolist()), (0,) + tuple(degrees)
+    return _Order(nu, odd, gam, tuple(b.tolist()), (0,) + tuple(degrees))
 
 
 def _jv_terms(nu: float, z: _Num) -> Tuple[_Num, _Num, Tuple[float, ...], int, bool]:
@@ -125,44 +136,38 @@ def _jv_terms(nu: float, z: _Num) -> Tuple[_Num, _Num, Tuple[float, ...], int, b
     integer order is reflected, J_{-n} = (-1)^n J_n; at z = 0, c0 = J_nu(0)."""
     if not isinstance(z, complex) and z < 0.0:
         raise DomainError("real-branch J_nu needs z >= 0")
-    integer, odd = _is_int(nu), False
-    if integer and nu < 0:
-        n = int(-nu)
-        nu, odd = float(n), n % 2 == 1
+    rec = _order(nu)
     az = abs(z)
     if not az <= MAX_ABS_Z:
         raise DomainError(f"ascending series restricted to |z| <= {MAX_ABS_Z:g}")
     if z == 0:
-        if nu < 0:
+        if rec.nu < 0:
             raise DomainError("J_nu(0) diverges for negative order")
-        val = 1.0 if nu == 0 else 0.0  # J_{-n}(0) = 0 too: odd stays False
+        val = 1.0 if rec.nu == 0 else 0.0  # J_{-n}(0) = 0 too: odd stays False
         return (complex(val) if isinstance(z, complex) else val), 0.0, (1.0,), 0, False
 
     half = 0.5 * z
+    square = half * half
     try:
-        if integer:
-            n = int(nu)
-            c0 = (_c_powu(half, n) if n <= 100 else half ** nu) / factorial(n)
-        else:
-            c0 = half ** nu / gamma(nu + 1.0)
+        # at nu = 2 the square, rounded once, as numpy's power takes it
+        # (libm's pow may miss it by an ulp), else libm's or CPython's power
+        c0 = (square if rec.nu == 2.0 else half ** rec.nu) / rec.gamma
         scale = abs(c0)
     except (OverflowError, ZeroDivisionError):
         scale = math.inf
     if not scale < math.inf:
         raise DomainError(f"leading term (z/2)^nu / Gamma(nu+1) overflows at "
-                          f"nu = {nu!r}, |z| = {az!r}")
-    b, degrees = _tables(nu)
-    n = degrees[math.ceil(az)]
+                          f"nu = {rec.nu!r}, |z| = {az!r}")
+    n = rec.degrees[math.ceil(az)]
     if n < 0:
         raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
-    return c0, -(half * half), b, n, odd
+    return c0, -square, rec.b, n, rec.odd
 
 
 def _horner(c0: _Num, w: _Num, b: Tuple[float, ...], n: int, odd: bool) -> _Num:
     """(-1)^odd c0 Q(w) as c0 + c0 (w Q1(w)), Q1 = (Q - 1)/w by Horner's
     rule.  c0 comes last, so that where Q is near 1 (small |z|) Q's rounding
-    does not add to c0's; the sign too, so that a float and a complex z with
-    the same real value give zeros of the same sign."""
+    does not add to c0's; the sign is an exact negation of the sum."""
     acc = 0.0
     for bk in reversed(b[1:n + 1]):
         acc = acc * w + bk
@@ -225,7 +230,7 @@ def bessel_j_array(nu, z) -> np.ndarray:
     An element with z > MAX_ABS_Z, or whose leading term overflows, is NaN
     where bessel_j raises DomainError.
     """
-    orders = np.atleast_1d(np.asarray(nu, dtype=float)).tolist()
+    orders = [_order(order) for order in np.atleast_1d(np.asarray(nu, dtype=float)).tolist()]
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise DomainError("real-branch J_nu needs z >= 0")
@@ -235,29 +240,17 @@ def bessel_j_array(nu, z) -> np.ndarray:
     w = -(half * half)
     bucket = np.ceil(z[live]).astype(np.intp)
     at0 = z == 0.0
-    signs, lead, degree, coeffs = [], [], [], []
     with np.errstate(all="ignore"):
-        for row, order in zip(out, orders):
-            sign = 1.0
-            if _is_int(order) or order > 0:
-                row[at0] = 1.0 if order == 0 else 0.0
-            if _is_int(order) and order < 0:  # J_{-n} = (-1)^n J_n
-                order, sign = -order, (-1.0 if int(order) % 2 else 1.0)
-            b, degrees = _tables(order)
-            signs.append([sign])
-            try:  # (z/2)^nu / Gamma(nu+1); inf or NaN where it overflows
-                lead.append(half ** order / (factorial(int(order)) if _is_int(order)
-                                             else gamma(order + 1.0)))
-            except OverflowError:  # Gamma(nu + 1) overflows
-                lead.append(np.full(half.shape, math.inf))
-            degree.append(np.array(degrees)[bucket])
-            coeffs.append(b)
-        c0 = np.array(lead)
+        for row, rec in zip(out, orders):
+            if rec.nu >= 0.0:
+                row[at0] = 1.0 if rec.nu == 0.0 else 0.0
+        # (z/2)^nu / Gamma(nu+1); inf or NaN where it overflows
+        c0 = np.array([half ** rec.nu / rec.gamma for rec in orders])
         bad = ~(np.abs(c0) < math.inf)  # the leading term overflows
-        n = np.where(bad, 0, np.array(degree).reshape(c0.shape))
+        n = np.where(bad, 0, np.array([rec.degrees for rec in orders])[:, bucket])
         if np.any(n < 0):
             raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
-        table = np.array([b[:1 + n.max(initial=0)] for b in coeffs])
+        table = np.array([rec.b[:1 + n.max(initial=0)] for rec in orders])
         q = np.empty(c0.shape)
         step = max(1, _BLOCK_PAIRS // len(orders))
         for lo in range(0, half.size, step):
@@ -273,7 +266,7 @@ def bessel_j_array(nu, z) -> np.ndarray:
             q[:, lo:lo + step] = acc * wb
         vals = c0 + c0 * q
     vals[bad] = math.nan
-    out[:, live] = np.array(signs) * vals
+    out[:, live] = np.array([[-1.0 if rec.odd else 1.0] for rec in orders]) * vals
     return out if np.ndim(nu) else out[0]
 
 

@@ -33,22 +33,15 @@ def series_magnitude(nu, z):
     return abs(c0) * mass
 
 
-def lead_gap_eps(nu):
-    """k with |bessel_j_array - bessel_j| <= k eps series_magnitude.
-
-    Both routes take w = -(z/2)^2 and Q's Horner steps from the same tables,
-    bit for bit, and differ only in c0 = fl(fl((z/2)^|nu|) / D), with D = n!
-    or Gamma(nu + 1) the same float in both.  The array route's power is
-    numpy's pow (eps), and the division adds u: 1.5 eps.  The scalar route
-    takes libm's pow (1.5 eps again), except at an integer order n <= 100,
-    where _c_powu's binary powering is a product of n factors, within
-    (n - 1) u (Higham, §3.1), and the division makes it n u.  Each route
-    then rounds c0 q and c0 + c0 q, each within u |c0| sum |b_k||w|^k:
-    2 eps more between the two.
-    """
-    n = abs(nu)
-    scalar = 0.5 * max(n, 1.0) if n == int(n) and n <= 100 else 1.5
-    return 1.5 + scalar + 2.0
+# |bessel_j_array - bessel_j| <= LEAD_GAP_EPS eps series_magnitude.  Both
+# routes take w = -(z/2)^2 and Q's Horner steps from the same per-order
+# record, bit for bit, and differ only in c0 = fl(P / D), with D = n! or
+# Gamma(nu + 1) the same float in both and P = (z/2)^|nu| by numpy's power
+# in one route and by libm's pow in the other (each within eps; both square
+# at nu = +-2).  The division adds u to each: 1.5 eps twice.  Each route
+# then rounds c0 q and c0 + c0 q, each within u |c0| sum |b_k||w|^k: 2 eps
+# more between the two.
+LEAD_GAP_EPS = 1.5 + 1.5 + 2.0
 
 
 # Separable quantities: each factor's gap between the routes, in eps times
@@ -58,7 +51,7 @@ def lead_gap_eps(nu):
 # adds 1 (a rounding of u in each route); the constants beta, a1, a2, b1,
 # b2, cos and sin of nu pi are the same floats in both.
 #   cosh, sinh and rho^e (pow, 1 ulp each)                      2
-#   J (lead_gap_eps: 5, or 4 at the integer orders 0, +-1)      5
+#   J (LEAD_GAP_EPS)                                            5
 #   Xi = b1 ch + b2 sh                  max(2+1, 2+1) + 1      = 4
 #   Xi' = beta (b1 sh + b2 ch)          4 + 1                  = 5
 #   Y = (J_nu cos - J_-nu) / sin        max(5+1, 5) + 1 + 1    = 8
@@ -109,4 +102,4 @@ def separable_gap():
 def j_gap():
     """(nu, z) -> the largest gap allowed between bessel_j_array and bessel_j
     at that pair."""
-    return lambda nu, z: lead_gap_eps(nu) * EPS * series_magnitude(nu, z)
+    return lambda nu, z: LEAD_GAP_EPS * EPS * series_magnitude(nu, z)

@@ -139,6 +139,18 @@ def test_separable_params_validation():
     SeparableParams(alpha=-2.0, beta=1.0, a1=1.0, a2=0.5)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "a1", "a2", "b1", "b2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_separable_params_reject_non_finite_values(name, value):
+    # one DomainError naming the parameter, whichever it is: not a
+    # ValueError from round(nan), an OverflowError from round(inf), or the
+    # series cap blamed for beta = nan
+    kwargs = dict(alpha=2.5, beta=1.0, a1=1.0, a2=0.5, b1=1.0, b2=0.5)
+    kwargs[name] = value
+    with pytest.raises(DomainError, match=f"^separable {name} = {value!r} must be finite$"):
+        SeparableParams(**kwargs)
+
+
 @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 2.6])
 def test_separable_solves_meridian_equation(alpha):
     f = from_separable(SeparableParams(alpha=alpha, beta=1.3, b1=0.7, b2=0.4))
