@@ -330,35 +330,16 @@ class MoebiusRealCoeffs:
             raise ValueError("Moebius coefficients must satisfy ad - bc = 1")
 
 
-def _mob_pow(c: float, d: float, n: int, coeff: float) -> RadialFunction:
-    """coeff/(c x + d)^n with its full derivative chain (c != 0)."""
-    name = f"{coeff:g}/({c:g}x + {d:g})^{n}"
-
-    def lift(z):
-        den = c * z + d
-        if _hits(den == 0):
-            raise Pole(f"pole at x = {-d / c:g}")
-        return coeff / den ** n
-
-    return RadialFunction(name, lift, deriv=lambda: _mob_pow(c, d, n + 1, -n * c * coeff))
-
-
 def moebius(m: MoebiusRealCoeffs) -> RadialFunction:
-    """F(x) = (a x + b)(c x + d)^{-1}; real coefficients commute with x."""
+    """F(x) = (a x + b)(c x + d)^{-1}; real coefficients commute with x.
+
+    A sum of table powers, (a x + b)/d at c = 0 and else
+    a/c - (ad - bc)/c^2 (x + d/c)^{-1}, so the table gives its derivatives
+    and its primitive."""
     a, b, c, d = m.a, m.b, m.c, m.d
     if c == 0.0:
-        # affine map (a x + b)/d
         return _spow(0.0, 1, a / d) + _spow(0.0, 0, b / d)
-
-    def lift(z):
-        den = c * z + d
-        if _hits(den == 0):
-            raise Pole(f"pole at x = {-d / c:g}")
-        return (a * z + b) / den
-
-    # F = a/c + (bc - ad)/c * 1/(cx+d), so F' = (ad - bc)/(cx+d)^2 = 1/(cx+d)^2
-    return RadialFunction(f"({a:g}x + {b:g})({c:g}x + {d:g})^-1", lift,
-                          deriv=lambda: _mob_pow(c, d, 2, 1.0))
+    return _spow(0.0, 0, a / c) + _spow(d / c, -1, -(a * d - b * c) / (c * c))
 
 
 def moebius_potential(a: float, d: float) -> RadialFunction:

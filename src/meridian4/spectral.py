@@ -70,15 +70,17 @@ class SpectralReport:
     method: str
     pair_eigenvalue: Optional[float] = None
 
-    def char_residuals(self) -> Tuple[float, float, float, float]:
-        """Vieta residuals |e_k(lambdas) - invariant_k| (diagnostic)."""
-        l0, l1, l2, l3 = self.lambdas
-        e1 = l0 + l1 + l2 + l3
-        e2 = (l0 * l1 + l0 * l2 + l0 * l3 + l1 * l2 + l1 * l3 + l2 * l3)
-        e3 = (l0 * l1 * l2 + l0 * l1 * l3 + l0 * l2 * l3 + l1 * l2 * l3)
-        e4 = l0 * l1 * l2 * l3
-        i1, i2, i3, i4 = self.invariants
-        return (abs(e1 - i1), abs(e2 - i2), abs(e3 - i3), abs(e4 - i4))
+    def char_residuals(self):
+        """Vieta residuals |e_k(lambdas) - invariant_k| (diagnostic), floats for
+        one matrix and arrays over a stack; e_k <- e_k + lambda e_{k-1} takes
+        the eigenvalues one at a time along the last axis."""
+        lams, inv = np.asarray(self.lambdas, dtype=float), np.asarray(self.invariants, dtype=float)
+        e = [1.0, 0.0, 0.0, 0.0, 0.0]
+        for lam in np.moveaxis(lams, -1, 0):
+            for k in (4, 3, 2, 1):
+                e[k] = e[k] + lam * e[k - 1]
+        res = tuple(np.abs(e[k] - inv[..., k - 1]) for k in (1, 2, 3, 4))
+        return tuple(map(float, res)) if lams.ndim == 1 else res
 
 
 def _meridian_data(f: MeridionalField, x: Quaternion):
@@ -124,45 +126,22 @@ def _check_symmetric(J) -> np.ndarray:
 
 
 def invariants(J):
-    """Principal invariants (I, II, III, IV) of a symmetric 4x4 matrix.
-
-    These are the elementary symmetric functions of the eigenvalues,
-    written as explicit polynomials in the entries: trace, the sum of 2x2
-    principal minors, the sum of 3x3 principal minors, and the determinant.
-    On an (..., 4, 4) stack each invariant is an array over the stack.
-    """
+    """Principal invariants (I, II, III, IV) of a symmetric 4x4 matrix: the
+    elementary symmetric functions of its eigenvalues, by the Faddeev-LeVerrier
+    recurrence P_1 = J, c_k = -tr(P_k)/k, P_{k+1} = J (P_k + c_k 1),
+    invariant k = (-1)^k c_k.  Floats for one matrix, arrays over an
+    (..., 4, 4) stack; DomainError when one overflows."""
     J = _check_symmetric(J)
-    d = [J[..., i, i] for i in range(4)]
-    o = {(i, j): J[..., i, j] for i in range(4) for j in range(i + 1, 4)}
-
-    inv1 = d[0] + d[1] + d[2] + d[3]
-
-    inv2 = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            inv2 += d[i] * d[j] - o[(i, j)] ** 2
-
-    inv3 = 0.0
-    for tri in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        i, j, k = tri
-        inv3 += (d[i] * d[j] * d[k]
-                 + 2.0 * o[(i, j)] * o[(i, k)] * o[(j, k)]
-                 - d[i] * o[(j, k)] ** 2 - d[j] * o[(i, k)] ** 2
-                 - d[k] * o[(i, j)] ** 2)
-
-    J01, J02, J03 = o[(0, 1)], o[(0, 2)], o[(0, 3)]
-    J12, J13, J23 = o[(1, 2)], o[(1, 3)], o[(2, 3)]
-    J00, J11, J22, J33 = d
-    inv4 = (J00 * J11 * J22 * J33
-            + 2.0 * (J00 * J12 * J13 * J23 + J01 * J02 * J12 * J33
-                     + J02 * J03 * J23 * J11 + J01 * J03 * J13 * J22)
-            + (J01 * J23) ** 2 + (J02 * J13) ** 2 + (J03 * J12) ** 2
-            - 2.0 * (J01 * J03 * J12 * J23 + J01 * J02 * J13 * J23
-                     + J02 * J03 * J12 * J13)
-            - J00 * J11 * J23 ** 2 - J00 * J22 * J13 ** 2 - J00 * J33 * J12 ** 2
-            - J11 * J22 * J03 ** 2 - J11 * J33 * J02 ** 2 - J22 * J33 * J01 ** 2)
-    out = (inv1, inv2, inv3, inv4)
-    return tuple(float(v) for v in out) if J.ndim == 2 else out
+    out, P = [], J
+    with np.errstate(all="ignore"):  # an overflowing invariant is inf or nan
+        for k in (1, 2, 3, 4):
+            c = -np.trace(P, axis1=-2, axis2=-1) / k
+            out.append(-c if k % 2 else c)
+            if k < 4:
+                P = J @ (P + np.multiply.outer(c, np.eye(4)))
+    if not all(np.all(np.isfinite(v)) for v in out):
+        raise DomainError("principal invariants overflow")
+    return tuple(float(v) for v in out) if J.ndim == 2 else tuple(out)
 
 
 def _degenerate(lams: np.ndarray) -> np.ndarray:
@@ -210,9 +189,9 @@ def eigen_closed(f: MeridionalField, x: Quaternion) -> SpectralReport:
 def eigen_numeric(J) -> SpectralReport:
     """LAPACK eigvalsh spectrum (independent oracle) of a symmetric 4x4
     matrix, or of each matrix of an (..., 4, 4) stack."""
-    J = _check_symmetric(J)
+    J = np.asarray(J, dtype=float)
+    inv = invariants(J)  # checks J
     lams = np.linalg.eigvalsh(J)
-    inv = invariants(J)
     if J.ndim == 2:
         return SpectralReport(tuple(lams.tolist()), inv, bool(_degenerate(lams)), "eigvalsh")
     return SpectralReport(lams, np.stack(inv, axis=-1), _degenerate(lams), "eigvalsh")
@@ -241,6 +220,26 @@ def _check_window(window: Window, grid: Tuple[int, int]) -> None:
         raise EmptyWindow(f"window {window} with grid {grid} has no interior")
     if rho_lo < RHO_MIN:
         raise DomainError(f"window reaches below the rho floor {RHO_MIN:g}")
+
+
+def _nodes(window: Window, grid: Tuple[int, int]):
+    """The grid's node coordinates xs and rs (lists), and every node's x0 and
+    rho as flat arrays in x0-major order."""
+    x0_lo, x0_hi, rho_lo, rho_hi = window
+    nx, nr = grid
+    xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
+    rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
+    x0, rho = (v.ravel() for v in np.meshgrid(xs, rs, indexing="ij"))
+    return xs, rs, x0, rho
+
+
+def _distinct(points) -> List[Tuple[float, float]]:
+    """The points in order, each kept when it lies 1e-8 or more (L1) from all kept before."""
+    kept: List[Tuple[float, float]] = []
+    for x, r in points:
+        if all(abs(x - a) + abs(r - b) >= 1e-8 for a, b in kept):
+            kept.append((x, r))
+    return kept
 
 
 def _edge_roots(fn, edges, tol=1e-10, max_iter=200):
@@ -289,12 +288,8 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
     not symmetric in its ends), and the cell that shares it reuses the root;
     the edges of every equation are solved in one batch (_edge_roots).
     """
-    x0_lo, x0_hi, rho_lo, rho_hi = window
-    nx, nr = grid
-    xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
-    rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
-    X, R = np.meshgrid(xs, rs, indexing="ij")
-    tables = fn(X.ravel(), R.ravel()).reshape(-1, nx, nr)  # [eq, i, j] at (xs[i], rs[j])
+    xs, rs, x0, rho = _nodes(window, grid)
+    tables = fn(x0, rho).reshape(-1, *grid)  # [eq, i, j] at (xs[i], rs[j])
 
     edge_index, edges, cells = {}, [], []
     for eq, F in enumerate(tables):
@@ -428,11 +423,7 @@ def zero_divergence_scan(f: MeridionalField, window: Window,
 
     segments, = _grid_crossings(lambda x0, rho: np.array(f.evaluate(("Vrho",), x0, rho)),
                                 window, grid)
-    seen: List[Tuple[float, float]] = []
-    for seg in segments:
-        for (x0, rho) in seg:
-            if all(abs(x0 - a) + abs(rho - b) >= 1e-8 for a, b in seen):
-                seen.append((x0, rho))
+    seen = _distinct(p for seg in segments for p in seg)
     if not seen:
         return []
     x0, rho = np.array(seen).T
@@ -470,11 +461,8 @@ def critical_points(f: MeridionalField, window: Window,
     """
     _check_window(window, grid)
     x0_lo, x0_hi, rho_lo, rho_hi = window
-    nx, nr = grid
     span = max(x0_hi - x0_lo, rho_hi - rho_lo)
-    xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
-    rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
-    x0, rho = (v.ravel() for v in np.meshgrid(xs, rs, indexing="ij"))
+    _, _, x0, rho = _nodes(window, grid)
 
     # field scale for the convergence test, over the seeds where V is finite
     v0, vr = f.evaluate(("V0", "Vrho"), x0, rho, check=False)
@@ -502,12 +490,8 @@ def critical_points(f: MeridionalField, window: Window,
         inside = (rn >= RHO_MIN) & (x0_lo - span <= xn) & (xn <= x0_hi + span)
         live = live[inside]
 
-    found: List[Tuple[float, float]] = []
-    for x, r in zip(x0[ok].tolist(), rho[ok].tolist()):
-        if not (x0_lo - 1e-9 <= x <= x0_hi + 1e-9 and rho_lo - 1e-9 <= r <= rho_hi + 1e-9):
-            continue
-        if all(abs(x - u) + abs(r - w) >= 1e-8 for u, w in found):
-            found.append((x, r))
+    found = _distinct((x, r) for x, r in zip(x0[ok].tolist(), rho[ok].tolist())
+                      if x0_lo - 1e-9 <= x <= x0_hi + 1e-9 and rho_lo - 1e-9 <= r <= rho_hi + 1e-9)
     if not found:
         return []
     px, pr = np.array(found).T

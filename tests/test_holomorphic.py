@@ -198,6 +198,8 @@ def test_moebius_derivative_chain():
     z = complex(0.3, 0.8)
     # (az+b)/(cz+d) with ad-bc=1 has derivative 1/(cz+d)^2
     assert abs(m.derivative().lift(z) - 1 / (z + 1) ** 2) < 1e-14
+    # and F'' = -2c/(cz+d)^3, from the power table as well
+    assert abs(m.derivative().derivative().lift(z) + 2 / (z + 1) ** 3) < 1e-14
 
 
 def test_moebius_potential_reference():

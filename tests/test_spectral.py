@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -72,6 +73,92 @@ def test_invariants_reject_asymmetric():
         invariants(bad)
     with pytest.raises(NotSymmetric):
         invariants(np.eye(3))
+
+
+def _invariant_error_constants():
+    """c_k with |error of invariant k| <= c_k eps ||J||_F^k, derived from the
+    Faddeev-LeVerrier steps of spectral.invariants (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3; first order in
+    u = eps/2, the O(u^2) terms are far below the slack).
+
+    With s = ||J||_F and the exact P_1 = J, c_k = -tr(P_k)/k,
+    B_k = P_k + c_k 1 and P_{k+1} = J B_k:
+    - |c_k| = |e_k(lambda)| <= C(4, k) (s/2)^k (Maclaurin, sum |lambda| <= 2 s);
+    - B_k has eigenvalues (-1)^k e_k(the other three lambdas), so
+      ||B_k||_F <= 2 C(3, k) (s/sqrt 3)^k, and ||P_{k+1}||_F <= s ||B_k||_F.
+    Each step's error, in units of eps s^k:
+    - the trace of four entries: gamma_3 sum |p_ii| <= 3u 2 ||P_k||_F, plus
+      |tr dP| <= 2 ||dP||_F carried in; dividing by k is exact but for k = 3;
+    - adding c_k to the diagonal: dP + 2 dc_k carried in, u ||B_k||_F made;
+    - the product J B_k: s dB_k carried in, gamma_4 s ||B_k||_F made.
+    """
+    u = 0.5
+    b = [2 * math.comb(3, k) / 3 ** (k / 2) for k in range(4)]
+    dP, P, out = 0.0, 1.0, []
+    for k in (1, 2, 3, 4):
+        dc = (2 * dP + 6 * u * P) / k + (u * math.comb(4, 3) / 8 if k == 3 else 0.0)
+        out.append(dc)
+        if k < 4:
+            dB = dP + 2 * dc + u * b[k]
+            dP, P = dB + 4 * u * b[k], b[k]
+    return out
+
+
+def test_invariants_against_mpmath_principal_minors():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    n = 256
+    axis = rng.normal(size=(n, 3))
+    axis /= np.linalg.norm(axis, axis=1)[:, None]
+    scale = 10.0 ** rng.uniform(-2, 2, n)
+    q, p01, p11 = (scale * rng.uniform(-1, 1, n) for _ in range(3))
+    stack = spectral.jacobian_stack(rng.uniform(-3, 5), q, p01, p11, axis)
+    bound = np.array(_invariant_error_constants()) * np.finfo(float).eps
+    got = np.stack(invariants(stack), axis=-1)
+    worst = np.zeros(4)
+    with mpmath.workdps(40):
+        for J, row in zip(stack, got):
+            rows = J.tolist()
+            exact = [mpmath.fsum(mpmath.det(mpmath.matrix([[rows[i][j] for j in S] for i in S]))
+                                 for S in itertools.combinations(range(4), k))
+                     for k in (1, 2, 3, 4)]
+            frob = np.linalg.norm(J)
+            for one in (row, invariants(J)):
+                err = [float(abs(mpmath.mpf(v) - e)) for v, e in zip(one, exact)]
+                worst = np.maximum(worst, np.array(err) / frob ** np.arange(1, 5))
+    assert np.all(worst <= bound), (worst / np.finfo(float).eps, bound / np.finfo(float).eps)
+
+
+def test_invariants_overflow_is_a_domain_error():
+    J = spectral.jacobian_stack(2.5, 1e90, 3e90, -2e90, (0.6, 0.8, 0.0))
+    for bad in (J, np.stack((np.eye(4), J, np.eye(4)))):
+        with pytest.raises(DomainError, match="principal invariants overflow"):
+            invariants(bad)
+        with pytest.raises(DomainError, match="principal invariants overflow"):
+            eigen_numeric(bad)
+
+
+def test_eigen_numeric_checks_symmetry_once(monkeypatch):
+    calls = []
+    check = spectral._check_symmetric
+    monkeypatch.setattr(spectral, "_check_symmetric", lambda J: calls.append(1) or check(J))
+    eigen_numeric(np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_char_residuals_on_a_stack(n):
+    rng = np.random.default_rng(n)
+    axis = rng.normal(size=(n, 3))
+    axis /= np.linalg.norm(axis, axis=1)[:, None]
+    stack = spectral.jacobian_stack(2.5, *rng.normal(size=(3, n)), axis)
+    rep = eigen_numeric(stack)
+    got = rep.char_residuals()
+    want = [spectral.SpectralReport(tuple(lams), tuple(inv), False, "eigvalsh").char_residuals()
+            for lams, inv in zip(rep.lambdas.tolist(), rep.invariants.tolist())]
+    assert len(got) == 4 and all(r.shape == (n,) for r in got)
+    assert np.array_equal(np.stack(got, axis=-1), np.array(want))
+    assert np.max(got) < 1e-13
 
 
 # ---------------------------------------------------------------------------
