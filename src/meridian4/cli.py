@@ -404,21 +404,12 @@ def _sample_plane(rng):
     return rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)
 
 
-def _sample_space(rng, min_rho=0.1, x3_window=None, min_s2=0.0):
+def _sample_space(rng, x3_window=(-1.5, 1.5), min_s2=0.0):
     while True:
-        x0 = rng.uniform(-2.0, 2.0)
-        x1 = rng.uniform(-1.5, 1.5)
-        x2 = rng.uniform(-1.5, 1.5)
-        if x3_window is not None:
-            x3 = rng.uniform(*x3_window)
-        else:
-            x3 = rng.uniform(-1.5, 1.5)
-        x = Quaternion(x0, x1, x2, x3)
-        if x.rho() < min_rho:
-            continue
-        if x2 * x2 + x3 * x3 < min_s2:
-            continue
-        return x
+        x = Quaternion(rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5),
+                       rng.uniform(-1.5, 1.5), rng.uniform(*x3_window))
+        if x.rho() >= 0.1 and x.x2 * x.x2 + x.x3 * x.x3 >= min_s2:
+            return x
 
 
 def _suite(args):
@@ -504,30 +495,20 @@ def _run_suite(args):
     The cloud is drawn first, in the rng order of drawing one sample per
     check (no check reads the rng), and goes through the suite's check in
     one pass, each sample with its own default_fd_step.  A suite stops as a
-    sample-by-sample run would.  When the pass raises, the first sample
-    that raises is found by bisecting the cloud; the samples before it are
-    checked for a non-finite residual, and then its error propagates.
+    sample-by-sample run would.  When the pass raises, the samples go
+    through one at a time as clouds of one: the first that raises, or that
+    gives a non-finite residual, stops the suite with its own error; if
+    none does, the cloud's error propagates.
     """
     names, sample, check, field = _suite(args)
     rng = random.Random(args.seed)
     points = [sample(rng) for _ in range(args.samples)]
     try:
         residuals = _cloud_pass(check, points)
-    except Exception as exc:
-        error = exc
-        # the pass over points[:lo] does not raise, the one over points[:hi] does
-        lo, hi = 0, len(points)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _cloud_pass(check, points[:mid])
-            except Exception as err:
-                hi, error = mid, err
-            else:
-                lo = mid
-        if lo:
-            _check_finite(names, _cloud_pass(check, points[:lo]), points, field)
-        raise error
+    except Exception:
+        for p in points:
+            _check_finite(names, _cloud_pass(check, [p]), [p], field)
+        raise
     _check_finite(names, residuals, points, field)
     return list(zip(names, residuals.max(axis=1).tolist()))
 

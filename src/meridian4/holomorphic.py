@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -334,12 +334,19 @@ def moebius(m: MoebiusRealCoeffs) -> RadialFunction:
     """F(x) = (a x + b)(c x + d)^{-1}; real coefficients commute with x.
 
     A sum of table powers, (a x + b)/d at c = 0 and else
-    a/c - (ad - bc)/c^2 (x + d/c)^{-1}, so the table gives its derivatives
-    and its primitive."""
+    a/c - (ad - bc)/c^2 (x + d/c)^{-1}, for the derivatives and primitive;
+    at c != 0 the value is the quotient, which does not cancel near -b/a."""
     a, b, c, d = m.a, m.b, m.c, m.d
     if c == 0.0:
         return _spow(0.0, 1, a / d) + _spow(0.0, 0, b / d)
-    return _spow(0.0, 0, a / c) + _spow(d / c, -1, -(a * d - b * c) / (c * c))
+
+    def lift(z):
+        den = c * z + d
+        if _hits(den == 0):
+            raise Pole(f"pole of ({c:g}x + {d:g})^-1 at x = {-d / c:g}")
+        return (a * z + b) / den
+
+    return replace(_spow(0.0, 0, a / c) + _spow(d / c, -1, -(a * d - b * c) / (c * c)), lift=lift)
 
 
 def moebius_potential(a: float, d: float) -> RadialFunction:

@@ -464,18 +464,17 @@ def critical_points(f: MeridionalField, window: Window,
     span = max(x0_hi - x0_lo, rho_hi - rho_lo)
     _, _, x0, rho = _nodes(window, grid)
 
-    # field scale for the convergence test, over the seeds where V is finite
-    v0, vr = f.evaluate(("V0", "Vrho"), x0, rho, check=False)
-    finite = np.isfinite(v0) & np.isfinite(vr)
-    scale = float(np.max(np.abs(np.concatenate((v0[finite], vr[finite]))), initial=0.0))
-    vtol = 1e-12 * max(1.0, scale)
-
     live = np.arange(x0.size)  # seeds still stepping
     ok = np.zeros(x0.size, dtype=bool)
+    vtol = None
     for _ in range(max_iter):
         if not live.size:
             break
         v0, vr, a, b, c = f.evaluate(_NEWTON, x0[live], rho[live], check=False)
+        if vtol is None:  # field scale for the convergence test, over the finite seeds
+            finite = np.isfinite(v0) & np.isfinite(vr)
+            scale = float(np.max(np.abs(np.concatenate((v0[finite], vr[finite]))), initial=0.0))
+            vtol = 1e-12 * max(1.0, scale)
         # b = dVrho/dx0 = dV0/drho by symmetry of g; hypot scales, so no square overflows
         with np.errstate(all="ignore"):
             done = np.hypot(v0, vr) <= vtol

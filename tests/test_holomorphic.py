@@ -133,8 +133,6 @@ def test_exp_fixed_point_of_derivative():
 
 @pytest.mark.parametrize("f", FUNCS, ids=lambda f: f.name)
 def test_primitive_inverts_derivative(f):
-    if f.name == "x^-1":
-        pytest.skip("primitive of x^-1 is the log, checked separately")
     prim = f.primitive()
     z = complex(0.8, 0.6)
     assert abs(prim.derivative().lift(z) - f.lift(z)) < 1e-12
@@ -200,6 +198,45 @@ def test_moebius_derivative_chain():
     assert abs(m.derivative().lift(z) - 1 / (z + 1) ** 2) < 1e-14
     # and F'' = -2c/(cz+d)^3, from the power table as well
     assert abs(m.derivative().derivative().lift(z) + 2 / (z + 1) ** 3) < 1e-14
+
+
+@pytest.mark.parametrize("near", ["zero", "pole", "plane"])
+def test_moebius_value_against_mpmath(near):
+    """The lift (a z + b)/(c z + d) against mpmath at 40 digits, within a
+    bound derived from the quotient's operations (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.6), u = eps/2 and
+    gamma_n = n u/(1 - n u).
+
+    A real times a complex number rounds each part once, and adding a real
+    rounds the real part once more, so the computed numerator N is within
+    gamma_2 (|a z| + |b|) of a z + b and the computed denominator D within
+    gamma_2 (|c z| + |d|) of c z + d.  Smith's division (CPython's) rounds
+    each part of the quotient within gamma_7, so |delta| <= sqrt(2) gamma_7.
+    With kappa = (|c z| + |d|)/|c z + d|, the error is at most
+        [gamma_2 (1 + kappa) + sqrt(2) gamma_7 (1 + gamma_2)] / (1 - gamma_2 kappa)
+    units of eps (|a z| + |b|)/|c z + d|.  The unit holds the numerator's
+    cancellation near the zero -b/a; kappa grows near the pole -d/c."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = 2.0 ** -52
+    g2, g7 = (n * eps / 2 / (1 - n * eps / 2) for n in (2, 7))
+    rng = random.Random(20)
+    with mpmath.workdps(40):
+        for _ in range(200):
+            a, b, c = (rng.choice((-1, 1)) * rng.uniform(0.1, 3.0) for _ in range(3))
+            d = (1.0 + b * c) / a
+            f = moebius(MoebiusRealCoeffs(a, b, c, d))
+            centre = {"zero": -b / a, "pole": -d / c, "plane": 0.0}[near]
+            for _ in range(50):
+                if near == "plane":
+                    z = complex(rng.uniform(-3.0, 3.0), rng.uniform(1e-3, 3.0))
+                else:  # within 1e-2 of the centre, Im z in [1e-3, 1e-2]
+                    y = rng.uniform(1e-3, 1e-2)
+                    z = complex(centre + rng.uniform(-1.0, 1.0) * math.sqrt(1e-4 - y * y), y)
+                kappa = (abs(c * z) + abs(d)) / abs(c * z + d)
+                unit = eps * (abs(a * z) + abs(b)) / abs(c * z + d)
+                bound = (g2 * (1 + kappa) + math.sqrt(2) * g7 * (1 + g2)) / (eps * (1 - g2 * kappa))
+                exact = (a * mpmath.mpc(z) + b) / (c * mpmath.mpc(z) + d)
+                assert float(abs(f.lift(z) - exact)) <= bound * unit, (a, b, c, d, z)
 
 
 def test_moebius_potential_reference():

@@ -16,7 +16,7 @@ import tempfile
 FIELDS = ["holo:name=qexp", "holo:name=qpow,n=3,coeff=0.7", "holo:name=qln",
           "moebius:a=0.25,d=1.5", "separable:alpha=3,beta=1.1,b1=0.5,b2=0.5",
           "separable:alpha=2.5,beta=1.1,a1=0.3,a2=1,b1=0.5,b2=0.5",
-          "transform:kind=ffc,original=exp,rate=2"]
+          "transform:kind=ffc,original=exp,rate=2", "transform:kind=ffc,original=exp,rate=3"]
 AT = ["--at", "0.3,0.4,-0.2,0.5"]
 ARGVS = [cmd + ["--field", f, "--grid=-1:1:4,0.5:1.9:3", "--format", fmt] for f in FIELDS
          for cmd in (["eval"], ["spectrum", "--oracle"]) for fmt in ("csv", "json")]
