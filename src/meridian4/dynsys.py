@@ -68,7 +68,10 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     step landing on or below it, is rejected and the trajectory reports
     'left_domain').  Any DomainError the field raises propagates, and so
     does one for a row whose x0, rho or h is not finite, or for a horizon
-    of more than MAX_STEPS steps of dt (raised before the first step).
+    of more than MAX_STEPS steps of dt (raised before the first step).  An
+    OverflowError of the field (a trajectory that blows up in finite time)
+    becomes a DomainError that names the t and (x0, rho) of the last row
+    reached, at which or in whose next step's stages the field overflowed.
 
     The field is evaluated once per RK4 stage through f.at: each row's h
     comes with the next step's k1 from one evaluation (h alone on the row
@@ -87,31 +90,34 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     axis = axial_split(x_init).axis
     t, x0, rho = 0.0, x_init.x0, x_init.rho()
     end = horizon - 1e-12 * horizon
-    h, *k1 = f.at(_ROW, x0, rho)
     times = [0.0]
     points = [x_init]
-    h_values = [h]
     termination = "horizon"
-
-    while t < end:
-        if math.hypot(*k1) <= CONVERGED_SPEED:
-            termination = "converged"
-            break
-        step = min(dt, horizon - t)
-        moved = _rk4_step(f, x0, rho, step, k1)
-        if moved is None or moved[1] <= RHO_MIN:
-            termination = "left_domain"
-            break
-        x0, rho = moved
-        t += step
-        if not (math.isfinite(x0) and math.isfinite(rho)):
-            raise DomainError(f"flow row at t = {t:g} is not finite (x0 = {x0!r}, rho = {rho!r})")
-        h, *k1 = f.at(_ROW if t < end else _ROW[:1], x0, rho)
-        if not math.isfinite(h):
-            raise DomainError(f"flow row at t = {t:g} is not finite (x0 = {x0!r}, rho = {rho!r})")
-        times.append(t)
-        points.append(Quaternion(x0, rho * axis.x1, rho * axis.x2, rho * axis.x3))
-        h_values.append(h)
+    try:
+        h, *k1 = f.at(_ROW, x0, rho)
+        h_values = [h]
+        while t < end:
+            if math.hypot(*k1) <= CONVERGED_SPEED:
+                termination = "converged"
+                break
+            step = min(dt, horizon - t)
+            moved = _rk4_step(f, x0, rho, step, k1)
+            if moved is None or moved[1] <= RHO_MIN:
+                termination = "left_domain"
+                break
+            x0, rho = moved
+            t += step
+            if math.isfinite(x0) and math.isfinite(rho):
+                h, *k1 = f.at(_ROW if t < end else _ROW[:1], x0, rho)
+            if not (math.isfinite(x0) and math.isfinite(rho) and math.isfinite(h)):
+                raise DomainError(f"flow row at t = {t:g} is not finite "
+                                  f"(x0 = {x0!r}, rho = {rho!r})")
+            times.append(t)
+            points.append(Quaternion(x0, rho * axis.x1, rho * axis.x2, rho * axis.x3))
+            h_values.append(h)
+    except OverflowError as err:
+        raise DomainError(f"field overflows at t = {t:g}, (x0, rho) = ({x0!r}, {rho!r}), "
+                          f"or in the RK4 stages after it: {err}") from err
     return Trajectory(times, points, h_values, termination)
 
 

@@ -312,41 +312,6 @@ class SeparableParams:
                 f"Y component needs non-integer order; (alpha-1)/2 = {nu:g}")
 
 
-def _xi(p: SeparableParams, ch, sh):
-    """Xi and Xi' from cosh and sinh of beta*x0."""
-    return p.b1 * ch + p.b2 * sh, p.beta * (p.b1 * sh + p.b2 * ch)
-
-
-def _bessel_j_each(orders: List[float], z: float) -> List[float]:
-    """bessel_j at each of orders, as bessel_j_array gives them for arrays."""
-    return [bessel_j(order, z) for order in orders]
-
-
-class _Separable:
-    """The factors of separable quantities at (x0, rho), two floats or two
-    arrays: Xi and Xi' at x0, rho^e, and C at every order named at
-    construction from one Bessel call over them (Y by reflection).  lib
-    (math or numpy) and bessel (_bessel_j_each or bessel_j_array) are the
-    only steps the two routes do not share."""
-
-    def __init__(self, p: SeparableParams, x0, rho, orders: List[float], lib, bessel):
-        self.rho, self._pow, self._cyl = rho, {}, {}
-        self.xi, self.xi_p = _xi(p, lib.cosh(p.beta * x0), lib.sinh(p.beta * x0))
-        k = len(orders)
-        j = bessel(orders if p.a2 == 0.0 else orders + [-order for order in orders], p.beta * rho)
-        for i, order in enumerate(orders):
-            self._cyl[order] = (p.a1 * j[i] if p.a2 == 0.0 else
-                                p.a1 * j[i] + p.a2 * y_by_reflection(order, j[i], j[k + i]))
-
-    def power(self, e: float):
-        if e not in self._pow:
-            self._pow[e] = self.rho ** e
-        return self._pow[e]
-
-    def cyl(self, order: float):
-        return self._cyl[order]
-
-
 def from_separable(p: SeparableParams) -> MeridionalField:
     """Separable solution with exact Bessel-recurrence partials.
 
@@ -356,39 +321,46 @@ def from_separable(p: SeparableParams) -> MeridionalField:
         Ups''(rho) = beta [rho^{nu-1} C_{nu-1}(beta rho) + beta rho^nu C_{nu-2}(beta rho)]
     and the stream function is -(Xi'/beta) rho^{mu} C_{nu-1}(beta rho), mu = (3-alpha)/2.
 
-    Each quantity is one formula over the factors of _Separable, at floats
-    or at arrays.  The profile's batch evaluates several quantities with one
-    pass over the orders of C they use.
+    Each quantity is one formula over Xi and Xi' at x0, powers of rho and C
+    at some orders, at floats or at arrays.  The profile's batch keeps one
+    plan per tuple of quantities (the orders of C and the powers of rho they
+    read) and evaluates them with one Bessel call over those orders.
     """
     nu, beta, mu = 0.5 * (p.alpha - 1.0), p.beta, 0.5 * (3.0 - p.alpha)
-
-    def ups(f):
-        return f.power(nu) * f.cyl(nu)
-
-    def ups_p(f):
-        return beta * f.power(nu) * f.cyl(nu - 1.0)
-
-    # field quantity -> (formula over the factors, the orders of C it uses)
+    n1, n2 = nu - 1.0, nu - 2.0
+    # field quantity -> (formula over Xi, Xi', rho^e by e and C by order, with
+    # Ups = rho^nu C_nu and Ups' as above; the orders of C and the powers of rho it reads)
     formulas = {
-        "g": (lambda f: f.xi * ups(f), (nu,)),
-        "V0": (lambda f: f.xi_p * ups(f), (nu,)),
-        "Vrho": (lambda f: f.xi * ups_p(f), (nu - 1.0,)),
-        "dV0_dx0": (lambda f: beta * beta * f.xi * ups(f), (nu,)),
-        "dVrho_dx0": (lambda f: f.xi_p * ups_p(f), (nu - 1.0,)),
-        "dVrho_drho": (lambda f: f.xi * (beta * (f.power(nu - 1.0) * f.cyl(nu - 1.0)
-                                                 + beta * f.power(nu) * f.cyl(nu - 2.0))),
-                       (nu - 1.0, nu - 2.0)),
-        "stream": (lambda f: -(f.xi_p / beta) * f.power(mu) * f.cyl(nu - 1.0), (nu - 1.0,)),
+        "g": (lambda xi, xi_p, pw, c: xi * (pw[nu] * c[nu]), (nu,), (nu,)),
+        "V0": (lambda xi, xi_p, pw, c: xi_p * (pw[nu] * c[nu]), (nu,), (nu,)),
+        "Vrho": (lambda xi, xi_p, pw, c: xi * (beta * pw[nu] * c[n1]), (n1,), (nu,)),
+        "dV0_dx0": (lambda xi, xi_p, pw, c: beta * beta * xi * (pw[nu] * c[nu]), (nu,), (nu,)),
+        "dVrho_dx0": (lambda xi, xi_p, pw, c: xi_p * (beta * pw[nu] * c[n1]), (n1,), (nu,)),
+        "dVrho_drho": (lambda xi, xi_p, pw, c:
+                       xi * (beta * (pw[n1] * c[n1] + beta * pw[nu] * c[n2])), (n1, n2), (n1, nu)),
+        "stream": (lambda xi, xi_p, pw, c: -(xi_p / beta) * pw[mu] * c[n1], (n1,), (mu,)),
     }
-    orders = {}  # quantities -> the orders of C they use
+    plans = {}  # quantities -> (orders of C, powers of rho, formula per quantity)
+
+    def plan(names):
+        orders, powers = (list(dict.fromkeys(e for n in names for e in formulas[n][k]))
+                          for k in (1, 2))
+        plans[names] = orders, powers, [formulas[n][0] for n in names]
+        return plans[names]
 
     def batch(names, x0, rho):
-        if names not in orders:
-            orders[names] = list(dict.fromkeys(o for n in names for o in formulas[n][1]))
-        lib, bessel = ((np, bessel_j_array) if isinstance(rho, np.ndarray)
-                       else (math, _bessel_j_each))
-        f = _Separable(p, x0, rho, orders[names], lib, bessel)
-        return [formulas[n][0](f) for n in names]
+        orders, powers, fns = plans.get(names) or plan(names)
+        lib = np if isinstance(rho, np.ndarray) else math
+        ch, sh = lib.cosh(beta * x0), lib.sinh(beta * x0)
+        xi, xi_p = p.b1 * ch + p.b2 * sh, beta * (p.b1 * sh + p.b2 * ch)
+        each = orders if p.a2 == 0.0 else orders + [-order for order in orders]
+        j = (bessel_j_array(each, beta * rho) if lib is np
+             else [bessel_j(order, beta * rho) for order in each])
+        c = {order: p.a1 * j[i] if p.a2 == 0.0 else
+             p.a1 * j[i] + p.a2 * y_by_reflection(order, j[i], j[len(orders) + i])
+             for i, order in enumerate(orders)}
+        pw = {e: rho ** e for e in powers}
+        return [fn(xi, xi_p, pw, c) for fn in fns]
 
     label = (f"separable:alpha={p.alpha:g},beta={p.beta:g},"
              f"a=({p.a1:g},{p.a2:g}),b=({p.b1:g},{p.b2:g})")

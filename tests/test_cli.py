@@ -708,6 +708,17 @@ def test_flow_of_too_many_steps_exits_3_at_once():
         assert r.stderr.count("\n") == 1 and "MAX_STEPS = 1000000" in r.stderr
 
 
+def test_flow_that_blows_up_names_t_and_the_point():
+    # rho' = cos(x0) sinh(rho) blows up in finite time: near t = 1.96 an RK4
+    # stage lands where the lift of cos overflows
+    r = run_cli("flow", "--field", "holo:name=qcos", "--start", "0.5,0.3,0,0",
+                "--dt", "0.001", "--horizon", "2")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: DomainError: field overflows at t = 1.96, (x0, rho) = (")
+    assert r.stderr.count("\n") == 1 and "OverflowError" not in r.stderr
+
+
 def test_flow_stage_through_the_axis_leaves_the_domain():
     # rho shrinks while x0 grows; an RK4 stage crosses the axis before x0 overflows
     r = run_cli("flow", "--field", "holo:name=qexp", "--start", "0.5,0.1,0.2,0",

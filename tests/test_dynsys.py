@@ -1,10 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 
 from meridian4.quaternion import Quaternion
-from meridian4.holomorphic import qexp, qpow
+from meridian4.holomorphic import qcos, qexp, qpow
 from meridian4.fields import (
     MeridionalField,
     MeridionalProfile,
@@ -195,6 +196,20 @@ def test_flow_passes_on_a_field_domain_error():
         flow(f, Quaternion(0.3, 0.5, 0, 0), dt=0.05, horizon=5.0)
     tr = flow(f, Quaternion(0.3, 0.5, 0, 0), dt=0.05, horizon=0.5)
     assert tr.termination == "horizon" and tr.points[-1].rho() < 0.8
+
+
+def test_flow_that_blows_up_raises_domain_error_naming_t_and_the_point():
+    # rho' = cos(x0) sinh(rho) blows up in finite time; the field's OverflowError
+    # becomes a DomainError at the last row reached, from which a stage overflowed
+    f = from_holomorphic_potential(qcos())
+    with pytest.raises(DomainError, match="t = ") as err:
+        flow(f, Quaternion(0.5, 0.3, 0, 0), dt=1e-3, horizon=2.0)
+    assert isinstance(err.value.__cause__, OverflowError)
+    at = re.search(r"at t = (\S+), \(x0, rho\) = \((\S+), (\S+)\),", str(err.value))
+    t, x0, rho = map(float, at.groups())
+    assert 1.9 < t < 2.0 and abs(x0) < 1.0 and 20.0 < rho < 30.0
+    tr = flow(f, Quaternion(0.5, 0.3, 0, 0), dt=1e-3, horizon=t - 0.01)
+    assert tr.termination == "horizon" and tr.points[-1].rho() < rho
 
 
 def test_flow_argument_guards():

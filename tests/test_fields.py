@@ -203,6 +203,81 @@ def test_separable_evaluate_equals_scalar_methods(separable_gap, params, size):
         assert abs(v - f.stream_value(a, b)) <= gap["stream"], (a, b)
 
 
+# float.hex of (g, V0, Vrho, dV0_dx0, dVrho_dx0, dVrho_drho, stream) at each
+# of SEPARABLE_PINNED_POINTS, one string of seven per point, read through at
+# and through one evaluate call over the three points
+SEPARABLE_PINNED_POINTS = ((-0.3, 0.7), (0.4, 1.9), (1.7, 4.8))
+SEPARABLE_PINNED = [
+    (SeparableParams(alpha=3.0, beta=1.1, b1=0.7, b2=0.2), {
+        "at": (
+        "0x1.57b40997026bep-3 -0x1.b4a43cf5fd885p-8 0x1.c5ae723dff04bp-2 0x1.9fe1867bd7690p-3 "
+        "-0x1.202dd651bacb8p-6 0x1.b82d04885c092p-2 0x1.543c29768e8eep-6",
+        "0x1.dc23fbfc5e269p-1 0x1.4793eebb16f1cp-1 0x1.3d03d455003bap-2 0x1.2010a6880ae1ap+0 "
+        "0x1.b434166186b3dp-3 -0x1.ecb480f9b762bp-1 -0x1.7b78ebf09ff16p-4",
+        "-0x1.3a264357296e1p+2 -0x1.5090049751f36p+2 -0x1.4ac3f7c20a31dp+0 -0x1.7c1ef033b4b0dp+2 "
+        "-0x1.625d346b7249dp+0 0x1.6ae4bb4c4428ep+2 0x1.e81ad3d6febe8p-3",
+        ),
+        "evaluate": (
+        "0x1.57b40997026bep-3 -0x1.b4a43cf5fd885p-8 0x1.c5ae723dff04bp-2 0x1.9fe1867bd7690p-3 "
+        "-0x1.202dd651bacb8p-6 0x1.b82d04885c092p-2 0x1.543c29768e8eep-6",
+        "0x1.dc23fbfc5e269p-1 0x1.4793eebb16f1dp-1 0x1.3d03d455003bap-2 0x1.2010a6880ae1ap+0 "
+        "0x1.b434166186b3ep-3 -0x1.ecb480f9b762bp-1 -0x1.7b78ebf09ff17p-4",
+        "-0x1.3a264357296e0p+2 -0x1.5090049751f35p+2 -0x1.4ac3f7c20a31cp+0 -0x1.7c1ef033b4b0bp+2 "
+        "-0x1.625d346b7249bp+0 0x1.6ae4bb4c4428dp+2 0x1.e81ad3d6febe5p-3",
+        ),
+    }),
+    (SeparableParams(alpha=2.5, beta=1.05, a1=0.9, a2=0.4, b1=0.8, b2=-0.1), {
+        "at": (
+        "0x1.9f8998c5741cbp-5 -0x1.696eeab2a3156p-6 0x1.3780616a4de4ap-1 0x1.ca214ce90d742p-5 "
+        "-0x1.0ef16cb558367p-2 0x1.83bc618d04739p-2 0x1.25bb3f11b7d68p-2",
+        "0x1.70e83e7853fafp-1 0x1.bb53fe74caa8cp-3 0x1.4b05c703367e2p-2 0x1.96b85e792444bp-1 "
+        "0x1.8dcd05d9ab422p-4 -0x1.6b2a229a67343p-1 -0x1.05c3a5c812837p-4",
+        "-0x1.1b36af41fd42ep+1 -0x1.1498a972b8eb7p+1 -0x1.3c869b6527a04p+0 -0x1.383e35b3a219bp+1 "
+        "-0x1.35215467cf369p+0 0x1.27c1dd9bb2b3dp+1 0x1.ffeb8d27ea66bp-2",
+        ),
+        "evaluate": (
+        "0x1.9f8998c5741cbp-5 -0x1.696eeab2a3156p-6 0x1.3780616a4de4ap-1 0x1.ca214ce90d742p-5 "
+        "-0x1.0ef16cb558367p-2 0x1.83bc618d0473ap-2 0x1.25bb3f11b7d68p-2",
+        "0x1.70e83e7853fafp-1 0x1.bb53fe74caa8cp-3 0x1.4b05c703367e2p-2 0x1.96b85e792444bp-1 "
+        "0x1.8dcd05d9ab422p-4 -0x1.6b2a229a67343p-1 -0x1.05c3a5c812837p-4",
+        "-0x1.1b36af41fd42ep+1 -0x1.1498a972b8eb7p+1 -0x1.3c869b6527a04p+0 -0x1.383e35b3a219bp+1 "
+        "-0x1.35215467cf369p+0 0x1.27c1dd9bb2b3dp+1 0x1.ffeb8d27ea66bp-2",
+        ),
+    }),
+    (SeparableParams(alpha=-1.5, beta=0.7, a1=0.3, a2=1.0, b1=0.5, b2=0.5), {
+        "at": (
+        "0x1.068b919000b07p-1 0x1.6f90323000f6fp-2 -0x1.f6975c49d0389p+0 0x1.014b5654cd79bp-2 "
+        "-0x1.5fd05a33ab5acp+0 0x1.32143efb7bb69p+3 0x1.9c168a71c9aaap-1",
+        "-0x1.47b257c741853p-6 -0x1.cac67ae3c220dp-7 -0x1.bf85e106c0aecp-4 -0x1.4124893907e3cp-7 "
+        "-0x1.39441d84ba13ep-4 0x1.b0437ce3e3a49p-3 0x1.79c6c6e549400p+0",
+        "-0x1.a5e2aa256238ep-4 -0x1.2751dd80918e3p-4 0x1.eda08322efd7ap-5 -0x1.9d729c80cbc70p-5 "
+        "0x1.5989f565417d5p-5 0x1.ac173c653c76ep-8 -0x1.4db6f184400d6p+4",
+        ),
+        "evaluate": (
+        "0x1.068b919000b07p-1 0x1.6f90323000f6fp-2 -0x1.f6975c49d0389p+0 0x1.014b5654cd79bp-2 "
+        "-0x1.5fd05a33ab5acp+0 0x1.32143efb7bb69p+3 0x1.9c168a71c9aaap-1",
+        "-0x1.47b257c741853p-6 -0x1.cac67ae3c220dp-7 -0x1.bf85e106c0aecp-4 -0x1.4124893907e3cp-7 "
+        "-0x1.39441d84ba13ep-4 0x1.b0437ce3e3a49p-3 0x1.79c6c6e549400p+0",
+        "-0x1.a5e2aa256238ep-4 -0x1.2751dd80918e3p-4 0x1.eda08322efd7ap-5 -0x1.9d729c80cbc70p-5 "
+        "0x1.5989f565417d5p-5 0x1.ac173c653c76ep-8 -0x1.4db6f184400d6p+4",
+        ),
+    }),
+]
+
+
+@pytest.mark.parametrize("params,pinned", SEPARABLE_PINNED, ids=("a2=0", "a2!=0", "Y-negative"))
+def test_separable_values_keep_their_bits(params, pinned):
+    # both routes pinned: the gap test above passes when both move together
+    f = from_separable(params)
+    names = SEPARABLE_QUANTITIES + ("stream",)
+    x0, rho = (np.array(c) for c in zip(*SEPARABLE_PINNED_POINTS))
+    at = [" ".join(v.hex() for v in f.at(names, a, b)) for a, b in SEPARABLE_PINNED_POINTS]
+    assert at == list(pinned["at"])
+    columns = f.evaluate(names, x0, rho)
+    evaluate = [" ".join(float(v[i]).hex() for v in columns) for i in range(len(x0))]
+    assert evaluate == list(pinned["evaluate"])
+
+
 def test_separable_evaluate_marks_the_series_cap_as_eval_reports_it(capsys):
     # beta * rho > 30 is past the Bessel series' cap: the scalar methods raise
     # DomainError, evaluate raises it too (eval exits 3 and writes nothing),

@@ -16,6 +16,8 @@ import tempfile
 FIELDS = ["holo:name=qexp", "holo:name=qpow,n=3,coeff=0.7", "holo:name=qln",
           "moebius:a=0.25,d=1.5", "separable:alpha=3,beta=1.1,b1=0.5,b2=0.5",
           "separable:alpha=2.5,beta=1.1,a1=0.3,a2=1,b1=0.5,b2=0.5",
+          "separable:alpha=-1.5,beta=0.7,a1=0.3,a2=1,b1=0.5,b2=0.5",
+          "separable:alpha=7,beta=1.1,b1=0.5,b2=0.5",
           "transform:kind=ffc,original=exp,rate=2", "transform:kind=ffc,original=exp,rate=3"]
 AT = ["--at", "0.3,0.4,-0.2,0.5"]
 ARGVS = [cmd + ["--field", f, "--grid=-1:1:4,0.5:1.9:3", "--format", fmt] for f in FIELDS
@@ -27,6 +29,8 @@ ARGVS += [["verify", s, "--potential", p, "--alpha", "1.5", "--samples", "12"]
           for p in ("x3pow", "x3pow:alpha=1.5", "rhopow:e=-0.5", "rho3", "x0sq-x3sq")]
 ARGVS += [["flow", "--field", f, "--start", "0.1,0.9,0.2,0", "--dt", "0.01", "--horizon", "0.3"]
           for f in FIELDS]
+ARGVS += [["flow", "--field", "holo:name=qcos", "--start", "0.5,0.3,0,0", "--dt", "0.001",
+           "--horizon", "2"]]
 ARGVS += [["special", "bessel", "--nu", nu, "--z", z, "--kind", k, "--format", fmt]
           for nu, z in (("0.5", "29"), ("2", "5"), ("-1.25", "3.7"))
           for k in ("j", "y") for fmt in ("csv", "json")]
