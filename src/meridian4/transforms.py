@@ -14,12 +14,13 @@ blocks summed row by row, with the panel count doubling until a point's last
 two sums of each kernel agree below tol.  The kernels of one pass share
 their cos, sin and exponentials, and each keeps the value and panel count
 that a pass with it alone gives.  transform_detail is the one-point,
-one-kernel call.  Originals with an inverse-square-root endpoint
-singularity (the Chebyshev family) are integrated after the tau = sin(u)
-substitution, which removes the weight exactly when the smooth numerator
-eta(tau)*sqrt(1-tau^2) is supplied.  The smooth numerator
-eta(tau)*e^(rate tau) of a decaying original lets the rule fold e^(-rate tau)
-into the kernel's exponent, where it cancels the growth of cos and sin.
+one-kernel call.  The rule integrates an original's smooth numerator, never
+eta itself: eta(tau)*e^(rate tau) for an original that decays at rate, whose
+e^(-rate tau) the rule folds into the kernel's exponent, where it cancels
+the growth of cos and sin; and eta(tau)*sqrt(1-tau^2) for an original with
+an inverse-square-root blow-up at tau = 1 (the Chebyshev family), which
+is integrated after the substitution tau = sin(u) on [0, pi/2], where the
+weight drops out exactly.
 
 A transform field (alpha = 2) is the field of the radially holomorphic
 potential G whose derivative G' is the ffc or ffs transform.  The lifts of
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -73,25 +74,28 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 @dataclass(frozen=True)
 class OriginalFunction:
-    """Metadata-carrying original eta(tau) on [0, support_t] (inf = half line).
+    """An original eta(tau) on [0, support_t] (inf = half line), declared by
+    what the quadrature reads.
 
-    evaluator and smooth_numerator map float arrays of tau entry by entry (a
-    constant may come back as a scalar).  growth_rate_s0 and bound_m assert
-    |eta(tau)| <= bound_m * e^{s0 tau}; decay_rate > 0 asserts
-    |eta(tau)| <= bound_m * e^{-decay_rate tau} (needed for Fourier kernels
-    off the real axis).  singularity marks an inverse-square-root blow-up
-    location (only the right endpoint of a compact support is implemented).
-    smooth_numerator, when given, is eta(tau)*sqrt(1 - tau^2) for a singular
-    original, else eta(tau)*e^{decay_rate tau}.
+    evaluator is eta and smooth_numerator the function the rule integrates;
+    both map float arrays of tau entry by entry (a constant may come back as
+    a scalar).  smooth_numerator is eta(tau)*e^(decay_rate tau), times
+    sqrt(1 - tau^2) with sqrt_end, which marks an inverse-square-root
+    blow-up at tau = support_t = 1.  On the half line |eta(tau)| <=
+    e^(-decay_rate tau) is asserted: the Laplace abscissa is 0, and the
+    Fourier kernels exist for |Im z| < decay_rate.
     """
     evaluator: Callable[[np.ndarray], np.ndarray]
+    smooth_numerator: Callable[[np.ndarray], np.ndarray]
     support_t: float = 1.0
-    growth_rate_s0: float = 0.0
-    bound_m: float = 1.0
     decay_rate: float = 0.0
-    singularity: Optional[float] = None
-    smooth_numerator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sqrt_end: bool = False
     name: str = "eta"
+
+    def __post_init__(self):
+        if self.sqrt_end and self.support_t != 1.0:
+            raise Unsupported("only an inverse-sqrt blow-up at the right "
+                              "endpoint tau = 1 is implemented")
 
     def compact(self) -> bool:
         return math.isfinite(self.support_t)
@@ -190,9 +194,9 @@ def _panel_sums(integrand, count: int, z: np.ndarray, upper: np.ndarray,
     return outs
 
 
-def _truncation(gap: np.ndarray, bound_m: float, tol: float) -> np.ndarray:
-    """Upper limits T >= 1 with bound_m * e^{-gap T} / gap <= tol/2 (gap > 0)."""
-    arg = 2.0 * bound_m / (gap * tol)
+def _truncation(gap: np.ndarray, tol: float) -> np.ndarray:
+    """Upper limits T >= 1 with e^{-gap T} / gap <= tol/2 (gap > 0)."""
+    arg = 2.0 / (gap * tol)
     return np.maximum(1.0, np.log(np.maximum(arg, 1.0)) / gap)
 
 
@@ -202,16 +206,15 @@ def _upper(kind: str, eta: OriginalFunction, z: np.ndarray, tol: float) -> np.nd
     than the kernel's e^(|Im z| tau)."""
     if eta.compact():
         return np.array([eta.support_t])
-    gap = z.real - eta.growth_rate_s0 if kind == "lf" else eta.decay_rate - np.abs(z.imag)
+    gap = z.real if kind == "lf" else eta.decay_rate - np.abs(z.imag)
     i = np.argmin(gap)  # the first nan, if any
     if not gap[i] > 0.0 and kind == "lf":
-        raise AbscissaViolation(f"x0 = {z.real[i]:g} not right of the "
-                                f"abscissa s0 = {eta.growth_rate_s0:g}")
+        raise AbscissaViolation(f"x0 = {z.real[i]:g} not right of the abscissa s0 = 0")
     if not gap[i] > 0.0:
         raise KernelGrowth(
             f"kernel grows like e^(rho tau) with rho = {abs(z.imag[i]):g}; original "
             f"decays at rate {eta.decay_rate:g} — integral not dominated")
-    return _truncation(gap, eta.bound_m, tol)
+    return _truncation(gap, tol)
 
 
 def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndarray,
@@ -227,25 +230,12 @@ def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndar
     A pair's value and panel count are those of a pass with its kernel
     alone.
     """
-    num = eta.smooth_numerator
-    if eta.singularity is None:
-        upper = _upper(kind, eta, z, tol)
-        shift, substitute = (eta.decay_rate if num is not None else 0.0), False
-    elif not eta.compact() or eta.singularity != eta.support_t or eta.support_t != 1.0:
-        raise Unsupported("only an inverse-sqrt singularity at the right "
-                          "endpoint tau = 1 is implemented")
-    else:
-        upper, shift, substitute = np.array([0.5 * math.pi]), 0.0, True
+    num, shift, sqrt_end = eta.smooth_numerator, eta.decay_rate, eta.sqrt_end
+    upper = np.array([0.5 * math.pi]) if sqrt_end else _upper(kind, eta, z, tol)
 
     def integrand(zc, u):
-        t = np.sin(u) if substitute else u
-        if num is not None:
-            f = num(t)
-        else:
-            # with the substitution the cos(u) factor cancels the weight only
-            # approximately in floating point near u = pi/2
-            f = eta.evaluator(t) * np.cos(u) if substitute else eta.evaluator(t)
-        return f, kernels(zc, shift, t)
+        t = np.sin(u) if sqrt_end else u
+        return num(t), kernels(zc, shift, t)
 
     shape = (count, z.size)
     value, panels, delta = np.empty(shape, complex), np.empty(shape, int), np.empty(shape)
@@ -333,15 +323,8 @@ def chebyshev_kernel(k: int) -> OriginalFunction:
             raise DomainError("Chebyshev original defined on [0, 1) (singular at 1)")
         return _cheb_t(_k, tau) / np.sqrt(1.0 - tau * tau)
 
-    return OriginalFunction(
-        evaluator=evaluator,
-        support_t=1.0,
-        growth_rate_s0=0.0,
-        bound_m=1.0,
-        singularity=1.0,
-        smooth_numerator=lambda tau, _k=k: _cheb_t(_k, tau),
-        name=f"cheb{k}",
-    )
+    return OriginalFunction(evaluator, lambda tau, _k=k: _cheb_t(_k, tau), sqrt_end=True,
+                            name=f"cheb{k}")
 
 
 def cheb_original(n: int) -> OriginalFunction:
@@ -353,7 +336,7 @@ def cheb_original(n: int) -> OriginalFunction:
 
 def unit_original() -> OriginalFunction:
     """eta = 1 on [0, 1]."""
-    return OriginalFunction(evaluator=lambda t: 1.0, support_t=1.0, name="unit")
+    return OriginalFunction(lambda t: 1.0, lambda t: 1.0, name="unit")
 
 
 def exp_decay_original(rate: float = 1.0) -> OriginalFunction:
@@ -366,11 +349,9 @@ def exp_decay_original(rate: float = 1.0) -> OriginalFunction:
         raise DomainError(f"decay rate must be positive and finite, got {rate!r}")
     return OriginalFunction(
         evaluator=lambda t, _r=rate: np.exp(-_r * t),
-        support_t=math.inf,
-        growth_rate_s0=0.0,
-        bound_m=1.0,
-        decay_rate=rate,
         smooth_numerator=lambda t: 1.0,
+        support_t=math.inf,
+        decay_rate=rate,
         name=f"exp{rate:g}",
     )
 

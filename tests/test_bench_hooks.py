@@ -45,3 +45,24 @@ def test_tracer_install_and_uninstall_restore_every_name(monkeypatch):
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert changed == []
+
+
+def test_traced_transform_queries_count_the_integrand(monkeypatch, capsys):
+    # each original reaches the rule through its smooth numerator, which the
+    # tracer counts; the traced output is the untraced one
+    monkeypatch.syspath_prepend(str(_BENCH))
+    import tracing
+
+    for original in (["unit"], ["exp", "--rate", "2"], ["cheb1"], ["kernel1"]):
+        argv = ["special", "transform", "--kind", "ffc", "--at", "1,0.5,0,0",
+                "--original", *original]
+        assert meridian4.cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        tracer = tracing.Tracer()
+        try:
+            tracer.install(meridian4)
+            assert meridian4.cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        assert capsys.readouterr().out == plain, original
+        assert tracer.counts["integrand_evals"] > 0, original

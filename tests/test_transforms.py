@@ -25,8 +25,8 @@ from meridian4.errors import (AbscissaViolation, ConvergenceFailure, DomainError
 
 
 def _const_half_line() -> OriginalFunction:
-    return OriginalFunction(evaluator=lambda t: 1.0, support_t=math.inf,
-                            growth_rate_s0=0.0, bound_m=1.0, name="one")
+    return OriginalFunction(evaluator=lambda t: 1.0, smooth_numerator=lambda t: 1.0,
+                            support_t=math.inf, name="one")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_chebyshev_kernel_values():
     # T_2(0.5)/sqrt(0.75)
     assert abs(eta.evaluator(0.5) - (-0.5773502691896257)) < 1e-15
     assert eta.evaluator(0.0) == -1.0  # T_2(0) = -1
-    assert eta.singularity == 1.0
+    assert eta.sqrt_end
     assert eta.smooth_numerator(0.5) == -0.5
 
 
@@ -175,23 +175,102 @@ def test_exp_decay_guard():
 
 
 def test_unsupported_singularity_layouts():
-    bad_spot = OriginalFunction(evaluator=lambda t: 1.0, support_t=1.0,
-                                singularity=0.5, name="bad")
+    # the substitution tau = sin(u) needs the blow-up at tau = 1 = support_t
     with pytest.raises(Unsupported):
-        ff_cos(bad_spot, Quaternion(1, 0, 0, 0))
-    bad_width = OriginalFunction(evaluator=lambda t: 1.0, support_t=2.0,
-                                 singularity=2.0, name="bad2")
-    with pytest.raises(Unsupported):
-        ff_cos(bad_width, Quaternion(1, 0, 0, 0))
+        OriginalFunction(evaluator=lambda t: 1.0, smooth_numerator=lambda t: 1.0,
+                         support_t=2.0, sqrt_end=True, name="bad2")
 
 
 def test_singular_fallback_path_without_numerator():
-    # same integral as chebyshev_kernel(0) but forcing the generic branch
+    # 1/sqrt(1 - tau^2) declared by hand: numerator 1 with the sqrt end
     eta = OriginalFunction(
-        evaluator=lambda t: 1.0 / np.sqrt(1.0 - t * t),
-        support_t=1.0, singularity=1.0, name="raw")
+        evaluator=lambda t: 1.0 / np.sqrt(1.0 - t * t), smooth_numerator=lambda t: 1.0,
+        sqrt_end=True, name="raw")
     got = ff_cos(eta, Quaternion(1, 0, 0, 0))
     assert abs(got.x0 - 1.2019697153172064) < 1e-9
+
+
+# float.hex of x0, x1, x2, x3 and the panel count of transform_detail, and
+# float.hex of (g, V0, Vrho, dV0_dx0, dVrho_dx0, dVrho_drho, stream) from a
+# transform field's at, each keyed by (original, kind, x0, rho)
+_PINNED_DETAIL = {
+    ("unit", "lf", 0.7, 0.4): "0x1.681e673a39c55p-1 -0x1.015b0bfbe4903p-3 -0x0.0p+0 -0x0.0p+0 2",
+    ("unit", "lf", 1.3, 0.9): "0x1.047c4fe709f08p-1 -0x1.81077e5b9e642p-3 -0x0.0p+0 -0x0.0p+0 2",
+    ("unit", "ffc", 0.7, 0.4): "0x1.e2fe8ede332a8p-1 -0x1.71af70a6e4db6p-4 -0x0.0p+0 -0x0.0p+0 2",
+    ("unit", "ffc", 1.3, 0.9): "0x1.a240e770b0a0dp-1 -0x1.6ad38531de636p-2 -0x0.0p+0 -0x0.0p+0 2",
+    ("unit", "ffs", 0.7, 0.4): "0x1.65b1364fe98e8p-2 0x1.6d64c1b62c71bp-3 0x0.0p+0 0x0.0p+0 2",
+    ("unit", "ffs", 1.3, 0.9): "0x1.5a7d5b78996d8p-1 0x1.2b5bb91acac92p-2 0x0.0p+0 0x0.0p+0 2",
+    ("exp2.2", "lf", 0.7, 0.4): "0x1.5a82d67a7946ap-2 -0x1.7e5b684085d2cp-5 -0x0.0p+0 -0x0.0p+0 8",
+    ("exp2.2", "lf", 1.3, 0.9): "0x1.126cfc78bf4fcp-2 -0x1.1a4436e298e4ap-4 -0x0.0p+0 -0x0.0p+0 4",
+    ("exp2.2", "ffc", 0.7, 0.4): "0x1.aeb108d6af63ep-2 -0x1.7535e108b9d06p-5 -0x0.0p+0 -0x0.0p+0 2",
+    ("exp2.2", "ffc", 1.3, 0.9): "0x1.51621ced82c68p-2 -0x1.140a74c2f4a14p-3 -0x0.0p+0 -0x0.0p+0 4",
+    ("exp2.2", "ffs", 0.7, 0.4): "0x1.230a614e8a41fp-3 0x1.fbb62dfdddfaap-5 0x0.0p+0 0x0.0p+0 2",
+    ("exp2.2", "ffs", 1.3, 0.9): "0x1.ffa6c651ae663p-3 0x1.c3b404dfa06b0p-5 0x0.0p+0 0x0.0p+0 4",
+    ("cheb2", "lf", 0.7, 0.4): "-0x1.5f5965e56a090p-3 -0x1.b0a8a224a2d6ep-5 -0x0.0p+0 -0x0.0p+0 2",
+    ("cheb2", "lf", 1.3, 0.9): "-0x1.fcba31aef3843p-3 -0x1.1d55421328ac3p-5 -0x0.0p+0 -0x0.0p+0 2",
+    ("cheb2", "ffc", 0.7, 0.4): "-0x1.168c9a56cf439p-4 -0x1.a9a0e5817c744p-4 -0x0.0p+0 -0x0.0p+0 2",
+    ("cheb2", "ffc", 1.3, 0.9): "-0x1.f0e9317844d90p-3 -0x1.8df430325b44ap-2 -0x0.0p+0 -0x0.0p+0 2",
+    ("cheb2", "ffs", 0.7, 0.4): "0x1.db0bda7d04914p-3 0x1.956026b108374p-4 0x0.0p+0 0x0.0p+0 2",
+    ("cheb2", "ffs", 1.3, 0.9): "0x1.de5748b8a0982p-2 0x1.954914108473cp-5 0x0.0p+0 0x0.0p+0 2",
+    ("cheb3", "lf", 0.7, 0.4): "-0x1.40841ad55da51p-2 0x1.7e948bf1f5006p-6 0x0.0p+0 0x0.0p+0 2",
+    ("cheb3", "lf", 1.3, 0.9): "-0x1.16aeaa91bfa79p-2 0x1.0d5e02d998606p-4 0x0.0p+0 0x0.0p+0 2",
+    ("cheb3", "ffc", 0.7, 0.4): "-0x1.6dc2553285364p-2 -0x1.1507257104393p-5 -0x0.0p+0 -0x0.0p+0 2",
+    ("cheb3", "ffc", 1.3, 0.9): "-0x1.ba40f472bcf9fp-2 -0x1.d4ac006d7dd42p-4 -0x0.0p+0 -0x0.0p+0 2",
+    ("cheb3", "ffs", 0.7, 0.4): "-0x1.ab0f7f716e8e0p-11 -0x1.12f044941fd5ep-6 -0x0.0p+0 -0x0.0p+0 2",
+    ("cheb3", "ffs", 1.3, 0.9): "0x1.8961621ab6989p-7 -0x1.f409861b072e8p-4 -0x0.0p+0 -0x0.0p+0 2",
+}
+_PINNED_FIELD = {
+    ("unit", "ffc", 0.6, 0.3): (
+        "0x1.3196098e67374p-1 0x1.e8ba08be66633p-1 0x1.de4d3502a5f38p-5 -0x1.95b0f2bff2964p-3 "
+        "0x1.718934e6642a8p-4 0x1.95b0f2bff2964p-3 0x1.227965f3adae9p-2"),
+    ("unit", "ffc", -0.8, 1.1): (
+        "-0x1.dd825a5bb8308p-1 0x1.1225e284d25c4p+0 -0x1.3cb4401cd864cp-2 0x1.6283394016b4cp-2 "
+        "0x1.5713e1a627e8cp-2 -0x1.6283394016b4cp-2 0x1.0c7cf9e870e5cp+0"),
+    ("unit", "ffs", 0.6, 0.3): (
+        "0x1.16d19ad00b2cap-4 0x1.30c42679cb6c1p-2 -0x1.1a23c36fcfc47p-3 0x1.dd0d47b522f4dp-2 "
+        "0x1.65a07a22bd202p-5 -0x1.dd0d47b522f4dp-2 0x1.68605495bb8f7p-4"),
+    ("unit", "ffs", -0.8, 1.1): (
+        "-0x1.cc9497bf292fep-4 -0x1.ff6e9948e6512p-2 -0x1.0598c6df0c77ep-1 0x1.1a2c0b0d7958dp-1 "
+        "-0x1.ddb5e3aa00924p-3 -0x1.1a2c0b0d7958dp-1 -0x1.d70a67c2f3d6ep-2"),
+    ("exp2.2", "ffc", 0.6, 0.3): (
+        "0x1.153581d446facp-2 0x1.b6af0bd4fd674p-2 0x1.ee7c2b5f1a1f6p-6 -0x1.b4e342519fa08p-4 "
+        "0x1.2473d28ab5ef2p-5 0x1.b4e342519fa08p-4 0x1.0506ce9f0f056p-3"),
+    ("exp2.2", "ffc", -0.8, 1.1): (
+        "-0x1.bbb737b0807f0p-2 0x1.c2f8ce1737193p-2 -0x1.73c2e97202156p-3 0x1.1ba0c2624fe63p-2 "
+        "0x1.6e5bc67fb272bp-5 -0x1.1ba0c2624fe63p-2 0x1.d46b9713257f8p-2"),
+    ("exp2.2", "ffs", 0.6, 0.3): (
+        "0x1.d0faab675297ap-6 0x1.ef6beb78e327cp-4 -0x1.9b226413f97c1p-5 0x1.5d32a30da8cc4p-3 "
+        "0x1.374b3df921bdep-5 -0x1.5d32a30da8cc4p-3 0x1.20166e045c4d8p-5"),
+    ("exp2.2", "ffs", -0.8, 1.1): (
+        "-0x1.7fc29ff55da48p-6 -0x1.00ee1c93b3ff4p-2 -0x1.3bc9336229d11p-3 0x1.f2fd1f0e64596p-4 "
+        "-0x1.e5ea6d1f4943bp-3 -0x1.f2fd1f0e64596p-4 -0x1.9057e98f0e255p-3"),
+    ("cheb4", "ffc", 0.6, 0.3): (
+        "-0x1.357019e7df480p-14 -0x1.c2220836e0cc0p-13 -0x1.9d6f03b586780p-11 0x1.04c9a17f477bcp-10 "
+        "-0x1.3674bbb1ae284p-8 -0x1.04c9a17f477bcp-10 0x1.569b4eedb52e0p-14"),
+    ("cheb4", "ffc", -0.8, 1.1): (
+        "0x1.0948f978a8100p-12 -0x1.955e22f816c81p-7 -0x1.e4b17a37c06aep-8 0x1.3e2ff2dfb2dd0p-5 "
+        "-0x1.305490e1d9eecp-6 -0x1.3e2ff2dfb2dd0p-5 -0x1.fc731de0947d0p-9"),
+    ("cheb4", "ffs", 0.6, 0.3): (
+        "-0x1.22fa095aa4131p-7 -0x1.4cad768b372aep-5 0x1.744af6ed893dbp-6 -0x1.31d0bd60cc445p-4 "
+        "0x1.2f93c0f3ed4bep-7 0x1.31d0bd60cc445p-4 -0x1.9831d57c2fef4p-7"),
+    ("cheb4", "ffs", -0.8, 1.1): (
+        "0x1.b1f8693f7bae8p-6 0x1.f92506857fb83p-6 0x1.5f560b8a6dbe3p-4 -0x1.0f142bc1ae20ep-4 "
+        "-0x1.eba17ef1dada5p-5 0x1.0f142bc1ae20ep-4 0x1.bf39f2d58abbep-5"),
+}
+
+
+def test_transform_values_keep_their_bits():
+    originals = {eta.name: eta for eta in (unit_original(), exp_decay_original(2.2),
+                                           cheb_original(1), chebyshev_kernel(3),
+                                           cheb_original(2))}
+    for (name, kind, x0, rho), want in _PINNED_DETAIL.items():
+        v, spec = transform_detail(kind, originals[name], Quaternion(x0, rho, 0, 0))
+        got = " ".join(c.hex() for c in (v.x0, v.x1, v.x2, v.x3)) + f" {spec.panels}"
+        assert got == want, (name, kind, x0, rho)
+    for (name, kind, x0, rho), want in _PINNED_FIELD.items():
+        vals = transform_field(kind, originals[name]).at(
+            ("g", "V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho", "stream"), x0, rho)
+        assert " ".join(float(c).hex() for c in vals) == want, (name, kind, x0, rho)
 
 
 # ---------------------------------------------------------------------------

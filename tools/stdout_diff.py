@@ -18,7 +18,9 @@ FIELDS = ["holo:name=qexp", "holo:name=qpow,n=3,coeff=0.7", "holo:name=qln",
           "separable:alpha=2.5,beta=1.1,a1=0.3,a2=1,b1=0.5,b2=0.5",
           "separable:alpha=-1.5,beta=0.7,a1=0.3,a2=1,b1=0.5,b2=0.5",
           "separable:alpha=7,beta=1.1,b1=0.5,b2=0.5",
-          "transform:kind=ffc,original=exp,rate=2", "transform:kind=ffc,original=exp,rate=3"]
+          "transform:kind=ffc,original=exp,rate=2", "transform:kind=ffc,original=exp,rate=3",
+          "transform:kind=ffs,original=unit", "transform:kind=ffc,original=cheb2",
+          "transform:kind=ffs,original=kernel3"]
 AT = ["--at", "0.3,0.4,-0.2,0.5"]
 ARGVS = [cmd + ["--field", f, "--grid=-1:1:4,0.5:1.9:3", "--format", fmt] for f in FIELDS
          for cmd in (["eval"], ["spectrum", "--oracle"]) for fmt in ("csv", "json")]
@@ -38,6 +40,8 @@ ARGVS += [["special", "besselq", "--n", n] + AT for n in ("0", "3", "-2")]
 ARGVS += [["special", "besselrep", "--n", "2", "--parity", p] + AT for p in ("even", "odd")]
 ARGVS += [["special", "transform", "--kind", k, "--original", o, "--rate", "2"] + AT
           for k in ("lf", "ffc", "ffs") for o in ("unit", "exp", "cheb1", "kernel1")]
+ARGVS += [["special", "transform", "--kind", "lf", "--original", "exp", "--rate", "2",
+           "--at=-0.5,0.4,0,0"]]
 
 
 def outcomes(tree):
