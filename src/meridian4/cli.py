@@ -61,14 +61,15 @@ log = logging.getLogger("meridian4.cli")
 EVAL_HEADER = "x0,rho,V0,Vrho,dVrho_dx0,dVrho_drho"
 FLOW_HEADER = "t,x0,x1,x2,x3,h"
 
-SUITE_TOL = {
-    "epd": 1e-10,
-    "stokes": 1e-7,
-    "system": 1e-6,
-    "criterion": 1e-7,
-    "symmetry": 1e-12,
-    "weinstein": 2e-6,
-    "axial": 1e-6,
+# verify suite -> (tolerance, the option it reads: field, potential or either)
+SUITES = {
+    "epd": (1e-10, "field"),
+    "stokes": (1e-7, "field"),
+    "system": (1e-6, "field"),
+    "criterion": (1e-7, "either"),
+    "symmetry": (1e-12, "field"),
+    "weinstein": (2e-6, "potential"),
+    "axial": (1e-6, "potential"),
 }
 
 
@@ -192,20 +193,23 @@ def _reject_extras(params: dict, kind: str):
         raise SpecError(f"unknown parameter(s) for {kind}: {', '.join(sorted(params))}")
 
 
-def _check_quadrature(tol: float, rate: float = 1.0) -> None:
+def _check_quadrature(tol: float) -> None:
     """A tol that can never be met would run every panel count up to the cap."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise SpecError(f"tol = {tol!r} must be finite and > 0")
-    if not math.isfinite(rate):
-        raise SpecError(f"rate = {rate!r} must be finite")
 
 
-def parse_original(name: str, rate: float):
-    """Original-function registry: unit | exp | cheb<n> | kernel<k>."""
+def parse_original(name: str, rate=None):
+    """Original-function registry: unit | exp | cheb<n> | kernel<k>.  A rate
+    (default 1) is exp's alone."""
+    if rate is not None and name != "exp":
+        raise SpecError(f"rate is read by original 'exp' only, not {name!r}")
     if name == "unit":
         return unit_original()
     if name == "exp":
-        return exp_decay_original(rate)
+        if rate is not None and not math.isfinite(rate):
+            raise SpecError(f"rate = {rate!r} must be finite")
+        return exp_decay_original(1.0 if rate is None else rate)
     if name.startswith("cheb"):
         try:
             return cheb_original(int(name[4:]))
@@ -256,10 +260,10 @@ def parse_field_spec(text: str):
     if kind == "transform":
         tkind = _take(params, "kind", str, required=True)
         original = _take(params, "original", str, required=True)
-        rate = _take(params, "rate", float, default=1.0)
+        rate = _take(params, "rate", float) if original == "exp" else None
         tol = _take(params, "tol", float, default=DEFAULT_TOL)
         _reject_extras(params, kind)
-        _check_quadrature(tol, rate)
+        _check_quadrature(tol)
         if tkind not in ("ffc", "ffs"):
             raise SpecError(f"transform kind must be ffc or ffs, got {tkind!r}")
         return transform_field(tkind, parse_original(original, rate), tol)
@@ -419,19 +423,20 @@ def _suite(args):
     if args.samples < 1:
         raise SpecError(f"--samples must be at least 1, got {args.samples}")
 
-    field_suites = {"epd", "stokes", "system", "symmetry"}
-    if suite in field_suites and args.field is None:
-        raise SpecError(f"suite {suite!r} needs --field")
-    if suite in ("weinstein", "axial") and args.potential is None:
-        raise SpecError(f"suite {suite!r} needs --potential")
-    if suite == "criterion" and args.field is None and args.potential is None:
-        raise SpecError("suite 'criterion' needs --field or --potential")
+    reads = SUITES[suite][1]
+    wants = ["--field", "--potential"] if reads == "either" else [f"--{reads}"]
+    given = [f"--{opt}" for opt in ("field", "potential") if getattr(args, opt) is not None]
+    if not set(wants) & set(given):
+        raise SpecError(f"suite {suite!r} needs {' or '.join(wants)}")
+    if len(given) > 1:
+        raise SpecError(f"suite {suite!r} reads {' or '.join(wants)}, so "
+                        f"{' and '.join(given)} cannot both be given")
 
     if not math.isfinite(args.alpha):
         raise SpecError(f"--alpha must be finite, got {args.alpha!r}")
     field = parse_field_spec(args.field) if args.field is not None else None
-    if suite in ("weinstein", "axial") or field is None:
-        field, h = None, parse_potential_spec(args.potential, args.alpha)
+    if field is None:
+        h = parse_potential_spec(args.potential, args.alpha)
     else:
         def h(x):
             return field.evaluate(("g",), x.x0, x.rho(), check=False)[0]
@@ -514,7 +519,7 @@ def _run_suite(args):
 
 
 def cmd_verify(args) -> int:
-    tol = SUITE_TOL[args.suite]
+    tol = SUITES[args.suite][0]
     results = _run_suite(args)
     log.info("verify %s: %d samples, seed %d", args.suite, args.samples, args.seed)
 
@@ -572,7 +577,7 @@ def cmd_special(args) -> int:
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
         pairs = _quat_kv(bessel_j_quat(args.n, x))
     elif args.query == "transform":
-        _check_quadrature(args.tol, args.rate)
+        _check_quadrature(args.tol)
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
         eta = parse_original(args.original, args.rate)
         op = {"lf": laplace_fueter, "ffc": ff_cos, "ffs": ff_sin}[args.kind]
@@ -627,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("verify", help="seeded residual suites; exit 4 on failure")
-    p.add_argument("suite", choices=sorted(SUITE_TOL))
+    p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--field", help="field spec (epd, stokes, system, symmetry, criterion)")
     p.add_argument("--potential",
                    help="scalar potential spec (weinstein, axial, criterion): "
@@ -665,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kind", choices=("lf", "ffc", "ffs"), required=True)
     b.add_argument("--original", required=True,
                    help="unit | exp | cheb<n> | kernel<k>")
-    b.add_argument("--rate", type=float, default=1.0)
+    b.add_argument("--rate", type=float, help="decay rate of original exp (default 1)")
     b.add_argument("--at", required=True, help="x0,x1,x2,x3")
     b.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_format(b)

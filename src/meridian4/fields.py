@@ -25,13 +25,15 @@ does not depend on the array's other points, and agrees with at's to within
 rounding.
 
 The module also holds the verifiers for the underlying PDE family.  Each
-takes one point or a cloud of points as arrays, and evaluates all the
-points it needs in one call per set of quantities.  The ones that need
-partials a profile does not carry take them by the one difference rule of
-the package (holomorphic.fd_derivative, here as fd_steps and fd_combine):
-Richardson extrapolation of central differences at s and s/2, with error
-O(s^4), at s = default_fd_step for first and 10 * default_fd_step for
-second derivatives, each point with its own step.
+takes a MeridionalField (a hand-built profile is checked as
+MeridionalField(profile)) and one point or a cloud of points as arrays, and
+evaluates all the points it needs in one evaluate call per set of
+quantities.  The ones that need partials a profile does not carry take them
+by the one difference rule of the package (holomorphic.fd_derivative, here
+as fd_steps and fd_combine): Richardson extrapolation of central
+differences at s and s/2, with error O(s^4), at s = default_fd_step for
+first and 10 * default_fd_step for second derivatives, each point with its
+own step.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,19 +121,6 @@ def _profile_from_batch(alpha: float, batch, label: str) -> MeridionalProfile:
     return MeridionalProfile(alpha=alpha, **views, label=label, batch=batch)
 
 
-def _values(p: MeridionalProfile, names: Tuple[str, ...], x0: np.ndarray,
-            rho: np.ndarray) -> List[np.ndarray]:
-    """The quantities names of p at the points of the flat float arrays x0
-    and rho, one array each, from one batch call."""
-    with np.errstate(all="ignore"):
-        values = list(p.batch(names, x0, rho))
-    outs = []
-    while values:  # each value copied out and let go, so one is held twice at most
-        outs.append(np.empty(x0.shape))
-        outs[-1][...] = values.pop(0)
-    return outs
-
-
 class MeridionalField:
     """Field view of a profile: V0, Vrho and the partials entering the Jacobian.
 
@@ -190,7 +179,12 @@ class MeridionalField:
         """
         if rho.size and rho.min() < RHO_MIN:
             raise DomainError(f"rho = {rho.min():g} below the domain floor {RHO_MIN:g}")
-        outs = _values(self.profile, tuple(names), x0, rho)
+        with np.errstate(all="ignore"):
+            values = list(self.profile.batch(tuple(names), x0, rho))
+        outs = []
+        while values:  # each value copied out and let go, so one is held twice at most
+            outs.append(np.empty(x0.shape))
+            outs[-1][...] = values.pop(0)
         for name, out in zip(names, outs if check else ()):
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
@@ -387,9 +381,8 @@ def lift_to_r4(f: MeridionalField, x: Quaternion) -> Quaternion:
 # Each verifier takes one point (floats) or many (float arrays of one
 # shape, each point with its own default_fd_step) and returns its residuals
 # in the same form.  The values a verifier needs, at the points
-# fd_derivative's rule reads included, come from one call per set of
-# quantities (of the profile, or of each callable it was given) on flat
-# arrays that hold all the points.
+# fd_derivative's rule reads included, come from one evaluate call of the
+# field per set of quantities, on flat arrays that hold all the points.
 # ---------------------------------------------------------------------------
 
 def _quiet(verifier: Callable) -> Callable:
@@ -400,10 +393,6 @@ def _quiet(verifier: Callable) -> Callable:
         with np.errstate(all="ignore"):
             return verifier(*args, **kwargs)
     return quiet
-
-
-def _profile_of(f: Union[MeridionalField, MeridionalProfile]) -> MeridionalProfile:
-    return f.profile if isinstance(f, MeridionalField) else f
 
 
 _CENTER = ((None,), None)  # a line of _stencil that reads the points unmoved
@@ -439,8 +428,11 @@ def _stencil(fn: Callable, coords: Sequence, lines: Sequence) -> List[list]:
     return out
 
 
-def _stream(p: MeridionalProfile) -> Callable:
-    return lambda x0, rho: _values(p, ("stream",), x0, rho)[0]
+def _stream(f: MeridionalField) -> Callable:
+    """f's stream function, read through evaluate; NoStream if f has none."""
+    if not f.has_stream():
+        raise NoStream(f"field {f.label!r} carries no stream function")
+    return lambda x0, rho: f.evaluate(("stream",), x0, rho, check=False)[0]
 
 
 def _on_r4(fn: Callable) -> Callable:
@@ -454,35 +446,27 @@ def _result(r):
 
 
 @_quiet
-def verify_epd(f: Union[MeridionalField, MeridionalProfile], x0, rho):
+def verify_epd(f: MeridionalField, x0, rho):
     """|rho (g_x0x0 + g_rhorho) - (alpha-2) g_rho| from the analytic partials."""
-    p = _profile_of(f)
-    low = np.flatnonzero(np.asarray(rho) < RHO_MIN)
-    if low.size:
-        raise DomainError(f"rho = {np.ravel(rho)[low[0]]:g} below the domain floor")
-    xx, rr, r = _stencil(lambda a, b: _values(p, ("dV0_dx0", "dVrho_drho", "Vrho"), a, b),
+    xx, rr, r = _stencil(lambda a, b: f.evaluate(("dV0_dx0", "dVrho_drho", "Vrho"), a, b,
+                                                 check=False),
                          (x0, rho), [_CENTER])[0][0]
-    return _result(abs(rho * (xx + rr) - (p.alpha - 2.0) * r))
+    return _result(abs(rho * (xx + rr) - (f.alpha - 2.0) * r))
 
 
 @_quiet
-def verify_stream(f: Union[MeridionalField, MeridionalProfile], x0, rho,
-                  fd_step=None):
+def verify_stream(f: MeridionalField, x0, rho, fd_step=None):
     """Stream equation |rho (gh_x0x0 + gh_rhorho) + (alpha-2) gh_rho| by fd_derivative."""
-    p = _profile_of(f)
-    if p.stream is None:
-        raise NoStream("no stream function on this profile")
     h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-    rr, xx, r = _stencil(_stream(p), (x0, rho),
+    rr, xx, r = _stencil(_stream(f), (x0, rho),
                          [(fd_steps(2, h, room=rho), 1), (fd_steps(2, h), 0),
                           (fd_steps(1, h), 1)])
     drr, dxx = fd_combine(rr, 2, h), fd_combine(xx, 2, h)
-    return _result(abs(rho * (dxx + drr) + (p.alpha - 2.0) * fd_combine(r, 1, h)))
+    return _result(abs(rho * (dxx + drr) + (f.alpha - 2.0) * fd_combine(r, 1, h)))
 
 
 @_quiet
-def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile], x0, rho,
-                           fd_step=None) -> Tuple:
+def verify_stokes_beltrami(f: MeridionalField, x0, rho, fd_step=None) -> Tuple:
     """Residual pair of the generalized Stokes-Beltrami system.
 
         rho^{2-alpha} g_x0  = gh_rho
@@ -490,16 +474,13 @@ def verify_stokes_beltrami(f: Union[MeridionalField, MeridionalProfile], x0, rho
 
     g-side partials are analytic; the stream side goes through fd_derivative.
     """
-    p = _profile_of(f)
-    if p.stream is None:
-        raise NoStream("no stream function on this profile")
     h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-    along_rho, along_x0 = _stencil(_stream(p), (x0, rho),
+    along_rho, along_x0 = _stencil(_stream(f), (x0, rho),
                                    [(fd_steps(1, h, room=rho), 1), (fd_steps(1, h), 0)])
-    (g_x0, g_rho), = _stencil(lambda a, b: _values(p, ("V0", "Vrho"), a, b),
+    (g_x0, g_rho), = _stencil(lambda a, b: f.evaluate(("V0", "Vrho"), a, b, check=False),
                               (x0, rho), [_CENTER])[0]
     gh_rho, gh_x0 = fd_combine(along_rho, 1, h), fd_combine(along_x0, 1, h)
-    w = rho ** (2.0 - p.alpha)
+    w = rho ** (2.0 - f.alpha)
     return _result(abs(w * g_x0 - gh_rho)), _result(abs(w * g_rho + gh_x0))
 
 

@@ -294,6 +294,31 @@ def test_verify_requires_target():
     assert run_cli("verify", "criterion").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("epd", "--field", "holo:name=qexp", "--potential", "garbage"),
+    ("criterion", "--field", "holo:name=qexp", "--potential", "garbage"),
+    ("weinstein", "--field", "garbage", "--potential", "x3pow"),
+    ("criterion", "--field", "holo:name=qexp", "--potential", "x3pow"),
+], ids=("epd-potential", "criterion-garbage", "weinstein-field", "criterion-both"))
+def test_verify_refuses_an_option_its_suite_does_not_read(argv):
+    # a suite reads exactly one of --field and --potential, and only one it uses
+    r = run_cli("verify", *argv, "--samples", "3")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"error: suite {argv[0]!r} ")
+    assert "--field" in r.stderr and "--potential" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--field", "transform:kind=ffs,original=cheb1,rate=7", "--grid", "0:1:2,0.5:1:2"),
+    ("special", "transform", "--kind", "ffc", "--original", "unit", "--rate", "5",
+     "--at", "1,0.5,0,0"),
+], ids=("field-spec", "special"))
+def test_rate_belongs_to_original_exp_only(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and "rate" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify: one pass over the cloud against the sample-by-sample loop
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from meridian4.holomorphic import (
 )
 from meridian4.fields import (
     RHO_MIN,
+    MeridionalField,
     MeridionalProfile,
     SeparableParams,
     axial_symmetry_check,
@@ -313,10 +314,10 @@ def test_epd_holomorphic_alpha2_exact():
 
 
 def test_epd_nonsolution_analytic_value():
-    prof = _cubic_profile(alpha=1.0)
+    prof = MeridionalField(_cubic_profile(alpha=1.0))
     # rho*(0 + 6 rho) - (1-2)*3 rho^2 = 9 rho^2
     assert abs(verify_epd(prof, 0.0, 1.1) - 9 * 1.1 ** 2) < 1e-12
-    assert verify_epd(_cubic_profile(alpha=4.0), 0.0, 1.1) == 0.0
+    assert verify_epd(MeridionalField(_cubic_profile(alpha=4.0)), 0.0, 1.1) == 0.0
 
 
 def test_epd_domain_floor():
@@ -355,17 +356,17 @@ def test_stokes_beltrami_residuals():
 def test_stokes_beltrami_detects_wrong_pairing():
     # swap the stream sign: residual r2 jumps to ~2|w g_rho|
     good = from_separable(SeparableParams(alpha=2.0, beta=1.0, b1=1.0, b2=1.0))
-    bad = MeridionalProfile(
+    bad = MeridionalField(MeridionalProfile(
         alpha=good.alpha, g=good.profile.g, dg_dx0=good.profile.dg_dx0,
         dg_drho=good.profile.dg_drho, d2g_dx0x0=good.profile.d2g_dx0x0,
         d2g_dx0rho=good.profile.d2g_dx0rho, d2g_drhorho=good.profile.d2g_drhorho,
-        stream=lambda x0, rho: -good.profile.stream(x0, rho), label="flipped")
+        stream=lambda x0, rho: -good.profile.stream(x0, rho), label="flipped"))
     r1, r2 = verify_stokes_beltrami(bad, 0.4, 1.2)
     assert max(r1, r2) > 0.1
 
 
 def test_stream_guards():
-    prof = _cubic_profile(alpha=5.0)
+    prof = MeridionalField(_cubic_profile(alpha=5.0))
     with pytest.raises(NoStream):
         verify_stream(prof, 0.3, 1.0)
     with pytest.raises(NoStream):
@@ -375,6 +376,54 @@ def test_stream_guards():
         verify_stream(f, 0.3, 0.2, fd_step=0.25)
     with pytest.raises(StepTooLarge):
         verify_stokes_beltrami(f, 0.3, 0.2, fd_step=0.25)
+
+
+# float.hex of (epd, stream, r1, r2) at each of VERIFIER_PINNED_POINTS, one
+# string of four per point, each point passed alone as floats
+VERIFIER_PINNED_POINTS = ((-0.3, 0.7), (0.4, 1.2), (1.1, 0.5))
+VERIFIER_PINNED = {
+    "holo:name=qexp": (
+        "0x0.0p+0 0x1.8ec3519999999p-34 0x1.39b0000000000p-41 0x1.27e8000000000p-41",
+        "0x0.0p+0 0x1.4221419999999p-30 0x1.b800000000000p-47 0x1.e800000000000p-41",
+        "0x0.0p+0 0x1.0d06860000000p-30 0x1.2600000000000p-42 0x1.9ca0000000000p-39"),
+    "separable:alpha=3,beta=1.1,b1=0.5,b2=0.5": (
+        "0x1.0000000000000p-55 0x1.178a800000000p-30 0x1.4a74000000000p-41 0x1.2a50000000000p-40",
+        "0x0.0p+0 0x1.4585c00000000p-35 0x1.84b8000000000p-40 0x1.0a40000000000p-40",
+        "0x1.0000000000000p-53 0x1.24ef540000000p-32 0x1.b9d0000000000p-42 0x1.0f50000000000p-39"),
+    "separable:alpha=2.5,beta=1.05,a1=0.9,a2=0.4,b1=0.8,b2=-0.1": (
+        "0x1.0000000000000p-54 0x1.6d7fb46000000p-32 0x1.a9ca000000000p-43 0x1.0000000000000p-51",
+        "0x1.8000000000000p-53 0x1.3585320000000p-32 0x1.c740000000000p-44 0x1.2ac0000000000p-42",
+        "0x1.0000000000000p-54 0x1.e574ea0000000p-34 0x1.b0ec000000000p-42 0x1.31e8000000000p-39"),
+    "transform:kind=ffc,original=exp,rate=2": (
+        "0x0.0p+0 0x1.87a46a8ccccccp-30 0x1.48ba000000000p-36 0x1.9553800000000p-39",
+        "0x0.0p+0 0x1.39a7240000000p-30 0x1.4e15800000000p-36 0x1.11d0000000000p-40",
+        "0x0.0p+0 0x1.3d5db21200000p-31 0x1.af70000000000p-41 0x1.d440000000000p-41"),
+}
+# the same through one cloud of the three points, where it differs: the
+# Stokes-Beltrami weight rho^(-1/2) is libm's pow at a float, numpy's at an array
+VERIFIER_CLOUD_PINNED = {
+    "separable:alpha=2.5,beta=1.05,a1=0.9,a2=0.4,b1=0.8,b2=-0.1": (
+        "0x1.0000000000000p-54 0x1.6d7fb46000000p-32 0x1.a9cc000000000p-43 0x1.8000000000000p-52",
+        "0x1.8000000000000p-53 0x1.3585320000000p-32 0x1.c740000000000p-44 0x1.2ac0000000000p-42",
+        "0x1.0000000000000p-54 0x1.e574ea0000000p-34 0x1.b0ec000000000p-42 0x1.31e8000000000p-39"),
+}
+
+
+@pytest.mark.parametrize("spec", VERIFIER_PINNED,
+                         ids=("holo", "separable3", "separable2.5", "transform"))
+def test_verifier_residuals_keep_their_bits(spec):
+    from meridian4.cli import parse_field_spec
+    f = parse_field_spec(spec)
+
+    def residuals(x0, rho):
+        return (verify_epd(f, x0, rho), verify_stream(f, x0, rho),
+                *verify_stokes_beltrami(f, x0, rho))
+    alone = [" ".join(float(r).hex() for r in residuals(a, b)) for a, b in VERIFIER_PINNED_POINTS]
+    assert alone == list(VERIFIER_PINNED[spec])
+    columns = residuals(*(np.array(c) for c in zip(*VERIFIER_PINNED_POINTS)))
+    cloud = [" ".join(float(c[i]).hex() for c in columns)
+             for i in range(len(VERIFIER_PINNED_POINTS))]
+    assert cloud == list(VERIFIER_CLOUD_PINNED.get(spec, VERIFIER_PINNED[spec]))
 
 
 def test_no_stream_on_field_view():
