@@ -432,11 +432,14 @@ def _suite(args):
         raise SpecError(f"suite {suite!r} reads {' or '.join(wants)}, so "
                         f"{' and '.join(given)} cannot both be given")
 
-    if not math.isfinite(args.alpha):
-        raise SpecError(f"--alpha must be finite, got {args.alpha!r}")
+    if args.alpha is not None and args.field is not None:
+        raise SpecError("--alpha is for --potential: the field carries its own alpha")
+    alpha = 2.0 if args.alpha is None else args.alpha
+    if not math.isfinite(alpha):
+        raise SpecError(f"--alpha must be finite, got {alpha!r}")
     field = parse_field_spec(args.field) if args.field is not None else None
     if field is None:
-        h = parse_potential_spec(args.potential, args.alpha)
+        h = parse_potential_spec(args.potential, alpha)
     else:
         def h(x):
             return field.evaluate(("g",), x.x0, x.rho(), check=False)[0]
@@ -463,8 +466,8 @@ def _suite(args):
         "criterion": (["cart12", "cart13", "cart23", "dtheta", "dpsi"],
                       lambda rng: _sample_space(rng, min_s2=0.01),
                       lambda x: sum(criterion_check(h, x), ())),
-        "weinstein": (["weinstein"], window, lambda x: (verify_weinstein(h, args.alpha, x),)),
-        "axial": (["axial"], window, lambda x: (verify_axial_hyperbolic(h, args.alpha, x),)),
+        "weinstein": (["weinstein"], window, lambda x: (verify_weinstein(h, alpha, x),)),
+        "axial": (["axial"], window, lambda x: (verify_axial_hyperbolic(h, alpha, x),)),
     }[suite], field
 
 
@@ -637,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential",
                    help="scalar potential spec (weinstein, axial, criterion): "
                         "x3pow[:alpha=A] | rhopow:e=E | rho3 | x0sq-x3sq")
-    p.add_argument("--alpha", type=float, default=2.0,
-                   help="operator parameter for weinstein/axial (default 2)")
+    p.add_argument("--alpha", type=float,
+                   help="operator parameter with --potential (default 2)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)

@@ -24,13 +24,15 @@ their own constructor, which sums the Bessel series for all points at once
 does not depend on the array's other points, and agrees with at's to within
 rounding.
 
-The module also holds the verifiers for the underlying PDE family.  Each
-takes a MeridionalField (a hand-built profile is checked as
-MeridionalField(profile)) and one point or a cloud of points as arrays, and
-evaluates all the points it needs in one evaluate call per set of
-quantities.  The ones that need partials a profile does not carry take them
-by the one difference rule of the package (holomorphic.fd_derivative, here
-as fd_steps and fd_combine): Richardson extrapolation of central
+The module also holds the verifiers for the underlying PDE family.  Those
+on the meridian plane take a MeridionalField (a hand-built profile is
+checked as MeridionalField(profile)), those on R^4 callables of a
+Quaternion; each takes one point or a cloud of points as arrays.  A
+verifier reads its values and derivatives through _stencil, one call per
+callable, so a field evaluates all the points it needs in one evaluate call
+per set of quantities.  _stencil applies the one difference rule of the
+package (fd_steps and fd_combine, the two halves of
+holomorphic.fd_derivative): Richardson extrapolation of central
 differences at s and s/2, with error O(s^4), at s = default_fd_step for
 first and 10 * default_fd_step for second derivatives, each point with its
 own step.
@@ -379,10 +381,11 @@ def lift_to_r4(f: MeridionalField, x: Quaternion) -> Quaternion:
 # PDE verifiers
 #
 # Each verifier takes one point (floats) or many (float arrays of one
-# shape, each point with its own default_fd_step) and returns its residuals
-# in the same form.  The values a verifier needs, at the points
-# fd_derivative's rule reads included, come from one evaluate call of the
-# field per set of quantities, on flat arrays that hold all the points.
+# shape) and returns its residuals in the same form.  It reads every value
+# and derivative it needs from one _stencil call per callable: the field's
+# quantities, at the difference points included, come from one evaluate
+# call per set of quantities, on flat arrays that hold all the points, and
+# each point steps by its own default_fd_step.
 # ---------------------------------------------------------------------------
 
 def _quiet(verifier: Callable) -> Callable:
@@ -395,26 +398,31 @@ def _quiet(verifier: Callable) -> Callable:
     return quiet
 
 
-_CENTER = ((None,), None)  # a line of _stencil that reads the points unmoved
+def _stencil(fn: Callable, at, lines: Sequence) -> list:
+    """fn's derivatives along lines through the points at, by the package's
+    one difference rule.
 
-
-def _stencil(fn: Callable, coords: Sequence, lines: Sequence) -> List[list]:
-    """fn's values along lines through the points coords.
-
-    coords are the coordinates of the points (floats, or arrays of one
-    shape S).  Each line is (offsets, axis): the points with coords[axis] + t,
-    for each t in offsets (floats or arrays of shape S).  fn is called once
-    with one flat array per coordinate that holds every moved point, and
-    returns a value there (an array, or a float for all of them), or a list
-    or tuple of such values.  Per line, the list of fn's values at its
-    offsets, each of shape S, or (len(list), *S).
+    at is a plane point (x0, rho), fn a callable of x0 and rho, or a
+    Quaternion, fn a callable of a Quaternion; either holds floats or arrays
+    of one shape S.  Each line is (order, axis) or (order, axis, room): the
+    derivative of that order along coordinate axis, read at the offsets
+    fd_steps gives for the point's own h = default_fd_step(x0, rho) and
+    combined by fd_combine (StepTooLarge when a step reaches room); order 0
+    is fn's value at the points.  fn is called once, with every point a line
+    reads in flat arrays, and returns a value there (an array, or a float
+    for all of them), or a list or tuple of such values.  Per line, the
+    derivative (or value), of shape S, or (len(list), *S).
     """
+    r4 = isinstance(at, Quaternion)
+    coords = at.components() if r4 else tuple(at)
+    h = default_fd_step(at.x0, at.rho()) if r4 else default_fd_step(*coords)
+    offsets = [fd_steps(order, h, *room) if order else [None] for order, _, *room in lines]
     shape = np.broadcast(*coords).shape
-    moved = [[c + t if i == axis else c for i, c in enumerate(coords)]
-             for offsets, axis in lines for t in offsets]
+    moved = [[c + t if order and i == axis else c for i, c in enumerate(coords)]
+             for (order, axis, *_), ts in zip(lines, offsets) for t in ts]
     flat = [np.concatenate([np.broadcast_to(m[i], shape).ravel() for m in moved])
             for i in range(len(coords))]
-    vals = fn(*flat)
+    vals = fn(Quaternion(*flat)) if r4 else fn(*flat)
     single = not isinstance(vals, (list, tuple))
     vals = np.array([np.broadcast_to(np.asarray(v, dtype=float), flat[0].shape)
                      for v in ([vals] if single else vals)])
@@ -422,9 +430,9 @@ def _stencil(fn: Callable, coords: Sequence, lines: Sequence) -> List[list]:
     if single:
         vals = vals[:, 0]
     out, k = [], 0
-    for offsets, _ in lines:
-        out.append(list(vals[k:k + len(offsets)]))
-        k += len(offsets)
+    for (order, *_), ts in zip(lines, offsets):
+        out.append(fd_combine(vals[k:k + len(ts)], order, h) if order else vals[k])
+        k += len(ts)
     return out
 
 
@@ -435,11 +443,6 @@ def _stream(f: MeridionalField) -> Callable:
     return lambda x0, rho: f.evaluate(("stream",), x0, rho, check=False)[0]
 
 
-def _on_r4(fn: Callable) -> Callable:
-    """A field on R^4 (a callable of a Quaternion) as a callable of coordinates."""
-    return lambda *c: fn(Quaternion(*c))
-
-
 def _result(r):
     """A residual as a float at one point, an array at many."""
     return r if np.ndim(r) else float(r)
@@ -448,38 +451,30 @@ def _result(r):
 @_quiet
 def verify_epd(f: MeridionalField, x0, rho):
     """|rho (g_x0x0 + g_rhorho) - (alpha-2) g_rho| from the analytic partials."""
-    xx, rr, r = _stencil(lambda a, b: f.evaluate(("dV0_dx0", "dVrho_drho", "Vrho"), a, b,
-                                                 check=False),
-                         (x0, rho), [_CENTER])[0][0]
+    (xx, rr, r), = _stencil(lambda a, b: f.evaluate(("dV0_dx0", "dVrho_drho", "Vrho"), a, b,
+                                                    check=False), (x0, rho), [(0, 0)])
     return _result(abs(rho * (xx + rr) - (f.alpha - 2.0) * r))
 
 
 @_quiet
-def verify_stream(f: MeridionalField, x0, rho, fd_step=None):
-    """Stream equation |rho (gh_x0x0 + gh_rhorho) + (alpha-2) gh_rho| by fd_derivative."""
-    h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-    rr, xx, r = _stencil(_stream(f), (x0, rho),
-                         [(fd_steps(2, h, room=rho), 1), (fd_steps(2, h), 0),
-                          (fd_steps(1, h), 1)])
-    drr, dxx = fd_combine(rr, 2, h), fd_combine(xx, 2, h)
-    return _result(abs(rho * (dxx + drr) + (f.alpha - 2.0) * fd_combine(r, 1, h)))
+def verify_stream(f: MeridionalField, x0, rho):
+    """Stream equation |rho (gh_x0x0 + gh_rhorho) + (alpha-2) gh_rho| by differences."""
+    drr, dxx, dr = _stencil(_stream(f), (x0, rho), [(2, 1, rho), (2, 0), (1, 1)])
+    return _result(abs(rho * (dxx + drr) + (f.alpha - 2.0) * dr))
 
 
 @_quiet
-def verify_stokes_beltrami(f: MeridionalField, x0, rho, fd_step=None) -> Tuple:
+def verify_stokes_beltrami(f: MeridionalField, x0, rho) -> Tuple:
     """Residual pair of the generalized Stokes-Beltrami system.
 
         rho^{2-alpha} g_x0  = gh_rho
         rho^{2-alpha} g_rho = -gh_x0
 
-    g-side partials are analytic; the stream side goes through fd_derivative.
+    g-side partials are analytic; the stream side goes through differences.
     """
-    h = fd_step if fd_step is not None else default_fd_step(x0, rho)
-    along_rho, along_x0 = _stencil(_stream(f), (x0, rho),
-                                   [(fd_steps(1, h, room=rho), 1), (fd_steps(1, h), 0)])
+    gh_rho, gh_x0 = _stencil(_stream(f), (x0, rho), [(1, 1, rho), (1, 0)])
     (g_x0, g_rho), = _stencil(lambda a, b: f.evaluate(("V0", "Vrho"), a, b, check=False),
-                              (x0, rho), [_CENTER])[0]
-    gh_rho, gh_x0 = fd_combine(along_rho, 1, h), fd_combine(along_x0, 1, h)
+                              (x0, rho), [(0, 0)])
     w = rho ** (2.0 - f.alpha)
     return _result(abs(w * g_x0 - gh_rho)), _result(abs(w * g_rho + gh_x0))
 
@@ -488,43 +483,30 @@ ScalarField4 = Callable[[Quaternion], Any]
 VectorField4 = Callable[[Quaternion], Sequence]
 
 
-def _step(x: Quaternion, fd_step):
-    return fd_step if fd_step is not None else default_fd_step(x.x0, x.rho())
-
-
 @_quiet
-def verify_weinstein(h_fn: ScalarField4, alpha: float, x: Quaternion, fd_step=None):
-    """|x3 * Laplace(h) - alpha * dh/dx3| by fd_derivative.
+def verify_weinstein(h_fn: ScalarField4, alpha: float, x: Quaternion):
+    """|x3 * Laplace(h) - alpha * dh/dx3| by differences.
 
     h_fn maps a Quaternion whose components are flat float arrays (the
     difference points) to h there, as does every callable a verifier of
     fields on R^4 takes.
     """
-    h = _step(x, fd_step)
-    *second, d3 = _stencil(_on_r4(h_fn), x.components(),
-                           [(fd_steps(2, h), ax) for ax in range(4)] + [(fd_steps(1, h), 3)])
-    lap = sum(fd_combine(v, 2, h) for v in second)
-    return _result(abs(x.x3 * lap - alpha * fd_combine(d3, 1, h)))
+    *second, d3 = _stencil(h_fn, x, [(2, ax) for ax in range(4)] + [(1, 3)])
+    return _result(abs(x.x3 * sum(second) - alpha * d3))
 
 
 @_quiet
-def verify_axial_hyperbolic(h_fn: ScalarField4, alpha: float, x: Quaternion,
-                            fd_step=None):
-    """|rho^2 Laplace(h) - alpha (x1 h_x1 + x2 h_x2 + x3 h_x3)| by fd_derivative."""
-    h = _step(x, fd_step)
-    vals = _stencil(_on_r4(h_fn), x.components(),
-                    [(fd_steps(2, h), ax) for ax in range(4)]
-                    + [(fd_steps(1, h), ax) for ax in (1, 2, 3)])
-    lap = sum(fd_combine(v, 2, h) for v in vals[:4])
-    g1, g2, g3 = (fd_combine(v, 1, h) for v in vals[4:])
+def verify_axial_hyperbolic(h_fn: ScalarField4, alpha: float, x: Quaternion):
+    """|rho^2 Laplace(h) - alpha (x1 h_x1 + x2 h_x2 + x3 h_x3)| by differences."""
+    *second, g1, g2, g3 = _stencil(h_fn, x, [(2, ax) for ax in range(4)]
+                                   + [(1, ax) for ax in (1, 2, 3)])
     rad = x.x1 * g1 + x.x2 * g2 + x.x3 * g3
     rho2 = x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2
-    return _result(abs(rho2 * lap - alpha * rad))
+    return _result(abs(rho2 * sum(second) - alpha * rad))
 
 
 @_quiet
-def verify_general_system(u: VectorField4, phi: ScalarField4, x: Quaternion,
-                          fd_step=None) -> Tuple:
+def verify_general_system(u: VectorField4, phi: ScalarField4, x: Quaternion) -> Tuple:
     """Seven residuals of the static generalized potential system.
 
     Order: weighted continuity
@@ -533,14 +515,11 @@ def verify_general_system(u: VectorField4, phi: ScalarField4, x: Quaternion,
     then the three curls u1_x2 - u2_x1, u1_x3 - u3_x1, u2_x3 - u3_x2.
     u maps points to the four components (floats or arrays).
     """
-    h = _step(x, fd_step)
-    lines = [(fd_steps(1, h), ax) for ax in range(4)] + [_CENTER]
-    *du, (u0,) = _stencil(_on_r4(u), x.components(), lines)
-    *dphi, (p0,) = _stencil(_on_r4(phi), x.components(), lines)
+    lines = [(1, ax) for ax in range(4)] + [(0, 0)]
+    *cols, u0 = _stencil(u, x, lines)
+    *gphi, p0 = _stencil(phi, x, lines)
     # jac[m][ax] = d u_m / d x_ax
-    cols = [fd_combine(v, 1, h) for v in du]
     jac = [[cols[ax][m] for ax in range(4)] for m in range(4)]
-    gphi = [fd_combine(v, 1, h) for v in dphi]
 
     cont = (p0 * (jac[0][0] - jac[1][1] - jac[2][2] - jac[3][3])
             + u0[0] * gphi[0] - u0[1] * gphi[1] - u0[2] * gphi[2] - u0[3] * gphi[3])
@@ -550,7 +529,7 @@ def verify_general_system(u: VectorField4, phi: ScalarField4, x: Quaternion,
 
 
 @_quiet
-def criterion_check(h_fn: ScalarField4, x: Quaternion, fd_step=None) -> Tuple:
+def criterion_check(h_fn: ScalarField4, x: Quaternion) -> Tuple:
     """Axisymmetry criterion residuals for a scalar field.
 
     Cartesian triple:  |x2 h_x1 - x1 h_x2|, |x3 h_x1 - x1 h_x3|, |x3 h_x2 - x2 h_x3|;
@@ -560,10 +539,7 @@ def criterion_check(h_fn: ScalarField4, x: Quaternion, fd_step=None) -> Tuple:
     s2 = x.x2 ** 2 + x.x3 ** 2
     if np.any((np.asarray(x.rho()) == 0.0) | (np.asarray(s2) == 0.0)):
         raise DomainError("criterion chart needs rho > 0 and (x2, x3) != 0")
-    h = _step(x, fd_step)
-    g1, g2, g3 = (fd_combine(v, 1, h) for v in
-                  _stencil(_on_r4(h_fn), x.components(),
-                           [(fd_steps(1, h), ax) for ax in (1, 2, 3)]))
+    g1, g2, g3 = _stencil(h_fn, x, [(1, ax) for ax in (1, 2, 3)])
     cart = (abs(x.x2 * g1 - x.x1 * g2),
             abs(x.x3 * g1 - x.x1 * g3),
             abs(x.x3 * g2 - x.x2 * g3))

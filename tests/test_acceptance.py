@@ -22,6 +22,7 @@ import numpy as np
 from meridian4.quaternion import Quaternion
 from meridian4.holomorphic import (
     antiholomorphy_residual,
+    fd_derivative,
     moebius_potential,
     primitive,
     qcos,
@@ -317,12 +318,12 @@ def test_acceptance_05_pde_residual_suite():
     res_cube = verify_weinstein(cube, 1.0, x_c)
     assert abs(res_cube - 3.0) <= 1e-6, f"x3^3 residual {res_cube:g}"
 
-    # the Richardson differences are exact on cubics, so at any step the
-    # x3^3 residual is off by rounding only (a second-order rule was off
-    # by h^2 = 4e-6 at h = 2e-3)
-    e_cube = max(abs(verify_weinstein(cube, 1.0, x_c, fd_step=h) - 3.0)
-                 for h in (2e-3, 1e-3))
-    assert e_cube <= 1e-10, f"x3^3 residual off by {e_cube:g}"
+    # the Richardson differences behind the verifiers are exact on cubics,
+    # so at any step the derivatives of x3^3 are off by rounding only (a
+    # second-order rule was off by h^2 = 4e-6 at h = 2e-3)
+    e_cube = max(abs(fd_derivative(lambda t: (1.0 + t) ** 3, order, h) - exact)
+                 for h in (2e-3, 1e-3) for order, exact in ((1, 3.0), (2, 6.0)))
+    assert e_cube <= 1e-10, f"x3^3 derivatives off by {e_cube:g}"
     return (f"meridian-eq residual {worst_epd:.2e}; Weinstein accept {worst_w:.2e}, "
             f"rejects r^3 ({res_rad:.3g}) and x3^3 ({res_cube:.3g}); "
             f"x3^3 exact to {e_cube:.1e}")

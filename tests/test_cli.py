@@ -308,6 +308,21 @@ def test_verify_refuses_an_option_its_suite_does_not_read(argv):
     assert "--field" in r.stderr and "--potential" in r.stderr
 
 
+@pytest.mark.parametrize("suite", ["epd", "criterion"])
+def test_verify_refuses_alpha_with_a_field(suite):
+    # a field suite uses the field's own alpha, so --alpha would be ignored
+    r = run_cli("verify", suite, "--field", "separable:alpha=3,beta=1.1,b1=0.5,b2=0.5",
+                "--alpha", "7", "--samples", "3")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: --alpha ")
+
+
+def test_verify_alpha_defaults_to_two():
+    argv = ["verify", "weinstein", "--potential", "x3pow", "--samples", "12"]
+    assert _main(argv) == _main(argv + ["--alpha", "2"])
+    assert _main(argv)[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--field", "transform:kind=ffs,original=cheb1,rate=7", "--grid", "0:1:2,0.5:1:2"),
     ("special", "transform", "--kind", "ffc", "--original", "unit", "--rate", "5",
@@ -389,7 +404,8 @@ CLOUD_CASES = (
 def test_verify_cloud_matches_the_per_sample_loop(monkeypatch, suite, flag, target):
     samples = "4" if target.startswith("transform") else "12"
     for seed, fmt in CLOUD_RUNS:
-        argv = ["verify", suite, flag, target, "--alpha", "1.5", "--samples", samples,
+        alpha = ["--alpha", "1.5"] if flag == "--potential" else []
+        argv = ["verify", suite, flag, target, *alpha, "--samples", samples,
                 "--seed", seed, "--format", fmt]
         code, out, err = _against_reference(monkeypatch, argv)
         assert (code in (0, 4) and out) or (code == 3 and err.startswith("error: ")), argv
@@ -485,16 +501,20 @@ def test_verify_sends_the_cloud_through_one_field_evaluation(monkeypatch):
     calls, evaluate = [], MeridionalField.evaluate
 
     def counted(self, names, x0, rho, check=True):
-        calls.append(len(x0))
+        calls.append((tuple(names), len(x0)))
         return evaluate(self, names, x0, rho, check)
 
     monkeypatch.setattr(MeridionalField, "evaluate", counted)
-    code, _, _ = _main(["verify", "criterion", "--field", "holo:name=qexp", "--samples", "30"])
-    assert code == 0
-    assert calls == [30 * 3 * 4]  # three axes, four difference points each
-    calls.clear()
-    assert _main(["verify", "system", "--field", "holo:name=qexp", "--samples", "30"])[0] == 0
-    assert calls == [30 * (4 * 4 + 1)]  # four axes and the sample itself
+    for suite, want in [
+            ("epd", [(("dV0_dx0", "dVrho_drho", "Vrho"), 30)]),
+            # two lines of four difference points each, then the samples
+            ("stokes", [(("stream",), 30 * 2 * 4), (("V0", "Vrho"), 30)]),
+            ("system", [(("V0", "Vrho"), 30 * (4 * 4 + 1))]),  # four axes and the sample
+            ("symmetry", [(("V0", "Vrho"), 30)]),
+            ("criterion", [(("g",), 30 * 3 * 4)])]:  # three axes, four points each
+        calls.clear()
+        code, _, _ = _main(["verify", suite, "--field", "holo:name=qexp", "--samples", "30"])
+        assert (code, calls) == (0, want), suite
 
 
 # ---------------------------------------------------------------------------

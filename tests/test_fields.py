@@ -371,11 +371,13 @@ def test_stream_guards():
         verify_stream(prof, 0.3, 1.0)
     with pytest.raises(NoStream):
         verify_stokes_beltrami(prof, 0.3, 1.0)
+    # points nearer the axis than the step of a second (10 h) or first (h)
+    # derivative along rho, with h = 1e-4
     f = _half_square()
-    with pytest.raises(StepTooLarge):
-        verify_stream(f, 0.3, 0.2, fd_step=0.25)
-    with pytest.raises(StepTooLarge):
-        verify_stokes_beltrami(f, 0.3, 0.2, fd_step=0.25)
+    with pytest.raises(StepTooLarge, match=r"^step 0\.001 reaches the axis \(rho = 0\.0005\)$"):
+        verify_stream(f, 0.3, 5e-4)
+    with pytest.raises(StepTooLarge, match=r"^step 0\.0001 reaches the axis \(rho = 5e-05\)$"):
+        verify_stokes_beltrami(f, 0.3, 5e-5)
 
 
 # float.hex of (epd, stream, r1, r2) at each of VERIFIER_PINNED_POINTS, one
@@ -425,6 +427,123 @@ def test_verifier_residuals_keep_their_bits(spec):
              for i in range(len(VERIFIER_PINNED_POINTS))]
     assert cloud == list(VERIFIER_CLOUD_PINNED.get(spec, VERIFIER_PINNED[spec]))
 
+
+# float.hex of the residuals of the R^4 suites as the CLI's verify runs them
+# (its u, phi and h) at R4_VERIFIER_PINNED_POINTS, point by point: first
+# with each point passed alone as floats, then with the three as one cloud.
+# The two differ where Quaternion.rho rounds otherwise at floats
+# (math.hypot) than at arrays (nested np.hypot), and with it the step
+R4_VERIFIER_PINNED_POINTS = ((0.3, 0.8, -0.4, 0.6), (-1.2, 0.2, 0.5, 1.1),
+                             (0.7, -0.9, 1.3, 0.25))
+R4_VERIFIER_PINNED = {
+    'system --field holo:name=qexp': (
+        '0x1.2b00000000000p-40 0x1.82e0000000000p-42 0x1.09f8000000000p-40 0x1.cb6c000000000p-39 '
+        '0x1.b33c000000000p-41 0x1.5284000000000p-40 0x1.82e0000000000p-41 0x1.3248000000000p-42 '
+        '0x1.5420000000000p-46 0x1.29a8000000000p-43 0x1.3ef0000000000p-41 0x1.29ae000000000p-42 '
+        '0x1.1f0e000000000p-42 0x1.3ef2000000000p-40 0x1.8570800000000p-40 0x1.b120000000000p-40 '
+        '0x1.25dc000000000p-38 0x1.7a38000000000p-41 0x1.a6f8000000000p-38 0x1.8670000000000p-43 '
+        '0x1.455c000000000p-39',
+        '0x1.2b18000000000p-40 0x1.82c0000000000p-42 0x1.09f8000000000p-40 0x1.cb64000000000p-39 '
+        '0x1.b334000000000p-41 0x1.5282000000000p-40 0x1.82dc000000000p-41 0x1.3248000000000p-42 '
+        '0x1.5420000000000p-46 0x1.29a8000000000p-43 0x1.3ef0000000000p-41 0x1.29ae000000000p-42 '
+        '0x1.1f0e000000000p-42 0x1.3ef2000000000p-40 0x1.8571400000000p-40 0x1.b130000000000p-40 '
+        '0x1.25d8000000000p-38 0x1.7a38000000000p-41 0x1.a6f8000000000p-38 0x1.8668000000000p-43 '
+        '0x1.455e000000000p-39',
+    ),
+    'symmetry --field holo:name=qexp': (
+        '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-57 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+        '0x0.0p+0',
+        '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-57 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+        '0x0.0p+0',
+    ),
+    'criterion --field holo:name=qexp': (
+        '0x1.f6e8000000000p-41 0x1.4400000000000p-39 0x1.0ed0000000000p-41 0x1.5350000000000p-39 '
+        '0x1.0ed0000000000p-41 0x1.9860000000000p-47 0x1.1030000000000p-44 0x1.8fc0000000000p-44 '
+        '0x1.0cf0000000000p-44 0x1.8fc0000000000p-44 0x1.43c8000000000p-38 0x1.a300000000000p-45 '
+        '0x1.54d8000000000p-40 0x1.3e8b200000000p-38 0x1.54d8000000000p-40',
+        '0x1.f6e8000000000p-41 0x1.43fc000000000p-39 0x1.0ec8000000000p-41 0x1.534e000000000p-39 '
+        '0x1.0ec8000000000p-41 0x1.9860000000000p-47 0x1.1030000000000p-44 0x1.8fc0000000000p-44 '
+        '0x1.0cf0000000000p-44 0x1.8fc0000000000p-44 0x1.43c4000000000p-38 0x1.a300000000000p-45 '
+        '0x1.54d8000000000p-40 0x1.3e8b400000000p-38 0x1.54d8000000000p-40',
+    ),
+    'system --field separable:alpha=3,beta=1.1,b1=0.5,b2=0.5': (
+        '0x1.7538000000000p-41 0x1.6ab0000000000p-40 0x1.1005000000000p-39 0x1.e39c000000000p-40 '
+        '0x1.b33c000000000p-42 0x1.3a56000000000p-40 0x1.09f8000000000p-41 0x1.c244000000000p-42 '
+        '0x1.5ed6000000000p-43 0x1.5430000000000p-43 0x1.7ebc000000000p-41 0x1.9400000000000p-44 '
+        '0x1.1f0c000000000p-42 0x1.a940000000000p-43 0x1.fc03400000000p-41 0x1.c780000000000p-39 '
+        '0x1.c790000000000p-40 0x1.20c2000000000p-40 0x1.24d4000000000p-39 0x1.24d4000000000p-41 '
+        '0x1.e810000000000p-43',
+        '0x1.7540000000000p-41 0x1.6ab0000000000p-40 0x1.1002000000000p-39 0x1.e398000000000p-40 '
+        '0x1.b334000000000p-42 0x1.3a54000000000p-40 0x1.09f8000000000p-41 0x1.c244000000000p-42 '
+        '0x1.5ed6000000000p-43 0x1.5430000000000p-43 0x1.7ebc000000000p-41 0x1.9400000000000p-44 '
+        '0x1.1f0c000000000p-42 0x1.a940000000000p-43 0x1.fc07800000000p-41 0x1.c784000000000p-39 '
+        '0x1.c780000000000p-40 0x1.20c2000000000p-40 0x1.24d4000000000p-39 0x1.24d2000000000p-41 '
+        '0x1.e810000000000p-43',
+    ),
+    'symmetry --field separable:alpha=3,beta=1.1,b1=0.5,b2=0.5': (
+        '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-58 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+        '0x0.0p+0',
+        '0x0.0p+0 0x1.0000000000000p-54 0x1.0000000000000p-55 0x0.0p+0 0x1.0000000000000p-58 '
+        '0x0.0p+0 0x1.0000000000000p-53 0x0.0p+0 0x0.0p+0',
+    ),
+    'criterion --field separable:alpha=3,beta=1.1,b1=0.5,b2=0.5': (
+        '0x1.0ece000000000p-40 0x1.35e0000000000p-44 0x1.82d8000000000p-41 0x1.4ca0000000000p-41 '
+        '0x1.82d8000000000p-41 0x1.8fbe000000000p-44 0x1.036a000000000p-43 0x1.c2bc000000000p-43 '
+        '0x1.3ee0000000000p-43 0x1.c2bc000000000p-43 0x1.1ff0000000000p-38 0x1.114d000000000p-40 '
+        '0x1.2b58000000000p-42 0x1.27a7200000000p-38 0x1.2b58000000000p-42',
+        '0x1.0ecc000000000p-40 0x1.3540000000000p-44 0x1.82e0000000000p-41 0x1.4c8c000000000p-41 '
+        '0x1.82e0000000000p-41 0x1.8fbe000000000p-44 0x1.036a000000000p-43 0x1.c2bc000000000p-43 '
+        '0x1.3ee0000000000p-43 0x1.c2bc000000000p-43 0x1.1ff2000000000p-38 0x1.114e000000000p-40 '
+        '0x1.2b50000000000p-42 0x1.27a8300000000p-38 0x1.2b50000000000p-42',
+    ),
+    'weinstein --potential x3pow': (
+        '0x1.7d04000000000p-37 0x1.40e1e00000000p-31 0x1.f500000000000p-43',
+        '0x1.7cfc000000000p-37 0x1.40e1e00000000p-31 0x1.f4e0000000000p-43',
+    ),
+    'axial --potential x3pow': (
+        '0x1.70a3d70a497fep+1 0x1.e9fbe7691dc50p+0 0x1.e000000001019p+1',
+        '0x1.70a3d70a497f8p+1 0x1.e9fbe7691dc50p+0 0x1.e000000001018p+1',
+    ),
+    'criterion --potential x3pow': (
+        '0x0.0p+0 0x1.ba5e353f7d965p-1 0x1.ba5e353f7d965p-2 0x1.70128a6b41363p-1 '
+        '0x1.ba5e353f7d965p-2 0x0.0p+0 0x1.73b645a1c8f5dp-1 0x1.d0a3d70a3b334p+0 '
+        '0x1.5264e6a0336bdp-1 0x1.d0a3d70a3b334p+0 0x0.0p+0 0x1.59999999996c0p-3 '
+        '0x1.f333333332f15p-3 0x1.051008fa2cc8bp-5 0x1.f333333332f15p-3',
+        '0x0.0p+0 0x1.ba5e353f7d962p-1 0x1.ba5e353f7d962p-2 0x1.70128a6b41360p-1 '
+        '0x1.ba5e353f7d962p-2 0x0.0p+0 0x1.73b645a1c8f5dp-1 0x1.d0a3d70a3b334p+0 '
+        '0x1.5264e6a0336bdp-1 0x1.d0a3d70a3b334p+0 0x0.0p+0 0x1.59999999996c0p-3 '
+        '0x1.f333333332f15p-3 0x1.051008fa2cc8bp-5 0x1.f333333332f15p-3',
+    ),
+    'weinstein --potential rhopow:e=-1.5': (
+        '0x1.bc3e50aa9fba7p+0 0x1.03b38c261aa80p+1 0x1.71f26b3314eb4p-3',
+        '0x1.bc3e50aa9fba5p+0 0x1.03b38c261aa80p+1 0x1.71f26b3314eb4p-3',
+    ),
+    'axial --potential rhopow:e=-1.5': (
+        '0x1.ad6f701c670d9p+1 0x1.622362056ab11p+1 0x1.d9fe99596aa4ap+0',
+        '0x1.ad6f701c670d8p+1 0x1.622362056ab11p+1 0x1.d9fe99596aa48p+0',
+    ),
+    'criterion --potential rhopow:e=-1.5': (
+        '0x1.357c000000000p-40 0x1.d040000000000p-42 0x1.5c28000000000p-41 0x1.0c38000000000p-40 '
+        '0x1.5c28000000000p-41 0x1.3230000000000p-43 0x1.5cb8000000000p-41 0x1.c2c8000000000p-41 '
+        '0x1.5d20000000000p-41 0x1.c2c8000000000p-41 0x1.6c80000000000p-42 0x1.489c000000000p-42 '
+        '0x1.1ff4000000000p-41 0x1.27c0800000000p-42 0x1.1ff4000000000p-41',
+        '0x1.3580000000000p-40 0x1.d040000000000p-42 0x1.5c30000000000p-41 0x1.0c38000000000p-40 '
+        '0x1.5c30000000000p-41 0x1.3230000000000p-43 0x1.5cb8000000000p-41 0x1.c2c8000000000p-41 '
+        '0x1.5d20000000000p-41 0x1.c2c8000000000p-41 0x1.6c60000000000p-42 0x1.48a0000000000p-42 '
+        '0x1.1ff4000000000p-41 0x1.27a1000000000p-42 0x1.1ff4000000000p-41',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", R4_VERIFIER_PINNED)
+def test_r4_verifier_residuals_keep_their_bits(case):
+    from meridian4 import cli
+    _, _, check, _ = cli._suite(cli.build_parser().parse_args(["verify", *case.split()]))
+    alone = [float(r).hex() for p in R4_VERIFIER_PINNED_POINTS
+             for r in check(Quaternion(*p))]
+    columns = check(Quaternion(*map(np.array, zip(*R4_VERIFIER_PINNED_POINTS))))
+    cloud = [float(c[i]).hex() for i in range(len(R4_VERIFIER_PINNED_POINTS)) for c in columns]
+    assert (alone, cloud) == tuple(pin.split() for pin in R4_VERIFIER_PINNED[case])
 
 def test_no_stream_on_field_view():
     from meridian4.fields import MeridionalField
@@ -494,10 +613,10 @@ def test_axial_hyperbolic_quadratic_solution():
     # h = x1^2+x2^2+x3^2 solves the axial equation exactly when alpha = 3
     h_fn = lambda q: q.x1 ** 2 + q.x2 ** 2 + q.x3 ** 2
     x = Quaternion(0.5, 0.8, -0.3, 0.6)
-    assert verify_axial_hyperbolic(h_fn, 3.0, x, fd_step=1e-3) < 1e-8
+    assert verify_axial_hyperbolic(h_fn, 3.0, x) < 1e-8
     # against alpha = 2 the residual is rho^2 * 6 - 2 * (2 rho^2) = 2 rho^2
     rho2 = 0.8 ** 2 + 0.3 ** 2 + 0.6 ** 2
-    res = verify_axial_hyperbolic(h_fn, 2.0, x, fd_step=1e-3)
+    res = verify_axial_hyperbolic(h_fn, 2.0, x)
     assert abs(res - 2 * rho2) < 1e-7
 
 

@@ -30,6 +30,8 @@ ARGVS += [["verify", s, "--field", f, "--samples", "12"] for f in FIELDS
 ARGVS += [["verify", s, "--potential", p, "--alpha", "1.5", "--samples", "12"]
           for s in ("weinstein", "axial", "criterion")
           for p in ("x3pow", "x3pow:alpha=1.5", "rhopow:e=-0.5", "rho3", "x0sq-x3sq")]
+ARGVS += [["verify", s, "--potential", p, "--samples", "12"]  # --alpha left at its default
+          for s in ("weinstein", "axial", "criterion") for p in ("x3pow", "rho3")]
 ARGVS += [["flow", "--field", f, "--start", "0.1,0.9,0.2,0", "--dt", "0.01", "--horizon", "0.3"]
           for f in FIELDS]
 ARGVS += [["flow", "--field", "holo:name=qcos", "--start", "0.5,0.3,0,0", "--dt", "0.001",
