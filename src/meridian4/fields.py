@@ -28,14 +28,14 @@ The module also holds the verifiers for the underlying PDE family.  Those
 on the meridian plane take a MeridionalField (a hand-built profile is
 checked as MeridionalField(profile)), those on R^4 callables of a
 Quaternion; each takes one point or a cloud of points as arrays.  A
-verifier reads its values and derivatives through _stencil, one call per
-callable, so a field evaluates all the points it needs in one evaluate call
-per set of quantities.  _stencil applies the one difference rule of the
-package (fd_steps and fd_combine, the two halves of
-holomorphic.fd_derivative): Richardson extrapolation of central
-differences at s and s/2, with error O(s^4), at s = default_fd_step for
-first and 10 * default_fd_step for second derivatives, each point with its
-own step.
+verifier reads its values and derivatives through holomorphic.fd_stencil,
+the one difference rule of the package, one call per callable, so a field
+evaluates all the points it needs in one evaluate call per set of
+quantities.  The rule is Richardson extrapolation of central differences
+at s and s/2, with error O(s^4), at s = default_fd_step for first and
+10 * default_fd_step for second derivatives, each point with its own step.
+The antiholomorphy probe of from_holomorphic_potential reads its lift
+through the same rule.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, IntegerOrderUnsupported, NoStream, NotHolomorphic
-from .holomorphic import (RadialFunction, antiholomorphy_residual, default_fd_step,
-                          fd_combine, fd_steps)
+from .holomorphic import RadialFunction, antiholomorphy_residual, fd_stencil
 from .quaternion import Quaternion
 # bessel_y stays bound here for bench/tracing.py, which wraps it at this name
 from .specfun import bessel_j, bessel_j_array, bessel_y, y_by_reflection  # noqa: F401
@@ -382,10 +381,10 @@ def lift_to_r4(f: MeridionalField, x: Quaternion) -> Quaternion:
 #
 # Each verifier takes one point (floats) or many (float arrays of one
 # shape) and returns its residuals in the same form.  It reads every value
-# and derivative it needs from one _stencil call per callable: the field's
-# quantities, at the difference points included, come from one evaluate
-# call per set of quantities, on flat arrays that hold all the points, and
-# each point steps by its own default_fd_step.
+# and derivative it needs from one holomorphic.fd_stencil call per
+# callable: the field's quantities, at the difference points included, come
+# from one evaluate call per set of quantities, on flat arrays that hold all
+# the points, and each point steps by its own default_fd_step.
 # ---------------------------------------------------------------------------
 
 def _quiet(verifier: Callable) -> Callable:
@@ -396,44 +395,6 @@ def _quiet(verifier: Callable) -> Callable:
         with np.errstate(all="ignore"):
             return verifier(*args, **kwargs)
     return quiet
-
-
-def _stencil(fn: Callable, at, lines: Sequence) -> list:
-    """fn's derivatives along lines through the points at, by the package's
-    one difference rule.
-
-    at is a plane point (x0, rho), fn a callable of x0 and rho, or a
-    Quaternion, fn a callable of a Quaternion; either holds floats or arrays
-    of one shape S.  Each line is (order, axis) or (order, axis, room): the
-    derivative of that order along coordinate axis, read at the offsets
-    fd_steps gives for the point's own h = default_fd_step(x0, rho) and
-    combined by fd_combine (StepTooLarge when a step reaches room); order 0
-    is fn's value at the points.  fn is called once, with every point a line
-    reads in flat arrays, and returns a value there (an array, or a float
-    for all of them), or a list or tuple of such values.  Per line, the
-    derivative (or value), of shape S, or (len(list), *S).
-    """
-    r4 = isinstance(at, Quaternion)
-    coords = at.components() if r4 else tuple(at)
-    h = default_fd_step(at.x0, at.rho()) if r4 else default_fd_step(*coords)
-    offsets = [fd_steps(order, h, *room) if order else [None] for order, _, *room in lines]
-    shape = np.broadcast(*coords).shape
-    moved = [[c + t if order and i == axis else c for i, c in enumerate(coords)]
-             for (order, axis, *_), ts in zip(lines, offsets) for t in ts]
-    flat = [np.concatenate([np.broadcast_to(m[i], shape).ravel() for m in moved])
-            for i in range(len(coords))]
-    vals = fn(Quaternion(*flat)) if r4 else fn(*flat)
-    single = not isinstance(vals, (list, tuple))
-    vals = np.array([np.broadcast_to(np.asarray(v, dtype=float), flat[0].shape)
-                     for v in ([vals] if single else vals)])
-    vals = np.moveaxis(vals.reshape(len(vals), len(moved), *shape), 1, 0)
-    if single:
-        vals = vals[:, 0]
-    out, k = [], 0
-    for (order, *_), ts in zip(lines, offsets):
-        out.append(fd_combine(vals[k:k + len(ts)], order, h) if order else vals[k])
-        k += len(ts)
-    return out
 
 
 def _stream(f: MeridionalField) -> Callable:
@@ -451,15 +412,15 @@ def _result(r):
 @_quiet
 def verify_epd(f: MeridionalField, x0, rho):
     """|rho (g_x0x0 + g_rhorho) - (alpha-2) g_rho| from the analytic partials."""
-    (xx, rr, r), = _stencil(lambda a, b: f.evaluate(("dV0_dx0", "dVrho_drho", "Vrho"), a, b,
-                                                    check=False), (x0, rho), [(0, 0)])
+    (xx, rr, r), = fd_stencil(lambda a, b: f.evaluate(("dV0_dx0", "dVrho_drho", "Vrho"), a, b,
+                                                      check=False), (x0, rho), [(0, 0)])
     return _result(abs(rho * (xx + rr) - (f.alpha - 2.0) * r))
 
 
 @_quiet
 def verify_stream(f: MeridionalField, x0, rho):
     """Stream equation |rho (gh_x0x0 + gh_rhorho) + (alpha-2) gh_rho| by differences."""
-    drr, dxx, dr = _stencil(_stream(f), (x0, rho), [(2, 1, rho), (2, 0), (1, 1)])
+    drr, dxx, dr = fd_stencil(_stream(f), (x0, rho), [(2, 1, rho), (2, 0), (1, 1)])
     return _result(abs(rho * (dxx + drr) + (f.alpha - 2.0) * dr))
 
 
@@ -472,9 +433,9 @@ def verify_stokes_beltrami(f: MeridionalField, x0, rho) -> Tuple:
 
     g-side partials are analytic; the stream side goes through differences.
     """
-    gh_rho, gh_x0 = _stencil(_stream(f), (x0, rho), [(1, 1, rho), (1, 0)])
-    (g_x0, g_rho), = _stencil(lambda a, b: f.evaluate(("V0", "Vrho"), a, b, check=False),
-                              (x0, rho), [(0, 0)])
+    gh_rho, gh_x0 = fd_stencil(_stream(f), (x0, rho), [(1, 1, rho), (1, 0)])
+    (g_x0, g_rho), = fd_stencil(lambda a, b: f.evaluate(("V0", "Vrho"), a, b, check=False),
+                                (x0, rho), [(0, 0)])
     w = rho ** (2.0 - f.alpha)
     return _result(abs(w * g_x0 - gh_rho)), _result(abs(w * g_rho + gh_x0))
 
@@ -491,15 +452,15 @@ def verify_weinstein(h_fn: ScalarField4, alpha: float, x: Quaternion):
     difference points) to h there, as does every callable a verifier of
     fields on R^4 takes.
     """
-    *second, d3 = _stencil(h_fn, x, [(2, ax) for ax in range(4)] + [(1, 3)])
+    *second, d3 = fd_stencil(h_fn, x, [(2, ax) for ax in range(4)] + [(1, 3)])
     return _result(abs(x.x3 * sum(second) - alpha * d3))
 
 
 @_quiet
 def verify_axial_hyperbolic(h_fn: ScalarField4, alpha: float, x: Quaternion):
     """|rho^2 Laplace(h) - alpha (x1 h_x1 + x2 h_x2 + x3 h_x3)| by differences."""
-    *second, g1, g2, g3 = _stencil(h_fn, x, [(2, ax) for ax in range(4)]
-                                   + [(1, ax) for ax in (1, 2, 3)])
+    *second, g1, g2, g3 = fd_stencil(h_fn, x, [(2, ax) for ax in range(4)]
+                                     + [(1, ax) for ax in (1, 2, 3)])
     rad = x.x1 * g1 + x.x2 * g2 + x.x3 * g3
     rho2 = x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2
     return _result(abs(rho2 * sum(second) - alpha * rad))
@@ -516,8 +477,8 @@ def verify_general_system(u: VectorField4, phi: ScalarField4, x: Quaternion) -> 
     u maps points to the four components (floats or arrays).
     """
     lines = [(1, ax) for ax in range(4)] + [(0, 0)]
-    *cols, u0 = _stencil(u, x, lines)
-    *gphi, p0 = _stencil(phi, x, lines)
+    *cols, u0 = fd_stencil(u, x, lines)
+    *gphi, p0 = fd_stencil(phi, x, lines)
     # jac[m][ax] = d u_m / d x_ax
     jac = [[cols[ax][m] for ax in range(4)] for m in range(4)]
 
@@ -539,7 +500,7 @@ def criterion_check(h_fn: ScalarField4, x: Quaternion) -> Tuple:
     s2 = x.x2 ** 2 + x.x3 ** 2
     if np.any((np.asarray(x.rho()) == 0.0) | (np.asarray(s2) == 0.0)):
         raise DomainError("criterion chart needs rho > 0 and (x2, x3) != 0")
-    g1, g2, g3 = _stencil(h_fn, x, [(1, ax) for ax in (1, 2, 3)])
+    g1, g2, g3 = fd_stencil(h_fn, x, [(1, ax) for ax in (1, 2, 3)])
     cart = (abs(x.x2 * g1 - x.x1 * g2),
             abs(x.x3 * g1 - x.x1 * g3),
             abs(x.x3 * g2 - x.x2 * g3))

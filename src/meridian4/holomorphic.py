@@ -14,14 +14,16 @@ Every lift takes a complex scalar or a complex ndarray: arrays go through
 numpy, scalars through cmath (and come back as a Python complex).  A field
 built from a RadialFunction reads its lifts at one point and at arrays of
 points alike, so a lift outside the table must accept both as well.
+
+fd_stencil is the package's one difference rule: the verifiers of fields and
+antiholomorphy_residual, which hands the lift arrays, read derivatives from it.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,9 +48,7 @@ __all__ = [
     "moebius_potential",
     "primitive",
     "default_fd_step",
-    "fd_steps",
-    "fd_combine",
-    "fd_derivative",
+    "fd_stencil",
 ]
 
 
@@ -119,52 +119,60 @@ def default_fd_step(x0, rho):
     return 1e-4 * np.maximum(np.maximum(1.0, np.abs(x0)), rho)
 
 
-def fd_steps(order: int, h, room=math.inf) -> list:
-    """The offsets t at which fd_derivative reads its line: s/2, -s/2, s, -s
-    and, for a second derivative, 0, with s = h (first) or 10 h (second).
+def fd_stencil(fn: Callable, at, lines: Sequence) -> list:
+    """fn's derivatives along lines through the points at, by the package's
+    one difference rule.
 
-    h and room are floats or arrays, one step per point.  Raises
-    StepTooLarge when s reaches room, the distance to the axis along the
-    line, at any point (the message names the first).
+    at is a plane point (x0, rho), fn a callable of x0 and rho, or a
+    Quaternion, fn a callable of a Quaternion; either holds floats or arrays
+    of one shape S.  Each line is (order, axis) or (order, axis, room): the
+    derivative of order 1 or 2 along coordinate axis, or for order 0 fn's
+    value at the points.  A derivative reads fn at t = s/2, -s/2, s, -s (and
+    0 for order 2) along its line and combines the central differences D at
+    s/2 and s by Richardson extrapolation, (4 D(s/2) - D(s)) / 3, with error
+    O(s^4).  The step is s = h for first and s = 10 h for second
+    derivatives, whose rounding error grows as eps/s^2 rather than eps/s,
+    with each point's own h = default_fd_step(x0, rho).  StepTooLarge when s
+    reaches room, the distance to the axis along the line, at any point (the
+    message names the first).  fn is called once, with every point a line
+    reads in flat arrays, and returns a value there (an array, or a float
+    for all of them), or a list or tuple of such values.  Per line, the
+    derivative (or value), of shape S, or (len(list), *S).
     """
-    s = h if order == 1 else 10.0 * h
-    reach = s >= room
-    if np.any(reach):
-        i = np.flatnonzero(reach)[0]
-        s, room = (np.broadcast_to(v, np.shape(reach)).flat[i] for v in (s, room))
-        raise StepTooLarge(f"step {s:g} reaches the axis (rho = {room:g})")
-    half = 0.5 * s
-    return [half, -half, s, -s] + ([0.0 * s] if order == 2 else [])
+    r4 = isinstance(at, Quaternion)
+    coords = at.components() if r4 else tuple(at)
+    h = default_fd_step(at.x0, at.rho()) if r4 else default_fd_step(*coords)
+    offsets = []  # per line: s/2, -s/2, s, -s (and 0), or the point itself
+    for order, _, *room in lines:
+        s = h if order == 1 else 10.0 * h
+        reach = np.asarray(s >= room[0] if order and room else False)
+        if np.any(reach):
+            i = np.flatnonzero(reach)[0]
+            s, far = (np.broadcast_to(v, reach.shape).flat[i] for v in (s, room[0]))
+            raise StepTooLarge(f"step {s:g} reaches the axis (rho = {far:g})")
+        offsets.append([0.5 * s, -0.5 * s, s, -s] + ([0.0 * s] if order == 2 else [])
+                       if order else [None])
+    shape = np.broadcast(*coords).shape
+    base = [np.broadcast_to(c, shape).ravel() for c in coords]
+    moved = [[np.ravel(c + t) if order and i == axis else base[i] for i, c in enumerate(coords)]
+             for (order, axis, *_), ts in zip(lines, offsets) for t in ts]
+    flat = [np.concatenate(column) for column in zip(*moved)]
+    vals = fn(Quaternion(*flat)) if r4 else fn(*flat)
+    single = not isinstance(vals, (list, tuple))
+    vals = np.array([np.broadcast_to(np.asarray(v, dtype=float), flat[0].shape)
+                     for v in ([vals] if single else vals)])
+    vals = vals.reshape(len(vals), len(moved), *shape).swapaxes(0, 1)
+    if single:
+        vals = vals[:, 0]
 
+    def central(v, i, order, d):
+        if order == 1:
+            return (v[i] - v[i + 1]) / (2.0 * d)
+        return (v[i] - 2.0 * v[4] + v[i + 1]) / (d * d)
 
-def fd_combine(values: list, order: int, h):
-    """The derivative from the line's values at the offsets of fd_steps.
-
-    Central differences D(s) at the step s and at s/2 combine to the
-    Richardson value (4 D(s/2) - D(s)) / 3, which cancels the s^2 term of
-    their truncation error.
-    """
-    s = h if order == 1 else 10.0 * h
-    if order == 1:
-        def central(i, d):
-            return (values[i] - values[i + 1]) / (2.0 * d)
-    else:
-        def central(i, d):
-            return (values[i] - 2.0 * values[4] + values[i + 1]) / (d * d)
-    return (4.0 * central(0, 0.5 * s) - central(2, s)) / 3.0
-
-
-def fd_derivative(line: Callable, order: int, h, room=math.inf):
-    """Derivative of order 1 or 2 of t -> line(t) at t = 0, with error O(h^4).
-
-    The package's one difference rule: line read at the offsets of fd_steps,
-    combined by fd_combine.  First derivatives step s = h
-    (default_fd_step); second derivatives step s = 10 h, since their
-    rounding error grows as eps/s^2 rather than eps/s.  line may return
-    floats, complex numbers or arrays.  Raises StepTooLarge when s reaches
-    room, the distance to the axis along the line.
-    """
-    return fd_combine([line(t) for t in fd_steps(order, h, room)], order, h)
+    chunks = np.split(vals, np.cumsum([len(ts) for ts in offsets])[:-1])
+    return [(4.0 * central(v, 0, order, ts[0]) - central(v, 2, order, ts[2])) / 3.0
+            if order else v[0] for (order, *_), ts, v in zip(lines, offsets, chunks)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +387,22 @@ def radial_derivative(f: RadialFunction, x0: float, rho: float) -> MeridianValue
     return MeridianValue(w.real, w.imag)
 
 
-def antiholomorphy_residual(f: RadialFunction, x0: float, rho: float,
-                            h: Optional[float] = None) -> float:
-    """|(1/2)(d/dx0 + I d/drho) f| from fd_derivative on the lift.
+def antiholomorphy_residual(f: RadialFunction, x0: float, rho: float) -> float:
+    """|(1/2)(d/dx0 + I d/drho) f| from fd_stencil on the lift.
 
-    Vanishes (to O(h^4)) exactly when f is radially holomorphic.
+    Vanishes (to O(h^4)) exactly when f is radially holomorphic.  numpy
+    stays as silent as float arithmetic on overflow and NaN: a non-finite
+    residual is the caller's to report.
     """
     if rho <= 0.0:
         raise OnAxis("antiholomorphy residual needs rho > 0")
-    if h is None:
-        h = default_fd_step(x0, rho)
-    z = complex(x0, rho)
-    wrho = fd_derivative(lambda t: f.lift(z + 1j * t), 1, h, room=rho)
-    wx0 = fd_derivative(lambda t: f.lift(z + t), 1, h)
-    return abs(0.5 * (wx0 + 1j * wrho))
+
+    def parts(a, b):
+        w = f.lift(a + 1j * b)
+        return w.real, w.imag
+    with np.errstate(all="ignore"):
+        (ux, vx), (ur, vr) = fd_stencil(parts, (x0, rho), [(1, 0), (1, 1, rho)])
+    return abs(0.5 * (complex(ux, vx) + 1j * complex(ur, vr)))
 
 
 def primitive(f: RadialFunction) -> RadialFunction:

@@ -80,10 +80,14 @@ class Quaternion:
     def rho(self) -> float:
         """Distance from the real axis, |(x1, x2, x3)|; when the components
         are flat float arrays of one length, at each of their points."""
-        # hypot scales internally (nested for numpy), so components below 1e-154 do not underflow
+        # hypot scales, so components below 1e-154 do not underflow; a complex's abs
+        # is the libm hypot that np.hypot calls, so a point rounds alike alone and in arrays
         if isinstance(self.x1, np.ndarray):
             return np.hypot(np.hypot(self.x1, self.x2), self.x3)
-        return math.hypot(self.x1, self.x2, self.x3)
+        try:
+            return abs(complex(abs(complex(self.x1, self.x2)), self.x3))
+        except OverflowError:  # past 1.8e308: inf, as float arithmetic gives
+            return math.inf
 
     def components(self) -> tuple:
         return (self.x0, self.x1, self.x2, self.x3)

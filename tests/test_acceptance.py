@@ -22,7 +22,7 @@ import numpy as np
 from meridian4.quaternion import Quaternion
 from meridian4.holomorphic import (
     antiholomorphy_residual,
-    fd_derivative,
+    fd_stencil,
     moebius_potential,
     primitive,
     qcos,
@@ -320,9 +320,12 @@ def test_acceptance_05_pde_residual_suite():
 
     # the Richardson differences behind the verifiers are exact on cubics,
     # so at any step the derivatives of x3^3 are off by rounding only (a
-    # second-order rule was off by h^2 = 4e-6 at h = 2e-3)
-    e_cube = max(abs(fd_derivative(lambda t: (1.0 + t) ** 3, order, h) - exact)
-                 for h in (2e-3, 1e-3) for order, exact in ((1, 3.0), (2, 6.0)))
+    # second-order rule was off by h^2 = 4e-6 at h = 2e-3).  At (0, 1)
+    # fd_stencil steps 1e-4 along x0, so (1 + k a)^3 is read at steps
+    # k * 1e-4, here 2e-3 and 1e-3, and its derivative comes back times k^order
+    e_cube = max(abs(fd_stencil(lambda a, b: (1.0 + k * a) ** 3, (0.0, 1.0), [(order, 0)])[0]
+                     / k ** order - exact)
+                 for k in (20.0, 10.0) for order, exact in ((1, 3.0), (2, 6.0)))
     assert e_cube <= 1e-10, f"x3^3 derivatives off by {e_cube:g}"
     return (f"meridian-eq residual {worst_epd:.2e}; Weinstein accept {worst_w:.2e}, "
             f"rejects r^3 ({res_rad:.3g}) and x3^3 ({res_cube:.3g}); "
@@ -386,7 +389,7 @@ def test_acceptance_07_radial_holomorphy_suite():
         for _ in range(100):
             x0, rho = rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.4)
             worst_dbar = max(worst_dbar,
-                             antiholomorphy_residual(f, x0, rho, h=1e-4))
+                             antiholomorphy_residual(f, x0, rho))
             d = radial_derivative(f, x0, rho)
             worst_tab = max(worst_tab,
                             abs(complex(d.a, d.b) - d_ref(complex(x0, rho))))

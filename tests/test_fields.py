@@ -8,7 +8,7 @@ from meridian4.quaternion import Quaternion
 from meridian4.holomorphic import (
     RadialFunction,
     conjugate,
-    fd_derivative,
+    fd_stencil,
     moebius_potential,
     qexp,
     qpow,
@@ -429,108 +429,69 @@ def test_verifier_residuals_keep_their_bits(spec):
 
 
 # float.hex of the residuals of the R^4 suites as the CLI's verify runs them
-# (its u, phi and h) at R4_VERIFIER_PINNED_POINTS, point by point: first
-# with each point passed alone as floats, then with the three as one cloud.
-# The two differ where Quaternion.rho rounds otherwise at floats
-# (math.hypot) than at arrays (nested np.hypot), and with it the step
+# (its u, phi and h) at R4_VERIFIER_PINNED_POINTS, point by point.  A point
+# passed alone as floats and the three as one cloud give the same bits:
+# Quaternion.rho, and with it the step, rounds alike at floats and arrays
 R4_VERIFIER_PINNED_POINTS = ((0.3, 0.8, -0.4, 0.6), (-1.2, 0.2, 0.5, 1.1),
                              (0.7, -0.9, 1.3, 0.25))
 R4_VERIFIER_PINNED = {
     'system --field holo:name=qexp': (
-        '0x1.2b00000000000p-40 0x1.82e0000000000p-42 0x1.09f8000000000p-40 0x1.cb6c000000000p-39 '
-        '0x1.b33c000000000p-41 0x1.5284000000000p-40 0x1.82e0000000000p-41 0x1.3248000000000p-42 '
-        '0x1.5420000000000p-46 0x1.29a8000000000p-43 0x1.3ef0000000000p-41 0x1.29ae000000000p-42 '
-        '0x1.1f0e000000000p-42 0x1.3ef2000000000p-40 0x1.8570800000000p-40 0x1.b120000000000p-40 '
-        '0x1.25dc000000000p-38 0x1.7a38000000000p-41 0x1.a6f8000000000p-38 0x1.8670000000000p-43 '
-        '0x1.455c000000000p-39',
         '0x1.2b18000000000p-40 0x1.82c0000000000p-42 0x1.09f8000000000p-40 0x1.cb64000000000p-39 '
         '0x1.b334000000000p-41 0x1.5282000000000p-40 0x1.82dc000000000p-41 0x1.3248000000000p-42 '
         '0x1.5420000000000p-46 0x1.29a8000000000p-43 0x1.3ef0000000000p-41 0x1.29ae000000000p-42 '
         '0x1.1f0e000000000p-42 0x1.3ef2000000000p-40 0x1.8571400000000p-40 0x1.b130000000000p-40 '
         '0x1.25d8000000000p-38 0x1.7a38000000000p-41 0x1.a6f8000000000p-38 0x1.8668000000000p-43 '
-        '0x1.455e000000000p-39',
+        '0x1.455e000000000p-39'
     ),
     'symmetry --field holo:name=qexp': (
-        '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-57 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
-        '0x0.0p+0',
-        '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-57 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
-        '0x0.0p+0',
+        '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+        '0x1.0000000000000p-57 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+        '0x0.0p+0'
     ),
     'criterion --field holo:name=qexp': (
-        '0x1.f6e8000000000p-41 0x1.4400000000000p-39 0x1.0ed0000000000p-41 0x1.5350000000000p-39 '
-        '0x1.0ed0000000000p-41 0x1.9860000000000p-47 0x1.1030000000000p-44 0x1.8fc0000000000p-44 '
-        '0x1.0cf0000000000p-44 0x1.8fc0000000000p-44 0x1.43c8000000000p-38 0x1.a300000000000p-45 '
-        '0x1.54d8000000000p-40 0x1.3e8b200000000p-38 0x1.54d8000000000p-40',
         '0x1.f6e8000000000p-41 0x1.43fc000000000p-39 0x1.0ec8000000000p-41 0x1.534e000000000p-39 '
         '0x1.0ec8000000000p-41 0x1.9860000000000p-47 0x1.1030000000000p-44 0x1.8fc0000000000p-44 '
         '0x1.0cf0000000000p-44 0x1.8fc0000000000p-44 0x1.43c4000000000p-38 0x1.a300000000000p-45 '
-        '0x1.54d8000000000p-40 0x1.3e8b400000000p-38 0x1.54d8000000000p-40',
+        '0x1.54d8000000000p-40 0x1.3e8b400000000p-38 0x1.54d8000000000p-40'
     ),
     'system --field separable:alpha=3,beta=1.1,b1=0.5,b2=0.5': (
-        '0x1.7538000000000p-41 0x1.6ab0000000000p-40 0x1.1005000000000p-39 0x1.e39c000000000p-40 '
-        '0x1.b33c000000000p-42 0x1.3a56000000000p-40 0x1.09f8000000000p-41 0x1.c244000000000p-42 '
-        '0x1.5ed6000000000p-43 0x1.5430000000000p-43 0x1.7ebc000000000p-41 0x1.9400000000000p-44 '
-        '0x1.1f0c000000000p-42 0x1.a940000000000p-43 0x1.fc03400000000p-41 0x1.c780000000000p-39 '
-        '0x1.c790000000000p-40 0x1.20c2000000000p-40 0x1.24d4000000000p-39 0x1.24d4000000000p-41 '
-        '0x1.e810000000000p-43',
         '0x1.7540000000000p-41 0x1.6ab0000000000p-40 0x1.1002000000000p-39 0x1.e398000000000p-40 '
         '0x1.b334000000000p-42 0x1.3a54000000000p-40 0x1.09f8000000000p-41 0x1.c244000000000p-42 '
         '0x1.5ed6000000000p-43 0x1.5430000000000p-43 0x1.7ebc000000000p-41 0x1.9400000000000p-44 '
         '0x1.1f0c000000000p-42 0x1.a940000000000p-43 0x1.fc07800000000p-41 0x1.c784000000000p-39 '
         '0x1.c780000000000p-40 0x1.20c2000000000p-40 0x1.24d4000000000p-39 0x1.24d2000000000p-41 '
-        '0x1.e810000000000p-43',
+        '0x1.e810000000000p-43'
     ),
     'symmetry --field separable:alpha=3,beta=1.1,b1=0.5,b2=0.5': (
-        '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-58 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
-        '0x0.0p+0',
-        '0x0.0p+0 0x1.0000000000000p-54 0x1.0000000000000p-55 0x0.0p+0 0x1.0000000000000p-58 '
-        '0x0.0p+0 0x1.0000000000000p-53 0x0.0p+0 0x0.0p+0',
+        '0x0.0p+0 0x1.0000000000000p-54 0x1.0000000000000p-55 0x0.0p+0 '
+        '0x1.0000000000000p-58 0x0.0p+0 0x1.0000000000000p-53 0x0.0p+0 '
+        '0x0.0p+0'
     ),
     'criterion --field separable:alpha=3,beta=1.1,b1=0.5,b2=0.5': (
-        '0x1.0ece000000000p-40 0x1.35e0000000000p-44 0x1.82d8000000000p-41 0x1.4ca0000000000p-41 '
-        '0x1.82d8000000000p-41 0x1.8fbe000000000p-44 0x1.036a000000000p-43 0x1.c2bc000000000p-43 '
-        '0x1.3ee0000000000p-43 0x1.c2bc000000000p-43 0x1.1ff0000000000p-38 0x1.114d000000000p-40 '
-        '0x1.2b58000000000p-42 0x1.27a7200000000p-38 0x1.2b58000000000p-42',
         '0x1.0ecc000000000p-40 0x1.3540000000000p-44 0x1.82e0000000000p-41 0x1.4c8c000000000p-41 '
         '0x1.82e0000000000p-41 0x1.8fbe000000000p-44 0x1.036a000000000p-43 0x1.c2bc000000000p-43 '
         '0x1.3ee0000000000p-43 0x1.c2bc000000000p-43 0x1.1ff2000000000p-38 0x1.114e000000000p-40 '
-        '0x1.2b50000000000p-42 0x1.27a8300000000p-38 0x1.2b50000000000p-42',
+        '0x1.2b50000000000p-42 0x1.27a8300000000p-38 0x1.2b50000000000p-42'
     ),
-    'weinstein --potential x3pow': (
-        '0x1.7d04000000000p-37 0x1.40e1e00000000p-31 0x1.f500000000000p-43',
+    'weinstein --potential x3pow':
         '0x1.7cfc000000000p-37 0x1.40e1e00000000p-31 0x1.f4e0000000000p-43',
-    ),
-    'axial --potential x3pow': (
-        '0x1.70a3d70a497fep+1 0x1.e9fbe7691dc50p+0 0x1.e000000001019p+1',
+    'axial --potential x3pow':
         '0x1.70a3d70a497f8p+1 0x1.e9fbe7691dc50p+0 0x1.e000000001018p+1',
-    ),
     'criterion --potential x3pow': (
-        '0x0.0p+0 0x1.ba5e353f7d965p-1 0x1.ba5e353f7d965p-2 0x1.70128a6b41363p-1 '
-        '0x1.ba5e353f7d965p-2 0x0.0p+0 0x1.73b645a1c8f5dp-1 0x1.d0a3d70a3b334p+0 '
-        '0x1.5264e6a0336bdp-1 0x1.d0a3d70a3b334p+0 0x0.0p+0 0x1.59999999996c0p-3 '
-        '0x1.f333333332f15p-3 0x1.051008fa2cc8bp-5 0x1.f333333332f15p-3',
         '0x0.0p+0 0x1.ba5e353f7d962p-1 0x1.ba5e353f7d962p-2 0x1.70128a6b41360p-1 '
         '0x1.ba5e353f7d962p-2 0x0.0p+0 0x1.73b645a1c8f5dp-1 0x1.d0a3d70a3b334p+0 '
         '0x1.5264e6a0336bdp-1 0x1.d0a3d70a3b334p+0 0x0.0p+0 0x1.59999999996c0p-3 '
-        '0x1.f333333332f15p-3 0x1.051008fa2cc8bp-5 0x1.f333333332f15p-3',
+        '0x1.f333333332f15p-3 0x1.051008fa2cc8bp-5 0x1.f333333332f15p-3'
     ),
-    'weinstein --potential rhopow:e=-1.5': (
-        '0x1.bc3e50aa9fba7p+0 0x1.03b38c261aa80p+1 0x1.71f26b3314eb4p-3',
+    'weinstein --potential rhopow:e=-1.5':
         '0x1.bc3e50aa9fba5p+0 0x1.03b38c261aa80p+1 0x1.71f26b3314eb4p-3',
-    ),
-    'axial --potential rhopow:e=-1.5': (
-        '0x1.ad6f701c670d9p+1 0x1.622362056ab11p+1 0x1.d9fe99596aa4ap+0',
+    'axial --potential rhopow:e=-1.5':
         '0x1.ad6f701c670d8p+1 0x1.622362056ab11p+1 0x1.d9fe99596aa48p+0',
-    ),
     'criterion --potential rhopow:e=-1.5': (
-        '0x1.357c000000000p-40 0x1.d040000000000p-42 0x1.5c28000000000p-41 0x1.0c38000000000p-40 '
-        '0x1.5c28000000000p-41 0x1.3230000000000p-43 0x1.5cb8000000000p-41 0x1.c2c8000000000p-41 '
-        '0x1.5d20000000000p-41 0x1.c2c8000000000p-41 0x1.6c80000000000p-42 0x1.489c000000000p-42 '
-        '0x1.1ff4000000000p-41 0x1.27c0800000000p-42 0x1.1ff4000000000p-41',
         '0x1.3580000000000p-40 0x1.d040000000000p-42 0x1.5c30000000000p-41 0x1.0c38000000000p-40 '
         '0x1.5c30000000000p-41 0x1.3230000000000p-43 0x1.5cb8000000000p-41 0x1.c2c8000000000p-41 '
         '0x1.5d20000000000p-41 0x1.c2c8000000000p-41 0x1.6c60000000000p-42 0x1.48a0000000000p-42 '
-        '0x1.1ff4000000000p-41 0x1.27a1000000000p-42 0x1.1ff4000000000p-41',
+        '0x1.1ff4000000000p-41 0x1.27a1000000000p-42 0x1.1ff4000000000p-41'
     ),
 }
 
@@ -543,7 +504,7 @@ def test_r4_verifier_residuals_keep_their_bits(case):
              for r in check(Quaternion(*p))]
     columns = check(Quaternion(*map(np.array, zip(*R4_VERIFIER_PINNED_POINTS))))
     cloud = [float(c[i]).hex() for i in range(len(R4_VERIFIER_PINNED_POINTS)) for c in columns]
-    assert (alone, cloud) == tuple(pin.split() for pin in R4_VERIFIER_PINNED[case])
+    assert alone == cloud == R4_VERIFIER_PINNED[case].split()
 
 def test_no_stream_on_field_view():
     from meridian4.fields import MeridionalField
@@ -596,16 +557,21 @@ def test_weinstein_rejects_wrong_power():
     assert abs(res - 3.0) < 1e-7
 
 
-def test_weinstein_fd_order():
+def test_fd_stencil_is_fourth_order():
     # the difference rule behind every verifier is fourth order: halving
     # the step divides the truncation error by about sixteen, for first
-    # and for second derivatives of exp and x^2.5
-    cases = [(math.exp, math.exp, math.exp, 0.3),
+    # and for second derivatives of exp and x^2.5.  At (0, 1) fd_stencil
+    # steps h = 1e-4 along x0, so reading fn(x + k a) there steps k h
+    # (10 k h for a second derivative) from x, and the derivative comes
+    # back times k^order
+    cases = [(np.exp, np.exp, np.exp, 0.3),
              (lambda t: t ** 2.5, lambda t: 2.5 * t ** 1.5, lambda t: 3.75 * t ** 0.5, 0.9)]
     for fn, d1, d2, x in cases:
-        for order, exact, h in ((1, d1(x), 0.1), (2, d2(x), 0.02)):
-            e_coarse = abs(fd_derivative(lambda t: fn(x + t), order, h) - exact)
-            e_fine = abs(fd_derivative(lambda t: fn(x + t), order, 0.5 * h) - exact)
+        for order, exact, step in ((1, d1(x), 0.1), (2, d2(x), 0.02)):
+            e_coarse, e_fine = (
+                abs(fd_stencil(lambda a, b: fn(x + k * a), (0.0, 1.0), [(order, 0)])[0]
+                    / k ** order - exact)
+                for k in (step / 1e-4, 0.5 * step / 1e-4))
             assert 15.0 < e_coarse / e_fine < 17.0, (order, x, e_coarse, e_fine)
 
 

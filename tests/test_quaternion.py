@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,30 @@ def test_axial_split_tiny_components(x):
     assert math.isclose(form.b, math.hypot(x.x1, x.x2, x.x3))
     back = from_axial(form.a, form.b, form.axis)
     assert (back - x).norm() <= 1e-12
+
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.builds(Quaternion, any_float, any_float, any_float, any_float))
+@example(Quaternion(0.3, 0.8, -0.4, 0.6))  # a three-argument math.hypot rounds it otherwise
+@example(Quaternion(1.0, 3.5675638243663433e-159, 0.0, 0.0))
+@example(Quaternion(0.0, 1e-160, -2e-160, 3e-160))
+@example(Quaternion(0.0, 1e-310, 1e-310, 3e-311))
+@example(Quaternion(0.0, 5e-324, 5e-324, 0.0))
+@example(Quaternion(0.0, 0.0, 1.3e308, 1.3e308))
+@settings(max_examples=200)
+def test_rho_of_a_point_alone_has_its_bits_in_an_array(x):
+    # a point passed as floats and the same point among others in arrays
+    # take one rounding, so a verifier steps alike in both; components
+    # below 1e-154, whose squares underflow, included
+    cloud = Quaternion(*(np.array([c, 0.5, -2.0]) for c in x.components()))
+    alone = x.rho()
+    with np.errstate(over="ignore"):  # an array past 1.8e308 warns; a float gives inf
+        in_cloud = float(cloud.rho()[0])
+    assert type(alone) is float
+    assert alone.hex() == in_cloud.hex()
+    assert alone > 0.0 or x.x1 == x.x2 == x.x3 == 0.0
 
 
 @given(quats().filter(lambda q: q.rho() > 1e-3))

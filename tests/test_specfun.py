@@ -262,8 +262,8 @@ JQ_BITS = {
         ('0x1.c72808c244ec0p-7', '-0x0.0p+0',
          '-0x1.2bf5d816669e1p-1', '0x1.8ff27573337d7p-1'),
     (5, (-4.0, 0.1, 0.2, 0.3)):
-        ('-0x1.07e8d28063dd4p-3', '0x1.7f63ea48ce6ddp-7',
-         '0x1.7f63ea48ce6ddp-6', '0x1.1f8aefb69ad26p-5'),
+        ('-0x1.07e8d28063dd4p-3', '0x1.7f63ea48ce6dfp-7',
+         '0x1.7f63ea48ce6dfp-6', '0x1.1f8aefb69ad27p-5'),
     (1.5, (6.0, 3.0, 0.0, 0.0)):
         ('-0x1.74cdac57398d0p+1', '0x1.1143001d735b8p-2',
          '0x0.0p+0', '0x0.0p+0'),

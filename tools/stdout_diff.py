@@ -36,10 +36,13 @@ ARGVS += [["flow", "--field", f, "--start", "0.1,0.9,0.2,0", "--dt", "0.01", "--
           for f in FIELDS]
 ARGVS += [["flow", "--field", "holo:name=qcos", "--start", "0.5,0.3,0,0", "--dt", "0.001",
            "--horizon", "2"]]
+ARGVS += [["flow", "--field", "holo:name=qexp", "--start", "0.1,0.8,-0.4,0.6", "--dt", "0.01",
+           "--horizon", "0.3"]]  # x3 != 0: rho rounds through all three components
 ARGVS += [["special", "bessel", "--nu", nu, "--z", z, "--kind", k, "--format", fmt]
           for nu, z in (("0.5", "29"), ("2", "5"), ("-1.25", "3.7"))
           for k in ("j", "y") for fmt in ("csv", "json")]
 ARGVS += [["special", "besselq", "--n", n] + AT for n in ("0", "3", "-2")]
+ARGVS += [["special", "besselq", "--n", "5", "--at=-4,0.1,0.2,0.3"]]
 ARGVS += [["special", "besselrep", "--n", "2", "--parity", p] + AT for p in ("even", "odd")]
 ARGVS += [["special", "transform", "--kind", k, "--original", o]
           + (["--rate", "2"] if o == "exp" else []) + AT
