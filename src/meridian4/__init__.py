@@ -6,10 +6,10 @@ and gradient-flow dynamics."""
 from . import errors
 from .quaternion import (Quaternion, AxialForm, CylindricalAngles, mul,
                          axial_split, from_axial, from_lift, angles)
-from .holomorphic import (MeridianValue, RadialFunction, MoebiusRealCoeffs,
-                          eval_lift, radial_derivative, antiholomorphy_residual,
-                          elementary, qpow, qexp, qcos, qsin, qln, conjugate,
-                          moebius, moebius_potential, primitive, default_fd_step)
+from .holomorphic import (RadialFunction, MoebiusRealCoeffs, eval_lift,
+                          radial_derivative, antiholomorphy_residual, elementary,
+                          qpow, qexp, qcos, qsin, qln, conjugate, moebius,
+                          moebius_potential, default_fd_step)
 from .specfun import (SeriesTail, factorial, gamma, bessel_j, bessel_j_series,
                       bessel_y, bessel_j_quat, power_to_bessel_partial)
 from .transforms import (OriginalFunction, QuadratureSpec, chebyshev_kernel,

@@ -35,7 +35,7 @@ quantities.  The rule is Richardson extrapolation of central differences
 at s and s/2, with error O(s^4), at s = default_fd_step for first and
 10 * default_fd_step for second derivatives, each point with its own step.
 The antiholomorphy probe of from_holomorphic_potential reads its lift
-through the same rule.
+through the same rule, at its three probe points in one call.
 """
 
 from __future__ import annotations
@@ -214,23 +214,23 @@ _PROBES = ((0.5, 0.7), (1.3, 0.4), (-0.8, 1.1))
 def from_holomorphic_potential(G: RadialFunction) -> MeridionalField:
     """alpha = 2 field of a radially holomorphic potential G = g + I*gh.
 
-    G is probed for antiholomorphy, then its lift and the lifts of G' and G''
-    go to lifted_field as one lift source.
+    The antiholomorphy probe reads G at the three _PROBES in one pass:
+    NotHolomorphic if its lift raises there (naming that error), or at the
+    first point whose residual is not finite or exceeds 1e-5 (1 + |G|).  Then
+    its lift and the lifts of G' and G'' go to lifted_field as one lift source.
     """
-    probed = 0
-    for px, pr in _PROBES:
+    x0, rho = np.array(_PROBES).T
+    with np.errstate(all="ignore"):
         try:
-            res = antiholomorphy_residual(G, px, pr)
-            scale = 1.0 + abs(G.lift(complex(px, pr)))
-        except Exception:
-            continue  # probe fell on a cut/pole; try the next one
-        probed += 1
-        if not math.isfinite(res) or res > 1e-5 * scale:
+            res = antiholomorphy_residual(G, x0, rho)
+            bad = ~np.isfinite(res) | (res > 1e-5 * (1.0 + np.abs(G.lift(x0 + 1j * rho))))
+        except Exception as exc:
             raise NotHolomorphic(
-                f"{G.name} fails the antiholomorphy probe at ({px:g}, {pr:g}): "
-                f"residual {res:g}")
-    if probed == 0:
-        raise NotHolomorphic(f"could not probe {G.name} anywhere")
+                f"could not probe {G.name}: {type(exc).__name__}: {exc}") from exc
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise NotHolomorphic(f"{G.name} fails the antiholomorphy probe at "
+                             f"({x0[i]:g}, {rho[i]:g}): residual {res[i]:g}")
 
     F = G.derivative()
     fns = (G.lift, F.lift, F.derivative().lift)
@@ -262,17 +262,16 @@ def lifted_field(lifts: Callable[[Tuple[int, ...], Any], List[Any]],
     dVrho_drho = -Re G''.  The profile's batch reads the lifts its
     quantities need in one call of lifts.
     """
-    plans = {}  # quantities -> (lifts to read, (lift position, sign, imag) per quantity)
-
+    @functools.lru_cache(maxsize=None)
     def plan(names):
+        # quantities -> (lifts to read, (lift position, sign, imag) per quantity)
         needed = tuple(sorted({_LIFTED[name][0] for name in names}))
-        reads = tuple((needed.index(k), sign, imag) for k, sign, imag in map(_LIFTED.get, names))
-        plans[names] = needed, reads
-        return needed, reads
+        return needed, tuple((needed.index(k), sign, imag)
+                             for k, sign, imag in map(_LIFTED.get, names))
 
     def batch(names, x0, rho):
         # a loop, not a comprehension, as in from_holomorphic_potential
-        needed, reads = plans.get(names) or plan(names)
+        needed, reads = plan(names)
         w = lifts(needed, x0 + 1j * rho)
         out = []
         for i, sign, imag in reads:
@@ -335,16 +334,15 @@ def from_separable(p: SeparableParams) -> MeridionalField:
                        xi * (beta * (pw[n1] * c[n1] + beta * pw[nu] * c[n2])), (n1, n2), (n1, nu)),
         "stream": (lambda xi, xi_p, pw, c: -(xi_p / beta) * pw[mu] * c[n1], (n1,), (mu,)),
     }
-    plans = {}  # quantities -> (orders of C, powers of rho, formula per quantity)
-
+    @functools.lru_cache(maxsize=None)
     def plan(names):
+        # quantities -> (orders of C, powers of rho, formula per quantity)
         orders, powers = (list(dict.fromkeys(e for n in names for e in formulas[n][k]))
                           for k in (1, 2))
-        plans[names] = orders, powers, [formulas[n][0] for n in names]
-        return plans[names]
+        return orders, powers, [formulas[n][0] for n in names]
 
     def batch(names, x0, rho):
-        orders, powers, fns = plans.get(names) or plan(names)
+        orders, powers, fns = plan(names)
         lib = np if isinstance(rho, np.ndarray) else math
         ch, sh = lib.cosh(beta * x0), lib.sinh(beta * x0)
         xi, xi_p = p.b1 * ch + p.b2 * sh, beta * (p.b1 * sh + p.b2 * ch)

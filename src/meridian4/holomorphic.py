@@ -31,7 +31,6 @@ from .errors import BranchCut, OnAxis, Pole, StepTooLarge, Unsupported
 from .quaternion import Quaternion, axial_split, from_lift
 
 __all__ = [
-    "MeridianValue",
     "RadialFunction",
     "MoebiusRealCoeffs",
     "eval_lift",
@@ -46,17 +45,9 @@ __all__ = [
     "conjugate",
     "moebius",
     "moebius_potential",
-    "primitive",
     "default_fd_step",
     "fd_stencil",
 ]
-
-
-@dataclass(frozen=True)
-class MeridianValue:
-    """Value a + b*I in the meridian half plane (b signed)."""
-    a: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -381,20 +372,19 @@ def eval_lift(f: RadialFunction, x: Quaternion) -> Quaternion:
     return from_lift(f.lift(complex(split.a, split.b)), x)
 
 
-def radial_derivative(f: RadialFunction, x0: float, rho: float) -> MeridianValue:
-    """f'(x) = (1/2)(d/dx0 - I d/drho) f as a meridian-plane value."""
-    w = f.derivative().lift(complex(x0, rho))
-    return MeridianValue(w.real, w.imag)
+def radial_derivative(f: RadialFunction, x0: float, rho: float) -> complex:
+    """f'(x) = (1/2)(d/dx0 - I d/drho) f at x0 + I*rho: the complex lift value w'(z)."""
+    return f.derivative().lift(complex(x0, rho))
 
 
-def antiholomorphy_residual(f: RadialFunction, x0: float, rho: float) -> float:
-    """|(1/2)(d/dx0 + I d/drho) f| from fd_stencil on the lift.
+def antiholomorphy_residual(f: RadialFunction, x0, rho):
+    """|(1/2)(d/dx0 + I d/drho) f| from fd_stencil on the lift, at floats or arrays.
 
     Vanishes (to O(h^4)) exactly when f is radially holomorphic.  numpy
     stays as silent as float arithmetic on overflow and NaN: a non-finite
     residual is the caller's to report.
     """
-    if rho <= 0.0:
+    if np.any(rho <= 0.0):
         raise OnAxis("antiholomorphy residual needs rho > 0")
 
     def parts(a, b):
@@ -402,9 +392,4 @@ def antiholomorphy_residual(f: RadialFunction, x0: float, rho: float) -> float:
         return w.real, w.imag
     with np.errstate(all="ignore"):
         (ux, vx), (ur, vr) = fd_stencil(parts, (x0, rho), [(1, 0), (1, 1, rho)])
-    return abs(0.5 * (complex(ux, vx) + 1j * complex(ur, vr)))
-
-
-def primitive(f: RadialFunction) -> RadialFunction:
-    """Primitive from the registered table (constant of integration 0)."""
-    return f.primitive()
+        return np.abs(0.5 * (ux + 1j * vx + 1j * (ur + 1j * vr)))

@@ -177,20 +177,26 @@ def _panel_sums(integrand, count: int, z: np.ndarray, upper: np.ndarray,
     is the point's upper limit (or one shared limit).  A block holds at most
     _BLOCK integrand values of all kernels together.  Rows are summed one by
     one (np.add.reduce, never a matrix product): a point's bits depend
-    neither on its batch nor on the other kernels."""
+    neither on its batch nor on the other kernels.  A sum that is not finite
+    raises DomainError naming the first point it falls on."""
     nodes, weights, ends = _panel_rule(ps)
     rows = max(1, _BLOCK // (count * nodes.size))
     outs = np.empty((count, len(ps), z.size), dtype=complex)
-    for lo in range(0, z.size, rows):
-        hi = lo + rows
-        b = upper[lo:hi] if upper.size > 1 else upper
-        col = b[:, None]
-        f, ks = integrand(z[lo:hi, None], col * nodes)
-        fw = f * weights * col
-        for out, k in zip(outs, ks):
-            vals = k * fw
-            for row, start, end in zip(out, (0,) + ends, ends):
-                row[lo:hi] = np.add.reduce(vals[:, start:end], axis=-1)
+    with np.errstate(all="ignore"):
+        for lo in range(0, z.size, rows):
+            hi = lo + rows
+            b = upper[lo:hi] if upper.size > 1 else upper
+            col = b[:, None]
+            f, ks = integrand(z[lo:hi, None], col * nodes)
+            fw = f * weights * col
+            for out, k in zip(outs, ks):
+                vals = k * fw
+                for row, start, end in zip(out, (0,) + ends, ends):
+                    row[lo:hi] = np.add.reduce(vals[:, start:end], axis=-1)
+    bad = ~np.isfinite(outs).all(axis=(0, 1))
+    if bad.any():
+        z0 = z[bad][0]
+        raise DomainError(f"quadrature sum not finite at (x0, rho) = ({z0.real:g}, {z0.imag:g})")
     return outs
 
 

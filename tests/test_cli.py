@@ -225,6 +225,22 @@ def test_grid_commands_report_the_field_error_at_a_non_finite_value(cmd):
         3, "", "error: DomainError: ascending series restricted to |z| <= 30\n")
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["eval", "--field", "holo:name=qexp,coeff=1e308", "--grid=-1:1:4,0.5:1.9:3"],
+     "NotHolomorphic: 1e+308*exp(x) fails the antiholomorphy probe at (0.5, 0.7): residual nan"),
+    (["special", "transform", "--kind", "ffc", "--original", "unit", "--at=1,1e308,1e308,0"],
+     "DomainError: quadrature sum not finite at (x0, rho) = (1, 1.41421e+308)"),
+    (["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"],
+     "DomainError: quadrature sum not finite at (x0, rho) = (0.3, 1.41421e+308)"),
+], ids=["probe", "transform", "besselrep"])
+@pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]], ids=["plain", "W-error"])
+def test_overflow_exits_3_with_one_error_line(argv, error, flags):
+    # numpy overflows inside the probe or the quadrature print no warning
+    r = subprocess.run([sys.executable, *flags, "-m", "meridian4", *argv],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", f"error: {error}\n")
+
+
 def test_verify_nan_residual_is_never_skipped(monkeypatch, capsys):
     from meridian4 import cli
 
@@ -373,6 +389,21 @@ def _main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_every_surface_argv_exits_0_3_or_4():
+    """Each argv of tools/stdout_diff.py, run in-process under pyproject's
+    RuntimeWarning-as-error filter, ends in exit 0, 3 or 4, never in a
+    warning or another exception out of main."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "stdout_diff.py")
+    spec = importlib.util.spec_from_file_location("stdout_diff", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert len(tool.ARGVS) >= 197
+    for argv in tool.ARGVS:
+        assert _main(argv)[0] in (0, 3, 4), argv
 
 
 def _against_reference(monkeypatch, argv):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -111,6 +112,23 @@ def test_constructor_rejects_unprobeable():
 
     with pytest.raises(NotHolomorphic):
         from_holomorphic_potential(RadialFunction(name="void", lift=nowhere))
+
+
+def test_constructor_names_the_error_of_a_lift_that_takes_no_arrays():
+    # the probe hands the lift arrays, which cmath.exp refuses
+    scalar_only = RadialFunction("e", lift=cmath.exp, deriv=qexp)
+    with pytest.raises(NotHolomorphic, match="could not probe e: TypeError: "):
+        from_holomorphic_potential(scalar_only)
+
+
+def test_constructor_refuses_a_lift_that_raises_at_one_probe():
+    def lift(z):
+        if np.any(np.abs(z - complex(-0.8, 1.1)) < 0.01):
+            raise DomainError("hole near (-0.8, 1.1)")
+        return np.exp(z)
+
+    with pytest.raises(NotHolomorphic, match=r"DomainError: hole near \(-0.8, 1.1\)"):
+        from_holomorphic_potential(RadialFunction("holed", lift=lift, deriv=qexp))
 
 
 # ---------------------------------------------------------------------------

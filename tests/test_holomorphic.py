@@ -90,8 +90,8 @@ def test_on_axis_ambiguity_raises():
 def test_cube_derivative_at_one_plus_i():
     d = radial_derivative(qpow(3), 1.0, 1.0)
     # 3(1+i)^2 = 6i
-    assert abs(d.a) < 1e-12
-    assert abs(d.b - 6.0) < 1e-12
+    assert abs(d.real) < 1e-12
+    assert abs(d.imag - 6.0) < 1e-12
 
 
 def _fd5(lift, z, h):

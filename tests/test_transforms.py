@@ -594,8 +594,8 @@ def test_shared_pass_raises_at_the_panel_cap(monkeypatch):
 
     monkeypatch.setattr(tr, "_panel_sums", spy)
 
-    def kernels(z, s, t):  # the first converges at once, the second never
-        return [np.ones_like(z * t), np.full(np.broadcast(z, t).shape, np.nan + 0j)]
+    def kernels(z, s, t):  # the first converges at once, the second (1/t diverges at 0) never
+        return [np.ones_like(z * t), 1.0 / t + 0 * z]
 
     z = np.array([0.3 + 0.2j, -0.5 + 0.7j])
     with pytest.raises(ConvergenceFailure):
@@ -604,6 +604,26 @@ def test_shared_pass_raises_at_the_panel_cap(monkeypatch):
     field = transform_field("ffs", unit_original(), tol=1e-300)
     with pytest.raises(ConvergenceFailure):
         field.evaluate(_QUANTITIES, np.array([0.2]), np.array([0.3]))
+
+
+def test_non_finite_sum_raises_at_its_first_pass(monkeypatch):
+    passes, panel_sums = [], tr._panel_sums
+
+    def spy(*args):
+        passes.append(args[-1])
+        return panel_sums(*args)
+
+    monkeypatch.setattr(tr, "_panel_sums", spy)
+
+    def kernels(z, s, t):  # finite at the first point, NaN at the second
+        return [np.where(z.imag > 0.5, np.nan, 1.0) * t + 0j]
+
+    z = np.array([0.3 + 0.2j, -0.5 + 0.7j])
+    with pytest.raises(DomainError, match=r"not finite at \(x0, rho\) = \(-0.5, 0.7\)"):
+        tr._integrals("ffc", kernels, 1, unit_original(), z, DEFAULT_TOL)
+    assert passes == [(1, 2)]
+    with pytest.raises(DomainError, match=r"\(x0, rho\) = \(1, 1.41421e\+308\)"):
+        transform_detail("ffc", unit_original(), Quaternion(1, 1e308, 1e308, 0))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])

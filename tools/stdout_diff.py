@@ -49,6 +49,9 @@ ARGVS += [["special", "transform", "--kind", k, "--original", o]
           for k in ("lf", "ffc", "ffs") for o in ("unit", "exp", "cheb1", "kernel1")]
 ARGVS += [["special", "transform", "--kind", "lf", "--original", "exp", "--rate", "2",
            "--at=-0.5,0.4,0,0"]]
+ARGVS += [["eval", "--field", "holo:name=qexp,coeff=1e308", "--grid=-1:1:4,0.5:1.9:3"],
+          ["special", "transform", "--kind", "ffc", "--original", "unit", "--at=1,1e308,1e308,0"],
+          ["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"]]
 
 
 def outcomes(tree):
