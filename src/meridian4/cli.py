@@ -3,7 +3,7 @@ verification suites, integrate gradient flows, and query the special-function
 machinery.
 
 Output goes to stdout as CSV (comma, LF, header row) or JSON (array of row
-objects with the same columns); diagnostics and logging go to stderr only.
+objects with the same columns); errors and progress lines go to stderr only.
 Exit codes: 0 success, 2 bad usage/spec, 3 domain error, 4 verification
 failure.  Identical invocations produce byte-identical output.
 """
@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import json
-import logging
 import math
 import os
 import random
@@ -40,7 +39,7 @@ from .fields import (
 # eigen_closed and jacobian stay bound here for bench/tracing.py, which wraps
 # the spectral layer at the names the CLI binds
 from .spectral import (closed_spectrum, eigen_closed, eigen_numeric,  # noqa: F401
-                       jacobian, jacobian_stack)
+                       grid_nodes, jacobian, jacobian_stack)
 from .dynsys import flow
 from .specfun import bessel_j, bessel_y, bessel_j_quat
 from .transforms import (
@@ -55,8 +54,6 @@ from .transforms import (
     transform_field,
     unit_original,
 )
-
-log = logging.getLogger("meridian4.cli")
 
 EVAL_HEADER = "x0,rho,V0,Vrho,dVrho_dx0,dVrho_drho"
 FLOW_HEADER = "t,x0,x1,x2,x3,h"
@@ -96,6 +93,13 @@ def _emit(lines):
 
 def _emit_json(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
+
+
+def _progress(message: str):
+    """Write one progress line to the current stderr when MERIDIAN4_LOG, read on
+    each call, is info or debug."""
+    if os.environ.get("MERIDIAN4_LOG", "").strip().lower() in ("info", "debug"):
+        sys.stderr.write(f"INFO meridian4.cli: {message}\n")
 
 
 _BLOCK_ROWS = 4096
@@ -318,7 +322,8 @@ def parse_potential_spec(text: str, default_alpha: float):
 
 
 def parse_grid(text: str):
-    """Grid spec x0lo:x0hi:nx,rholo:rhohi:nr -> (x0 samples, rho samples)."""
+    """Grid spec x0lo:x0hi:nx,rholo:rhohi:nr -> spectral.grid_nodes of that
+    window: (x0 samples, rho samples, every node's x0, every node's rho)."""
     parts = text.split(",")
     if len(parts) != 2:
         raise SpecError("grid wants x0lo:x0hi:nx,rholo:rhohi:nr")
@@ -333,17 +338,19 @@ def parse_grid(text: str):
             raise SpecError(f"{label} axis {part!r} has non-numeric entries")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise SpecError(f"{label} axis bounds must be finite")
+        if not math.isfinite(hi - lo):
+            raise SpecError(f"{label} axis span hi - lo overflows")
         if n < 2:
             raise SpecError(f"{label} axis needs n >= 2, got {n}")
         if not lo < hi:
             raise SpecError(f"{label} axis needs lo < hi")
-        return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+        return lo, hi, n
 
-    x0s = axis(parts[0], "x0")
-    rhos = axis(parts[1], "rho")
-    if rhos[0] < RHO_MIN:
+    x0_lo, x0_hi, nx = axis(parts[0], "x0")
+    rho_lo, rho_hi, nr = axis(parts[1], "rho")
+    if rho_lo < RHO_MIN:
         raise SpecError(f"rho axis starts below the domain floor {RHO_MIN:g}")
-    return x0s, rhos
+    return grid_nodes((x0_lo, x0_hi, rho_lo, rho_hi), (nx, nr))
 
 
 def _parse_point(text: str, count: int, label: str):
@@ -363,16 +370,10 @@ def _parse_point(text: str, count: int, label: str):
 # commands
 # ---------------------------------------------------------------------------
 
-def _grid_points(text: str):
-    """Flat (x0, rho) arrays of a grid spec, x0-major."""
-    x0s, rhos = parse_grid(text)
-    return np.repeat(np.array(x0s), len(rhos)), np.tile(np.array(rhos), len(x0s))
-
-
 def cmd_eval(args) -> int:
     field = parse_field_spec(args.field)
-    x0, rho = _grid_points(args.grid)
-    log.info("eval: %d grid points on %s", len(x0), args.field)
+    _, _, x0, rho = parse_grid(args.grid)
+    _progress(f"eval: {len(x0)} grid points on {args.field}")
 
     names = EVAL_HEADER.split(",")[2:]
     columns = {"x0": x0, "rho": rho}
@@ -383,9 +384,8 @@ def cmd_eval(args) -> int:
 
 def cmd_spectrum(args) -> int:
     field = parse_field_spec(args.field)
-    x0, rho = _grid_points(args.grid)
-    log.info("spectrum: %d grid points on %s (oracle=%s)",
-             len(x0), args.field, args.oracle)
+    _, _, x0, rho = parse_grid(args.grid)
+    _progress(f"spectrum: {len(x0)} grid points on {args.field} (oracle={args.oracle})")
 
     vrho, p01, p11 = field.evaluate(("Vrho", "dVrho_dx0", "dVrho_drho"), x0, rho)
     q = vrho / rho
@@ -524,7 +524,7 @@ def _run_suite(args):
 def cmd_verify(args) -> int:
     tol = SUITES[args.suite][0]
     results = _run_suite(args)
-    log.info("verify %s: %d samples, seed %d", args.suite, args.samples, args.seed)
+    _progress(f"verify {args.suite}: {args.samples} samples, seed {args.seed}")
 
     checks = [{"check": name, "max": _norm(worst), "tol": tol,
                "status": "pass" if worst <= tol else "fail"}
@@ -551,7 +551,7 @@ def cmd_flow(args) -> int:
     field = parse_field_spec(args.field)
     start = _parse_point(args.start, 4, "--start")
     traj = flow(field, Quaternion(*start), args.dt, args.horizon)
-    log.info("flow: %d steps, termination %s", len(traj.times) - 1, traj.termination)
+    _progress(f"flow: {len(traj.times) - 1} steps, termination {traj.termination}")
 
     names = FLOW_HEADER.split(",")
     samples = [(t, p.x0, p.x1, p.x2, p.x3, h) for t, p, h in traj.samples()]
@@ -689,38 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _StderrHandler(logging.Handler):
-    """Writes each record to sys.stderr as it is when the record comes."""
-
-    def emit(self, record):
-        try:
-            sys.stderr.write(self.format(record) + "\n")
-        except Exception:
-            self.handleError(record)
-
-
-_HANDLER = _StderrHandler()
-_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-
-
-def _setup_logging():
-    """Set the meridian4 logger's level from MERIDIAN4_LOG, on every call.
-
-    Its records go to the current sys.stderr and not on to the root logger,
-    which is left as it is.
-    """
-    name = os.environ.get("MERIDIAN4_LOG", "error").strip().lower()
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(name, logging.ERROR)
-    logger = logging.getLogger("meridian4")
-    logger.setLevel(level)
-    logger.propagate = False
-    if _HANDLER not in logger.handlers:
-        logger.addHandler(_HANDLER)
-
-
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -44,6 +44,7 @@ __all__ = [
     "degenerate_set",
     "zero_divergence_scan",
     "critical_points",
+    "grid_nodes",
     "CriticalPoint",
     "LevelChain",
     "DEGENERACY_RTOL",
@@ -214,17 +215,18 @@ class LevelChain:
 def _check_window(window: Window, grid: Tuple[int, int]) -> None:
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
-    if not all(map(math.isfinite, window)):
-        raise DomainError(f"window {window} has a non-finite bound")
+    if not all(map(math.isfinite, (*window, x0_hi - x0_lo, rho_hi - rho_lo))):
+        raise DomainError(f"window {window} has a non-finite bound or span")
     if nx < 2 or nr < 2 or x0_lo >= x0_hi or rho_lo >= rho_hi:
         raise EmptyWindow(f"window {window} with grid {grid} has no interior")
     if rho_lo < RHO_MIN:
         raise DomainError(f"window reaches below the rho floor {RHO_MIN:g}")
 
 
-def _nodes(window: Window, grid: Tuple[int, int]):
-    """The grid's node coordinates xs and rs (lists), and every node's x0 and
-    rho as flat arrays in x0-major order."""
+def grid_nodes(window: Window, grid: Tuple[int, int]):
+    """The nodes of an nx x nr grid on a checked window (finite bounds and spans,
+    nx, nr >= 2), bounds included: the axis coordinates xs and rs (lists), and
+    every node's x0 and rho as flat arrays in x0-major order."""
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
     xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
@@ -288,7 +290,7 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
     not symmetric in its ends), and the cell that shares it reuses the root;
     the edges of every equation are solved in one batch (_edge_roots).
     """
-    xs, rs, x0, rho = _nodes(window, grid)
+    xs, rs, x0, rho = grid_nodes(window, grid)
     tables = fn(x0, rho).reshape(-1, *grid)  # [eq, i, j] at (xs[i], rs[j])
 
     edge_index, edges, cells = {}, [], []
@@ -462,7 +464,7 @@ def critical_points(f: MeridionalField, window: Window,
     _check_window(window, grid)
     x0_lo, x0_hi, rho_lo, rho_hi = window
     span = max(x0_hi - x0_lo, rho_hi - rho_lo)
-    _, _, x0, rho = _nodes(window, grid)
+    _, _, x0, rho = grid_nodes(window, grid)
 
     live = np.arange(x0.size)  # seeds still stepping
     ok = np.zeros(x0.size, dtype=bool)

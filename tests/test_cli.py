@@ -106,9 +106,10 @@ def test_eval_is_byte_deterministic():
     ("holo:name=qexp,n=2", "0:1:2,0.5:1:2"),         # n is qpow's alone
     ("holo:name=qfoo", "0:1:2,0.5:1:2"),             # unknown function
     ("holo:name=qpow", "0:1:2,0.5:1:2"),             # qpow without n
+    ("moebius:a=0.25,d=1.5", "-1e308:1e308:2,0.5:1:2"),  # x0 span overflows
 ])
 def test_spec_errors_exit_2(field, grid):
-    r = run_cli("eval", "--field", field, "--grid", grid)
+    r = run_cli("eval", "--field", field, f"--grid={grid}")
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ")
@@ -969,10 +970,54 @@ def test_log_level_holds_on_each_call_in_one_process(monkeypatch):
     quiet_out, quiet_err = call(None)
     loud_out, loud_err = call("info")
     assert loud_out == quiet_out and quiet_err == ""
-    # the second call's records reach the second call's stderr
+    # the second call's lines reach the second call's stderr
     assert loud_err == "INFO meridian4.cli: eval: 4 grid points on holo:name=qpow,n=2,coeff=0.5\n"
     assert call("error") == (quiet_out, "")
     assert call("debug")[1] == loud_err
+    assert call(" Debug ")[1] == loud_err
+    assert call("warning") == (quiet_out, "")
+
+
+PROGRESS_LINES = [
+    (["spectrum", "--field", "moebius:a=0.25,d=1.5", "--grid", "0:1:2,1:2:2", "--oracle"],
+     "INFO meridian4.cli: spectrum: 4 grid points on moebius:a=0.25,d=1.5 (oracle=True)\n"),
+    (["verify", "epd", "--field", "holo:name=qexp", "--samples", "3"],
+     "INFO meridian4.cli: verify epd: 3 samples, seed 0\n"),
+    (["flow", "--field", "holo:name=qexp", "--start=-2,0.5,0.3,-0.2", "--dt", "0.01",
+      "--horizon", "0.03"],
+     "INFO meridian4.cli: flow: 3 steps, termination horizon\ntermination: horizon\n"),
+]
+
+
+@pytest.mark.parametrize("argv,info", PROGRESS_LINES, ids=["spectrum", "verify", "flow"])
+def test_progress_lines_keep_their_text(monkeypatch, argv, info):
+    from meridian4 import cli
+
+    def stderr(level):
+        monkeypatch.setenv("MERIDIAN4_LOG", level)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 0
+        return err.getvalue()
+
+    quiet = info.partition("\n")[2]
+    assert stderr("info") == info
+    assert stderr(" Debug ") == info
+    assert stderr("warning") == quiet
+    assert stderr("error") == quiet
+
+
+def test_main_leaves_the_logging_configuration_alone(monkeypatch):
+    import logging
+
+    from meridian4 import cli
+
+    logger = logging.getLogger("meridian4")
+    before = (list(logger.handlers), logger.propagate, logger.level)
+    monkeypatch.setenv("MERIDIAN4_LOG", "info")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(EVAL_ARGS)) == 0
+    assert (list(logger.handlers), logger.propagate, logger.level) == before
 
 
 # ---------------------------------------------------------------------------

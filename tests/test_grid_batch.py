@@ -36,7 +36,7 @@ def _csv(text):
 
 
 def _points():
-    x0s, rhos = parse_grid(GRID.partition("=")[2])
+    x0s, rhos, _, _ = parse_grid(GRID.partition("=")[2])
     return [(x0, rho) for x0 in x0s for rho in rhos]
 
 
@@ -173,7 +173,7 @@ def test_separable_eval_computes_bessel_data_once_per_rho(monkeypatch, capsys, s
     field = parse_field_spec(spec)
     params = SeparableParams(**{k: float(v) for k, v in
                                 (kv.split("=") for kv in spec.partition(":")[2].split(","))})
-    x0s, rhos = parse_grid(grid.partition("=")[2])
+    x0s, rhos, _, _ = parse_grid(grid.partition("=")[2])
     for cells, (x0, rho) in zip(rows, [(a, b) for a in x0s for b in rhos]):
         got = [float(c) for c in cells]
         alone = field.evaluate(tuple(names), np.array([x0]), np.array([rho]))

@@ -304,9 +304,11 @@ def test_window_validation():
 
 @pytest.mark.parametrize("scan", [critical_points, degenerate_set, zero_divergence_scan],
                          ids=lambda scan: scan.__name__)
-@pytest.mark.parametrize("window", [(math.nan, 1.0, 0.5, 2.0), (-1.0, 1.0, 0.5, math.inf)])
+@pytest.mark.parametrize("window", [(math.nan, 1.0, 0.5, 2.0), (-1.0, 1.0, 0.5, math.inf),
+                                    (-1e308, 1e308, 0.5, 2.0)])
 def test_scans_reject_a_non_finite_window(scan, window):
-    # rejected before any field pass, so a NaN bound cannot pass unchecked
+    # rejected before any field pass, so a NaN bound or an overflowing span
+    # cannot pass unchecked
     with pytest.raises(DomainError, match="non-finite bound"):
         scan(_sin_field(), window)
 
