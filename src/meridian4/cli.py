@@ -4,8 +4,9 @@ machinery.
 
 Output goes to stdout as CSV (comma, LF, header row) or JSON (array of row
 objects with the same columns); errors and progress lines go to stderr only.
-Exit codes: 0 success, 2 bad usage/spec, 3 domain error, 4 verification
-failure.  Identical invocations produce byte-identical output.
+Exit codes: 0 success, 2 bad usage/spec, 3 domain error (or a grid too
+large to allocate), 4 verification failure.  Identical invocations produce
+byte-identical output.
 """
 
 import argparse
@@ -280,7 +281,7 @@ def parse_potential_spec(text: str, default_alpha: float):
     """Scalar potentials h: R^4 -> R for the verification suites.
 
     x3pow[:alpha=A] -> x3^(1+A); rhopow:e=E -> rho^E;
-    rho3 -> (x1^2+x2^2+x3^2)^{3/2}; x0sq-x3sq -> x0^2 - x3^2.
+    rho3 is rhopow:e=3; x0sq-x3sq -> x0^2 - x3^2.
     h maps a Quaternion whose components are flat float arrays to an array.
     """
     name, _, body = text.partition(":")
@@ -297,18 +298,12 @@ def parse_potential_spec(text: str, default_alpha: float):
                     f"x3^{_e:g} needs x3 >= 0 at non-integer exponents")
             return x.x3 ** _e
 
-    elif name == "rhopow":
-        expo = _take(params, "e", float, required=True)
+    elif name in ("rhopow", "rho3"):
+        expo = 3.0 if name == "rho3" else _take(params, "e", float, required=True)
         _reject_extras(params, name)
 
         def h(x, _e=expo):
             return (x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2) ** (0.5 * _e)
-
-    elif name == "rho3":
-        _reject_extras(params, name)
-
-        def h(x):
-            return (x.x1 ** 2 + x.x2 ** 2 + x.x3 ** 2) ** 1.5
 
     elif name == "x0sq-x3sq":
         _reject_extras(params, name)
@@ -554,7 +549,8 @@ def cmd_flow(args) -> int:
     _progress(f"flow: {len(traj.times) - 1} steps, termination {traj.termination}")
 
     names = FLOW_HEADER.split(",")
-    samples = [(t, p.x0, p.x1, p.x2, p.x3, h) for t, p, h in traj.samples()]
+    samples = [(t, p.x0, p.x1, p.x2, p.x3, h)
+               for t, p, h in zip(traj.times, traj.points, traj.h_values)]
 
     if args.format == "json":
         rows = [dict(zip(names, map(_norm, s))) for s in samples]
@@ -699,6 +695,9 @@ def main(argv=None) -> int:
         return 2
     except (MeridianError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy raises a subclass with a private name
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:
         # downstream consumer (head, ...) closed stdout; not our error

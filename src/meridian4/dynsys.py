@@ -34,9 +34,6 @@ class Trajectory:
     h_values: List[float]
     termination: str  # 'horizon' | 'converged' | 'left_domain'
 
-    def samples(self) -> List[Tuple[float, Quaternion, float]]:
-        return list(zip(self.times, self.points, self.h_values))
-
 
 def _rk4_step(f: MeridionalField, x0: float, rho: float, dt: float,
               k1: Tuple[float, float]) -> Optional[Tuple[float, float]]:

@@ -17,10 +17,6 @@ class OnAxis(MeridianError):
     """Operation undefined on the real axis (rho = 0)."""
 
 
-class HalfSpaceViolation(MeridianError):
-    """psi requested outside the x3 > 0 half space where it is defined."""
-
-
 class BranchCut(MeridianError):
     """Evaluation on the branch cut of a principal-branch function."""
 

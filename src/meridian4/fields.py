@@ -131,14 +131,7 @@ class MeridionalField:
 
     def __init__(self, profile: MeridionalProfile):
         self.profile = profile
-
-    @property
-    def alpha(self) -> float:
-        return self.profile.alpha
-
-    @property
-    def label(self) -> str:
-        return self.profile.label
+        self.alpha, self.label = profile.alpha, profile.label
 
     def at(self, names: Tuple[str, ...], x0: float, rho: float) -> list:
         """The quantities names (each one of g, V0, Vrho, dV0_dx0, dVrho_dx0,

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BranchCut, OnAxis, Pole, StepTooLarge, Unsupported
+from .errors import BranchCut, DomainError, OnAxis, Pole, StepTooLarge, Unsupported
 from .quaternion import Quaternion, axial_split, from_lift
 
 __all__ = [
@@ -326,7 +326,7 @@ class MoebiusRealCoeffs:
 
     def __post_init__(self):
         if abs(self.a * self.d - self.b * self.c - 1.0) > 1e-12:
-            raise ValueError("Moebius coefficients must satisfy ad - bc = 1")
+            raise DomainError("Moebius coefficients must satisfy ad - bc = 1")
 
 
 def moebius(m: MoebiusRealCoeffs) -> RadialFunction:

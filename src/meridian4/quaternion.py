@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HalfSpaceViolation, OnAxis, ZeroQuaternion
+from .errors import DomainError, OnAxis, ZeroQuaternion
 
 __all__ = [
     "Quaternion",
@@ -132,11 +132,11 @@ def axial_split(x: Quaternion) -> AxialForm:
 def from_axial(a: float, b: float, axis: Quaternion) -> Quaternion:
     """Rebuild a + b*I from an axial form.  axis must be unit and pure."""
     if b < 0.0:
-        raise ValueError("axial distance b must be >= 0")
+        raise DomainError("axial distance b must be >= 0")
     if abs(axis.x0) > 1e-12:
-        raise ValueError("axis must be a pure quaternion (zero real part)")
+        raise DomainError("axis must be a pure quaternion (zero real part)")
     if abs(axis.norm() - 1.0) > 1e-12:
-        raise ValueError("axis must have unit norm")
+        raise DomainError("axis must have unit norm")
     return Quaternion(a, b * axis.x1, b * axis.x2, b * axis.x3)
 
 
@@ -168,7 +168,7 @@ class CylindricalAngles:
     psi: Optional[float]
 
 
-def angles(x: Quaternion, require_psi: bool = False) -> CylindricalAngles:
+def angles(x: Quaternion) -> CylindricalAngles:
     """Recover the angular chart of x.
 
     varphi = atan2(rho, x0) keeps full precision near the axis, where
@@ -178,7 +178,7 @@ def angles(x: Quaternion, require_psi: bool = False) -> CylindricalAngles:
         x1 = rho*cos(theta), x2 = rho*sin(theta)*cos(psi),
         x3 = rho*sin(theta)*sin(psi).
     psi is the arccot(x2/x3) branch in (0, pi), defined only on the open
-    half space x3 > 0; pass require_psi=True to make its absence an error.
+    half space x3 > 0, and None off it.
     """
     rho = x.rho()
     if rho == 0.0:
@@ -187,10 +187,5 @@ def angles(x: Quaternion, require_psi: bool = False) -> CylindricalAngles:
     varphi = math.atan2(rho, x.x0)
     s = math.hypot(x.x2, x.x3)
     theta = math.atan2(s, x.x1)
-    if x.x3 > 0.0:
-        psi: Optional[float] = math.atan2(x.x3, x.x2)
-    else:
-        if require_psi:
-            raise HalfSpaceViolation("psi defined only for x3 > 0")
-        psi = None
+    psi = math.atan2(x.x3, x.x2) if x.x3 > 0.0 else None
     return CylindricalAngles(r, varphi, theta, psi)

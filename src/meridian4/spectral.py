@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 DEGENERACY_RTOL = 1e-9
+_EDGE_TOL, _EDGE_PASSES = 1e-10, 200  # _edge_roots: |fn| that counts as a root, pass cap
 
 Jacobian4 = np.ndarray  # symmetric 4x4, float64
 
@@ -244,24 +245,25 @@ def _distinct(points) -> List[Tuple[float, float]]:
     return kept
 
 
-def _edge_roots(fn, edges, tol=1e-10, max_iter=200):
+def _edge_roots(fn, edges):
     """Illinois false position on every edge (eq, pa, pb, fa, fb) for a sign
     change of equation eq of fn, all edges at once: each pass calls fn once,
     at s = fa/(fa - fb) along each edge still open (at its midpoint where s is
     not in (0, 1)), and halves the stored value of an end kept two passes in
-    a row (Dowell & Jarratt 1971).  An edge stops where |fn| <= tol at the new
-    point, or where its two ends stall (then at their midpoint)."""
+    a row (Dowell & Jarratt 1971).  An edge stops where |fn| <= _EDGE_TOL at
+    the new point, or at its midpoint where its two ends stall or
+    _EDGE_PASSES passes are spent."""
     eq, (xa, ra), (xb, rb), fa, fb = (np.array(v).T for v in zip(*edges))
     out = np.empty((len(edges), 2))
     open_, kept_a = np.arange(len(edges)), np.full(len(edges), np.nan)  # nan: no pass yet
-    for _ in range(max_iter):
+    for _ in range(_EDGE_PASSES):
         if not open_.size:
             break
         s = fa / (fa - fb)
         s = np.where((s > 0.0) & (s < 1.0), s, 0.5)
         xm, rm = xa + s * (xb - xa), ra + s * (rb - ra)
         fm = fn(xm, rm)[eq, np.arange(open_.size)]
-        hit = np.abs(fm) <= tol
+        hit = np.abs(fm) <= _EDGE_TOL
         out[open_[hit]] = np.stack((xm, rm), axis=-1)[hit]
         flip = (fa < 0.0) != (fm < 0.0)  # the new point replaces b, and a is kept
         twice = flip == kept_a  # the end kept last pass is kept again: halve its value
@@ -447,19 +449,20 @@ class CriticalPoint:
 
 
 _NEWTON = ("V0", "Vrho", "dV0_dx0", "dVrho_dx0", "dVrho_drho")
+_NEWTON_STEPS = 50
 
 
 def critical_points(f: MeridionalField, window: Window,
-                    grid: Tuple[int, int] = (12, 12),
-                    max_iter: int = 50) -> List[CriticalPoint]:
+                    grid: Tuple[int, int] = (12, 12)) -> List[CriticalPoint]:
     """Newton search for V = 0 seeded on a coarse grid.
 
     The Newton matrix is the analytic meridian-plane Jacobian
     [[dV0/dx0, dV0/drho], [dVrho/dx0, dVrho/drho]].  All seeds step at once,
-    one evaluate per step.  A seed is dropped silently where the field is
-    not finite, the matrix is singular, the step exceeds the window's span,
-    or the iterate leaves the rho floor or the widened window; converged
-    points are deduplicated to 1e-8 in seed order (x0-outer).
+    one evaluate per step, for at most _NEWTON_STEPS steps.  A seed is
+    dropped silently where the field is not finite, the matrix is singular,
+    the step exceeds the window's span, the iterate leaves the rho floor or
+    the widened window, or the steps run out; converged points are
+    deduplicated to 1e-8 in seed order (x0-outer).
     """
     _check_window(window, grid)
     x0_lo, x0_hi, rho_lo, rho_hi = window
@@ -469,7 +472,7 @@ def critical_points(f: MeridionalField, window: Window,
     live = np.arange(x0.size)  # seeds still stepping
     ok = np.zeros(x0.size, dtype=bool)
     vtol = None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
         v0, vr, a, b, c = f.evaluate(_NEWTON, x0[live], rho[live], check=False)

@@ -137,6 +137,16 @@ def test_domain_errors_exit_3():
     assert "IntegerOrderUnsupported" in r.stderr
 
 
+def test_grid_too_large_to_allocate_exits_3():
+    # 5e6 x 5e6 nodes need 182 TiB per array, more than any address space holds,
+    # so the allocation fails at once; the run peaks at about 0.5 GB
+    r = run_cli("eval", "--field", "holo:name=qexp", "--grid=0:1:5000000,0.1:1:5000000")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: MemoryError: ")
+    assert r.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -303,6 +313,16 @@ def test_unknown_potential_names_all_four():
     for name in ("x3pow", "rhopow", "rho3", "x0sq-x3sq"):
         assert name in r.stderr
     assert "rhopow:e=E" in run_cli("verify", "--help").stdout
+
+
+def test_rho3_is_rhopow_with_e_3():
+    rho3 = run_cli("verify", "axial", "--potential", "rho3", "--samples", "12")
+    rhopow = run_cli("verify", "axial", "--potential", "rhopow:e=3", "--samples", "12")
+    assert rho3.returncode == rhopow.returncode  # the same residual bits, pass or fail
+    assert rho3.stdout == rhopow.stdout.replace("target=rhopow:e=3", "target=rho3")
+    r = run_cli("verify", "axial", "--potential", "rho3:e=2")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: unknown parameter(s) for rho3: e\n"
 
 
 def test_verify_requires_target():

@@ -93,7 +93,7 @@ def test_flow_records_consistently():
     assert len(tr.times) == len(tr.points) == len(tr.h_values) == 11
     assert tr.times == sorted(tr.times)
     f = _saddle_field()
-    for t, x, h in tr.samples():
+    for x, h in zip(tr.points, tr.h_values):
         assert h == f.g(x.x0, x.rho())
 
 
@@ -236,6 +236,22 @@ def test_flow_rejects_non_finite_step_or_horizon(dt, horizon):
 def test_flow_rejects_a_non_finite_start(start):
     with pytest.raises(DomainError, match="initial point"):
         flow(_saddle_field(), Quaternion(*start), dt=0.01, horizon=1.0)
+
+
+def test_flow_refuses_a_row_that_overflows():
+    # V0 = 1e308 steps x0 from 1 to inf in one RK4 step with no OverflowError
+    f = MeridionalField(MeridionalProfile(
+        alpha=0.0,
+        g=lambda x0, rho: 1e308 * x0,
+        dg_dx0=lambda x0, rho: 1e308,
+        dg_drho=lambda x0, rho: 0.0,
+        d2g_dx0x0=lambda x0, rho: 0.0,
+        d2g_dx0rho=lambda x0, rho: 0.0,
+        d2g_drhorho=lambda x0, rho: 0.0,
+    ))
+    with pytest.raises(DomainError) as err:
+        flow(f, Quaternion(1, 1, 0, 0), dt=1.0, horizon=3.0)
+    assert str(err.value) == "flow row at t = 1 is not finite (x0 = inf, rho = 1.0)"
 
 
 def test_converged_speed_constant():

@@ -22,7 +22,7 @@ from meridian4.holomorphic import (
     qsin,
     radial_derivative,
 )
-from meridian4.errors import BranchCut, OnAxis, Pole, StepTooLarge, Unsupported
+from meridian4.errors import BranchCut, DomainError, OnAxis, Pole, StepTooLarge, Unsupported
 
 # frozen 50-digit references for the lift at z = 0.3 + 0.7i
 Z_PROBE = complex(0.3, 0.7)
@@ -167,7 +167,7 @@ def test_linear_combination_closes():
 # ---------------------------------------------------------------------------
 
 def test_moebius_determinant_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         MoebiusRealCoeffs(1, 1, 1, 1)  # ad - bc = 0
     MoebiusRealCoeffs(2, 1, 1, 1)      # ad - bc = 1 is fine
 
@@ -291,6 +291,11 @@ def test_branch_cuts():
     assert eval_lift(qpow(2), Quaternion(-2, 0, 0, 0)).x0 == 4.0
 
 
+def test_non_integer_power_at_its_branch_point():
+    with pytest.raises(BranchCut, match="non-integer power at its branch point"):
+        qpow(0.5).lift(0j)
+
+
 def test_pole_at_origin():
     with pytest.raises(Pole):
         eval_lift(qpow(-1), Quaternion(0, 0, 0, 0))
@@ -305,6 +310,11 @@ def test_unsupported_paths():
         elementary("qpow")  # missing exponent
     with pytest.raises(Unsupported):
         radial_derivative(conjugate(qexp()), 0.5, 0.5)
+
+
+def test_primitive_outside_the_table_is_unsupported():
+    with pytest.raises(Unsupported, match="no registered primitive for "):
+        qln().primitive().primitive()
 
 
 def test_default_fd_step():

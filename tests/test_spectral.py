@@ -138,6 +138,16 @@ def test_invariants_overflow_is_a_domain_error():
             eigen_numeric(bad)
 
 
+def test_eigen_numeric_refuses_non_finite_entries():
+    with pytest.raises(DomainError, match="matrix has non-finite entries"):
+        eigen_numeric(np.full((4, 4), np.nan))
+
+
+def test_closed_spectrum_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="closed-form spectrum overflows"):
+        spectral.closed_spectrum(2.5, 1e200, 1e200, 1e200)
+
+
 def test_eigen_numeric_checks_symmetry_once(monkeypatch):
     calls = []
     check = spectral._check_symmetric

@@ -72,6 +72,11 @@ def test_laplace_abscissa_violation():
     laplace_fueter(unit_original(), Quaternion(-3, 1, 0, 0))
 
 
+def test_transform_detail_refuses_an_unknown_kind():
+    with pytest.raises(DomainError, match="transform kind must be 'lf', 'ffc' or 'ffs'"):
+        transform_detail("xx", unit_original(), Quaternion(1, 0.5, 0, 0))
+
+
 def test_quadrature_spec_reporting():
     _, spec = transform_detail("lf", unit_original(), Quaternion(2, 0, 1, 0))
     assert spec.scheme == "gauss_legendre_panels"
