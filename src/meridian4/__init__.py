@@ -10,8 +10,8 @@ from .holomorphic import (RadialFunction, MoebiusRealCoeffs, eval_lift,
                           radial_derivative, antiholomorphy_residual, elementary,
                           qpow, qexp, qcos, qsin, qln, conjugate, moebius,
                           moebius_potential, default_fd_step)
-from .specfun import (SeriesTail, factorial, gamma, bessel_j, bessel_j_series,
-                      bessel_y, bessel_j_quat, power_to_bessel_partial)
+from .specfun import (SeriesTail, bessel_j, bessel_j_series, bessel_y, bessel_j_quat,
+                      power_to_bessel_partial)
 from .transforms import (OriginalFunction, QuadratureSpec, chebyshev_kernel,
                          cheb_original, unit_original, exp_decay_original,
                          transform_detail, laplace_fueter, ff_cos, ff_sin,

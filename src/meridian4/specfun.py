@@ -1,6 +1,6 @@
-"""Special functions: factorials, Gamma, and Bessel functions of the first
-and second kind, including the quaternionic Bessel functions obtained by
-evaluating the ascending series on the complex lift.
+"""Special functions: Bessel functions of the first and second kind,
+including the quaternionic Bessel functions obtained by evaluating the
+ascending series on the complex lift.
 
 Every Bessel value comes from one rule, the ascending series summed by
 Horner's rule for |z| <= 30: J_nu(z) = c0 Q(w), c0 = (z/2)^nu/Gamma(nu+1),
@@ -35,8 +35,6 @@ from .errors import ConvergenceFailure, DomainError, IntegerOrderUnsupported
 from .quaternion import Quaternion, axial_split, from_lift
 
 __all__ = [
-    "factorial",
-    "gamma",
     "SeriesTail",
     "bessel_j",
     "bessel_j_series",
@@ -51,28 +49,7 @@ MAX_ABS_Z = 30.0
 _MAX_TERMS = 300
 _BLOCK_PAIRS = 2048
 _EPS = sys.float_info.epsilon
-_MAX_FACTORIAL = 170
 _Num = Union[float, complex]
-
-_FACT = [1.0]
-for _k in range(1, _MAX_FACTORIAL + 1):
-    _FACT.append(_FACT[-1] * _k)
-
-
-def factorial(n: int) -> float:
-    """n! as a float, table-backed; n must be in [0, 170] (float overflow above)."""
-    if not 0 <= n <= _MAX_FACTORIAL:
-        raise DomainError(f"factorial table covers 0..{_MAX_FACTORIAL}, got {n:.6g}")
-    return _FACT[n]
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real argument; poles at non-positive integers."""
-    try:
-        return math.gamma(x)
-    except ValueError:
-        raise DomainError(f"Gamma pole/overflow at x = {x!r}") from None
-
 
 @dataclass(frozen=True)
 class SeriesTail:
@@ -91,9 +68,9 @@ def _is_int(nu: float) -> bool:
 @dataclass(frozen=True)
 class _Order:
     """What the series of J at one order needs: the order summed (|nu| at
-    a negative integer order, odd when J_{-n} = -J_n), Gamma(nu+1) (n! at
-    an integer order, NaN where it overflows, so that c0 is NaN too), b_0
-    .. b_{_MAX_TERMS}, and Q's degree for each bucket ceil(|z|) = 0 .. 30."""
+    a negative integer order, odd when J_{-n} = -J_n), math.gamma's
+    Gamma(nu+1) (NaN where it overflows, so that c0 is NaN too), b_0 ..
+    b_{_MAX_TERMS}, and Q's degree for each bucket ceil(|z|) = 0 .. 30."""
     nu: float
     odd: bool
     gamma: float
@@ -112,8 +89,8 @@ def _order(nu: float) -> _Order:
     if integer and nu < 0:
         nu, odd = -nu, nu % 2 == 1
     try:
-        gam = _FACT[int(nu)] if integer else math.gamma(nu + 1.0)
-    except (IndexError, OverflowError):  # past 170!, or math.gamma overflows
+        gam = math.gamma(nu + 1.0)
+    except OverflowError:
         gam = math.nan
     k = np.arange(1.0, _MAX_TERMS + 2.0)
     denom = k * (nu + k)
@@ -290,6 +267,7 @@ def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
     z = complex(split.a, split.b)
     total = 0j
     for n in range(big_n + 1):
-        coeff = (m + 2 * n) * factorial(m + n - 1) / factorial(n)
-        total += coeff * _horner(*_jv_terms(float(m + 2 * n), z))
+        terms = _jv_terms(float(m + 2 * n), z)  # first: past Gamma's range, a DomainError
+        coeff = (m + 2 * n) * math.gamma(m + n) / math.gamma(n + 1)
+        total += coeff * _horner(*terms)
     return from_lift(total, x)

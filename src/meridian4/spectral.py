@@ -230,10 +230,10 @@ def grid_nodes(window: Window, grid: Tuple[int, int]):
     every node's x0 and rho as flat arrays in x0-major order."""
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
-    xs = [x0_lo + (x0_hi - x0_lo) * i / (nx - 1) for i in range(nx)]
-    rs = [rho_lo + (rho_hi - rho_lo) * j / (nr - 1) for j in range(nr)]
+    xs = x0_lo + (x0_hi - x0_lo) * np.arange(nx) / (nx - 1)
+    rs = rho_lo + (rho_hi - rho_lo) * np.arange(nr) / (nr - 1)
     x0, rho = (v.ravel() for v in np.meshgrid(xs, rs, indexing="ij"))
-    return xs, rs, x0, rho
+    return xs.tolist(), rs.tolist(), x0, rho
 
 
 def _distinct(points) -> List[Tuple[float, float]]:
@@ -286,11 +286,13 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
 
     fn maps arrays of x0 and rho to the equations' values there (equations
     x points); the node table is one call.  For each equation the cells are
-    taken x0-outer, and each cell walks its four edges in turn.  An edge
-    with a sign change is solved once, from its lower (i, j) node to its
+    taken x0-outer, and each cell walks its four edges in turn.  A zero node
+    is a crossing itself, and an edge with a zero end has no sign change.  An
+    edge with a sign change is solved once, from its lower (i, j) node to its
     higher one whichever cell finds it (false position, unlike bisection, is
     not symmetric in its ends), and the cell that shares it reuses the root;
-    the edges of every equation are solved in one batch (_edge_roots).
+    the edges of every equation are solved in one batch (_edge_roots).  A
+    segment that two cells find (an edge on the zero set) is kept once.
     """
     xs, rs, x0, rho = grid_nodes(window, grid)
     tables = fn(x0, rho).reshape(-1, *grid)  # [eq, i, j] at (xs[i], rs[j])
@@ -313,7 +315,7 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
                 a, b = e, (e + 1) % 4
                 if f[a] == 0.0:
                     crossings.append(corners[a])
-                elif (f[a] < 0.0) != (f[b] < 0.0):
+                elif f[b] != 0.0 and (f[a] < 0.0) != (f[b] < 0.0):
                     lo, hi = sorted((a, b), key=nodes.__getitem__)
                     edge = (eq, nodes[lo], nodes[hi])
                     if edge not in edge_index:
@@ -323,7 +325,7 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
             cells.append((eq, crossings))
 
     roots = _edge_roots(fn, edges) if edges else []
-    segments = [[] for _ in tables]
+    segments = [{} for _ in tables]  # each segment keyed by its two points
     for eq, crossings in cells:
         # dedupe corner hits
         uniq = []
@@ -332,8 +334,9 @@ def _grid_crossings(fn, window: Window, grid: Tuple[int, int]):
             if all(abs(c[0] - u[0]) + abs(c[1] - u[1]) > 1e-12 for u in uniq):
                 uniq.append(c)
         # ambiguous 4-crossing cells get paired in sequence
-        segments[eq].extend(zip(uniq[0::2], uniq[1::2]))
-    return segments
+        for seg in zip(uniq[0::2], uniq[1::2]):
+            segments[eq].setdefault(frozenset(seg), seg)
+    return [list(kept.values()) for kept in segments]
 
 
 def _stitch(segments) -> List[List[Tuple[float, float]]]:

@@ -103,8 +103,6 @@ class OriginalFunction:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    scheme: str
-    nodes_per_panel: int
     panels: int
     tol: float
     last_delta: float
@@ -174,10 +172,10 @@ def _panel_sums(integrand, count: int, z: np.ndarray, upper: np.ndarray,
     """b * sum_j w_j f(b u_j) k(z, b u_j) at each point z for each of the
     count kernels k and each panel count p, as an array (kernel, p, point),
     where the integrand gives the original's factor f and the kernels, and b
-    is the point's upper limit (or one shared limit).  A block holds at most
-    _BLOCK integrand values of all kernels together.  Rows are summed one by
-    one (np.add.reduce, never a matrix product): a point's bits depend
-    neither on its batch nor on the other kernels.  A sum that is not finite
+    is the point's upper limit.  A block holds at most _BLOCK integrand
+    values of all kernels together.  Rows are summed one by one
+    (np.add.reduce, never a matrix product): a point's bits depend neither
+    on its batch nor on the other kernels.  A sum that is not finite
     raises DomainError naming the first point it falls on."""
     nodes, weights, ends = _panel_rule(ps)
     rows = max(1, _BLOCK // (count * nodes.size))
@@ -185,8 +183,7 @@ def _panel_sums(integrand, count: int, z: np.ndarray, upper: np.ndarray,
     with np.errstate(all="ignore"):
         for lo in range(0, z.size, rows):
             hi = lo + rows
-            b = upper[lo:hi] if upper.size > 1 else upper
-            col = b[:, None]
+            col = upper[lo:hi, None]
             f, ks = integrand(z[lo:hi, None], col * nodes)
             fw = f * weights * col
             for out, k in zip(outs, ks):
@@ -207,11 +204,11 @@ def _truncation(gap: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _upper(kind: str, eta: OriginalFunction, z: np.ndarray, tol: float) -> np.ndarray:
-    """The support (one limit for all points), or where each point's tail drops
+    """Each point's upper limit: the support, or where the point's tail drops
     below tol/2: lf needs Re z right of the abscissa, ffc/ffs a decay faster
     than the kernel's e^(|Im z| tau)."""
     if eta.compact():
-        return np.array([eta.support_t])
+        return np.full(z.size, eta.support_t)
     gap = z.real if kind == "lf" else eta.decay_rate - np.abs(z.imag)
     i = np.argmin(gap)  # the first nan, if any
     if not gap[i] > 0.0 and kind == "lf":
@@ -237,7 +234,7 @@ def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndar
     alone.
     """
     num, shift, sqrt_end = eta.smooth_numerator, eta.decay_rate, eta.sqrt_end
-    upper = np.array([0.5 * math.pi]) if sqrt_end else _upper(kind, eta, z, tol)
+    upper = np.full(z.size, 0.5 * math.pi) if sqrt_end else _upper(kind, eta, z, tol)
 
     def integrand(zc, u):
         t = np.sin(u) if sqrt_end else u
@@ -264,8 +261,8 @@ def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndar
             if not keep.all():
                 if not keep.any():
                     return value, panels, delta
-                points, z, cur, live = points[keep], z[keep], cur[:, keep], live[:, keep]
-                upper = upper[keep] if upper.size > 1 else upper
+                points, z, upper = points[keep], z[keep], upper[keep]
+                cur, live = cur[:, keep], live[:, keep]
         if p == _MAX_PANELS:
             raise ConvergenceFailure(
                 f"quadrature did not reach tol {tol:g} within {_MAX_PANELS} panels")
@@ -287,8 +284,7 @@ def transform_detail(kind: str, eta: OriginalFunction, x: Quaternion,
     split = axial_split(x)
     z = np.array([complex(split.a, split.b)])
     val, panels, delta = _integrals(kind, _TRANSFORMS[kind], 1, eta, z, tol)
-    spec = QuadratureSpec("gauss_legendre_panels", _NODES_PER_PANEL, int(panels[0, 0]),
-                          tol, float(delta[0, 0]))
+    spec = QuadratureSpec(int(panels[0, 0]), tol, float(delta[0, 0]))
     return from_lift(complex(val[0, 0]), x), spec
 
 

@@ -139,7 +139,7 @@ def test_domain_errors_exit_3():
 
 def test_grid_too_large_to_allocate_exits_3():
     # 5e6 x 5e6 nodes need 182 TiB per array, more than any address space holds,
-    # so the allocation fails at once; the run peaks at about 0.5 GB
+    # so the allocation fails at once; the run peaks at about 150 MB
     r = run_cli("eval", "--field", "holo:name=qexp", "--grid=0:1:5000000,0.1:1:5000000")
     assert r.returncode == 3
     assert r.stdout == ""

@@ -15,11 +15,9 @@ from meridian4.specfun import (
     bessel_j_quat,
     bessel_j_series,
     bessel_y,
-    factorial,
-    gamma,
     power_to_bessel_partial,
 )
-from meridian4.specfun import _BLOCK_PAIRS, _jv_ascending, _jv_terms
+from meridian4.specfun import _BLOCK_PAIRS, _jv_ascending, _jv_terms, _order
 from meridian4.errors import DomainError, IntegerOrderUnsupported
 
 # 50-digit references rounded to float64 (mpmath, dps=50)
@@ -195,8 +193,9 @@ def test_real_loop_matches_complex_loop_bit_for_bit(nu):
 def test_integer_orders_against_mpmath():
     # J_n at 300 points of [0.05, 29.9], n = 3 .. 80, within a first-order
     # bound of the steps (u = eps/2), term k of Q taken by magnitude:
-    #   c0 = (z/2)^n / n!: pow within 1 ulp (eps), the division u, and the
-    #   table's n! its own relative error d (0 up to 22!, where it is exact);
+    #   c0 = (z/2)^n / n!: pow within 1 ulp (eps), the division u, and
+    #   math.gamma's n! its own relative error d (0 up to 22!, where it is
+    #   exact);
     #   b_k: k divisions by the exact k (n + k), k u; w = -(z/2)^2, u, so
     #   w^k k u; Horner's k - 1 steps and the last product by w, (2k - 1) u;
     #   c0 q and c0 + c0 q, u each.
@@ -209,7 +208,7 @@ def test_integer_orders_against_mpmath():
     with mpmath.workdps(40):
         for n in range(3, 81):
             exact = math.factorial(n)
-            d = float(abs(Fraction(factorial(n)) - exact) / exact)
+            d = float(abs(Fraction(_order(n).gamma) - exact) / exact)
             for z in zs:
                 mass, moment, tail = _series_sums(float(n), z)
                 bound = (2.5 * eps + d) * mass + 2.0 * eps * moment + tail
@@ -382,7 +381,8 @@ def test_order_two_squares_in_every_route():
 def test_bessel_j_array_has_the_bits_of_bessel_j_at_bucket_edges(j_gap):
     # the degree of Q follows ceil(z): on either side of each integer z the
     # array form must pick the degree of the point alone, and of bessel_j
-    z = np.array([np.nextafter(float(b), side) for b in range(1, 31) for side in (-np.inf, np.inf)])
+    z = np.array([np.nextafter(float(b), side)
+                  for b in range(1, 31) for side in (-np.inf, np.inf)])
     for nu in (-9.5, 40.0):
         for zi, a in zip(z.tolist(), bessel_j_array(nu, z).tolist()):
             assert _same_bits(a, bessel_j_array(nu, np.array([zi]))[0]), (nu, zi)
@@ -512,34 +512,24 @@ def test_y_needs_positive_argument():
 
 
 # ---------------------------------------------------------------------------
-# gamma / factorial
+# Gamma(nu + 1) of an order
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("x", sorted(GAMMA_REFS), ids=str)
 def test_gamma_reference_values(x):
-    assert math.isclose(gamma(x), GAMMA_REFS[x], rel_tol=1e-13)
-
-
-def test_gamma_poles():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(DomainError):
-            gamma(x)
+    assert math.isclose(_order(x - 1.0).gamma, GAMMA_REFS[x], rel_tol=1e-13)
 
 
 def test_factorial():
-    assert factorial(0) == 1.0
-    assert factorial(5) == 120.0
-    assert factorial(12) == 479001600.0
-    assert math.isfinite(factorial(170))
-    with pytest.raises(DomainError):
-        factorial(171)
-    with pytest.raises(DomainError):
-        factorial(-1)
-
-
-def test_factorial_consistent_with_gamma():
-    for n in (1, 4, 9, 20):
-        assert math.isclose(factorial(n), gamma(n + 1.0), rel_tol=1e-13)
+    # n! at an integer order n (and -n) within 2.5 eps of the exact value up
+    # to 170!, NaN past it
+    eps = sys.float_info.epsilon
+    for n in range(171):
+        exact = math.factorial(n)
+        for order in (n, -n):
+            d = abs(Fraction(_order(order).gamma) - exact) / exact
+            assert d <= 2.5 * eps, (order, float(d / eps))
+    assert math.isnan(_order(171).gamma) and math.isnan(_order(-171).gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,18 @@ def test_degenerate_set_finds_vrho_line():
     assert xs[0] < -0.9 and xs[-1] > 0.9  # the line crosses the window
 
 
+def test_degenerate_set_walks_a_zero_node_column_once():
+    # Vrho = -6 x0 rho is exactly 0 at the nodes x0 = 0 of a 3 x 3 grid: each
+    # zero node is crossed once, and the column, an edge of two cells, is
+    # one chain that does not double back
+    f = from_holomorphic_potential(qpow(3))
+    chains = degenerate_set(f, (-1.0, 1.0, 0.5, 1.5), (3, 3))
+    assert [c.equation for c in chains] == ["Vrho"]
+    pts = chains[0].points
+    assert len(set(pts)) == len(pts)
+    assert sorted(pts) == [(0.0, 0.5), (0.0, 1.0), (0.0, 1.5)]
+
+
 def test_degenerate_set_empty_for_moebius_inverse():
     f = from_holomorphic_potential(moebius_potential(0.0, 0.0))
     assert degenerate_set(f, (-2.0, 2.0, 0.1, 3.0), grid=(20, 20)) == []
@@ -396,7 +408,7 @@ def _per_cell_crossings(fn, window, grid):
                     b = (a + 1) % 4
                     if f[a] == 0.0:
                         crossings.append(corners[a])
-                    elif (f[a] < 0.0) != (f[b] < 0.0):
+                    elif f[b] != 0.0 and (f[a] < 0.0) != (f[b] < 0.0):
                         lo, hi = sorted((a, b), key=nodes.__getitem__)
                         crossings.append(
                             _illinois_edge(one, corners[lo], corners[hi], f[lo], f[hi]))
