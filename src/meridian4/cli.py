@@ -24,7 +24,6 @@ from .errors import DomainError, MeridianError, Unsupported
 from .quaternion import Quaternion
 from .holomorphic import elementary, moebius_potential
 from .fields import (
-    RHO_MIN,
     SeparableParams,
     from_holomorphic_potential,
     from_separable,
@@ -317,8 +316,9 @@ def parse_potential_spec(text: str, default_alpha: float):
 
 
 def parse_grid(text: str):
-    """Grid spec x0lo:x0hi:nx,rholo:rhohi:nr -> spectral.grid_nodes of that
-    window: (x0 samples, rho samples, every node's x0, every node's rho)."""
+    """Grid spec x0lo:x0hi:nx,rholo:rhohi:nr -> spectral.grid_nodes of that window
+    (x0 samples, rho samples, every node's x0, every node's rho).  The text is read
+    here and the window checked there; a window it refuses is a SpecError."""
     parts = text.split(",")
     if len(parts) != 2:
         raise SpecError("grid wants x0lo:x0hi:nx,rholo:rhohi:nr")
@@ -328,24 +328,15 @@ def parse_grid(text: str):
         if len(bits) != 3:
             raise SpecError(f"{label} axis wants lo:hi:n, got {part!r}")
         try:
-            lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
+            return float(bits[0]), float(bits[1]), int(bits[2])
         except ValueError:
             raise SpecError(f"{label} axis {part!r} has non-numeric entries")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SpecError(f"{label} axis bounds must be finite")
-        if not math.isfinite(hi - lo):
-            raise SpecError(f"{label} axis span hi - lo overflows")
-        if n < 2:
-            raise SpecError(f"{label} axis needs n >= 2, got {n}")
-        if not lo < hi:
-            raise SpecError(f"{label} axis needs lo < hi")
-        return lo, hi, n
 
-    x0_lo, x0_hi, nx = axis(parts[0], "x0")
-    rho_lo, rho_hi, nr = axis(parts[1], "rho")
-    if rho_lo < RHO_MIN:
-        raise SpecError(f"rho axis starts below the domain floor {RHO_MIN:g}")
-    return grid_nodes((x0_lo, x0_hi, rho_lo, rho_hi), (nx, nr))
+    (x0_lo, x0_hi, nx), (rho_lo, rho_hi, nr) = axis(parts[0], "x0"), axis(parts[1], "rho")
+    try:
+        return grid_nodes((x0_lo, x0_hi, rho_lo, rho_hi), (nx, nr))
+    except MeridianError as exc:
+        raise SpecError(str(exc)) from None
 
 
 def _parse_point(text: str, count: int, label: str):

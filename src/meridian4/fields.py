@@ -48,11 +48,12 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, IntegerOrderUnsupported, NoStream, NotHolomorphic
+from .errors import DomainError, NoStream, NotHolomorphic
 from .holomorphic import RadialFunction, antiholomorphy_residual, fd_stencil
 from .quaternion import Quaternion
 # bessel_y stays bound here for bench/tracing.py, which wraps it at this name
 from .specfun import bessel_j, bessel_j_array, bessel_y, y_by_reflection  # noqa: F401
+from .specfun import _check_y_order
 
 __all__ = [
     "RHO_MIN",
@@ -293,10 +294,8 @@ class SeparableParams:
             raise DomainError("beta must be positive")
         if self.a1 == 0.0 and self.a2 == 0.0:
             raise DomainError("(a1, a2) must not both vanish")
-        nu = 0.5 * (self.alpha - 1.0)
-        if self.a2 != 0.0 and abs(nu - round(nu)) <= 1e-8:
-            raise IntegerOrderUnsupported(
-                f"Y component needs non-integer order; (alpha-1)/2 = {nu:g}")
+        if self.a2 != 0.0:  # the Y part's order is (alpha - 1)/2
+            _check_y_order(0.5 * (self.alpha - 1.0))
 
 
 def from_separable(p: SeparableParams) -> MeridionalField:

@@ -23,6 +23,7 @@ takes a whole stack of Jacobians at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -213,23 +214,30 @@ class LevelChain:
     points: List[Tuple[float, float]]
 
 
-def _check_window(window: Window, grid: Tuple[int, int]) -> None:
-    x0_lo, x0_hi, rho_lo, rho_hi = window
-    nx, nr = grid
-    if not all(map(math.isfinite, (*window, x0_hi - x0_lo, rho_hi - rho_lo))):
-        raise DomainError(f"window {window} has a non-finite bound or span")
-    if nx < 2 or nr < 2 or x0_lo >= x0_hi or rho_lo >= rho_hi:
-        raise EmptyWindow(f"window {window} with grid {grid} has no interior")
-    if rho_lo < RHO_MIN:
-        raise DomainError(f"window reaches below the rho floor {RHO_MIN:g}")
+_MAX_NODES = sys.maxsize // 8  # float64 values in one array: numpy caps it at sys.maxsize bytes
 
 
 def grid_nodes(window: Window, grid: Tuple[int, int]):
-    """The nodes of an nx x nr grid on a checked window (finite bounds and spans,
-    nx, nr >= 2), bounds included: the axis coordinates xs and rs (lists), and
-    every node's x0 and rho as flat arrays in x0-major order."""
+    """The nodes of an nx x nr grid on a window, bounds included: the axis coordinates
+    xs and rs (lists), and every node's x0 and rho as flat arrays in x0-major order.
+    The one check of a window, before any node is built: each axis (named in the
+    message) needs finite bounds, n >= 2 and lo < hi (else EmptyWindow) and a finite
+    span (hi - lo)*(n - 1), its last node's; rho_lo >= RHO_MIN, nx*nr <= _MAX_NODES."""
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
+    for label, lo, hi, n in (("x0", x0_lo, x0_hi, nx), ("rho", rho_lo, rho_hi, nr)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"{label} axis bounds must be finite")
+        if n < 2:
+            raise EmptyWindow(f"{label} axis needs n >= 2, got {n}")
+        if not lo < hi:
+            raise EmptyWindow(f"{label} axis needs lo < hi")
+        if not math.isfinite((hi - lo) * min(n - 1, _MAX_NODES)):  # a larger n fails the count
+            raise DomainError(f"{label} axis span (hi - lo)*(n - 1) overflows")
+    if rho_lo < RHO_MIN:
+        raise DomainError(f"rho axis starts below the domain floor {RHO_MIN:g}")
+    if nx * nr > _MAX_NODES:
+        raise DomainError(f"grid {nx} x {nr} has more nodes than one array can address")
     xs = x0_lo + (x0_hi - x0_lo) * np.arange(nx) / (nx - 1)
     rs = rho_lo + (rho_hi - rho_lo) * np.arange(nr) / (nr - 1)
     x0, rho = (v.ravel() for v in np.meshgrid(xs, rs, indexing="ij"))
@@ -251,8 +259,8 @@ def _edge_roots(fn, edges):
     at s = fa/(fa - fb) along each edge still open (at its midpoint where s is
     not in (0, 1)), and halves the stored value of an end kept two passes in
     a row (Dowell & Jarratt 1971).  An edge stops where |fn| <= _EDGE_TOL at
-    the new point, or at its midpoint where its two ends stall or
-    _EDGE_PASSES passes are spent."""
+    the new point, or at its midpoint (ends halved first, so no sum overflows)
+    where its two ends stall or _EDGE_PASSES passes are spent."""
     eq, (xa, ra), (xb, rb), fa, fb = (np.array(v).T for v in zip(*edges))
     out = np.empty((len(edges), 2))
     open_, kept_a = np.arange(len(edges)), np.full(len(edges), np.nan)  # nan: no pass yet
@@ -272,11 +280,11 @@ def _edge_roots(fn, edges):
         xa, ra, fa = np.where(flip, xa, xm), np.where(flip, ra, rm), np.where(flip, fa, fm)
         gap = np.abs(xb - xa) + np.abs(rb - ra)
         stall = ~hit & (gap < 1e-15 * (1.0 + np.abs(xa) + np.abs(ra)))
-        out[open_[stall]] = np.stack((0.5 * (xa + xb), 0.5 * (ra + rb)), axis=-1)[stall]
+        out[open_[stall]] = np.stack((0.5 * xa + 0.5 * xb, 0.5 * ra + 0.5 * rb), axis=-1)[stall]
         keep = ~(hit | stall)
         open_, eq, xa, ra, xb, rb, fa, fb, kept_a = (
             v[keep] for v in (open_, eq, xa, ra, xb, rb, fa, fb, flip))
-    out[open_] = np.stack((0.5 * (xa + xb), 0.5 * (ra + rb)), axis=-1)
+    out[open_] = np.stack((0.5 * xa + 0.5 * xb, 0.5 * ra + 0.5 * rb), axis=-1)
     return [tuple(p) for p in out.tolist()]
 
 
@@ -392,7 +400,6 @@ def degenerate_set(f: MeridionalField, window: Window,
     grid sign changes plus false position along the crossing cell edges
     (_edge_roots) and returned as polylines tagged by their defining equation.
     """
-    _check_window(window, grid)
     alpha = f.alpha
 
     def equations(x0, rho):
@@ -426,8 +433,6 @@ def zero_divergence_scan(f: MeridionalField, window: Window,
     """
     if f.alpha == 0.0:
         raise AlphaZero("divergence vanishes identically at alpha = 0")
-    _check_window(window, grid)
-
     segments, = _grid_crossings(lambda x0, rho: np.array(f.evaluate(("Vrho",), x0, rho)),
                                 window, grid)
     seen = _distinct(p for seg in segments for p in seg)
@@ -467,10 +472,9 @@ def critical_points(f: MeridionalField, window: Window,
     the widened window, or the steps run out; converged points are
     deduplicated to 1e-8 in seed order (x0-outer).
     """
-    _check_window(window, grid)
+    _, _, x0, rho = grid_nodes(window, grid)
     x0_lo, x0_hi, rho_lo, rho_hi = window
     span = max(x0_hi - x0_lo, rho_hi - rho_lo)
-    _, _, x0, rho = grid_nodes(window, grid)
 
     live = np.arange(x0.size)  # seeds still stepping
     ok = np.zeros(x0.size, dtype=bool)

@@ -107,12 +107,20 @@ def test_eval_is_byte_deterministic():
     ("holo:name=qfoo", "0:1:2,0.5:1:2"),             # unknown function
     ("holo:name=qpow", "0:1:2,0.5:1:2"),             # qpow without n
     ("moebius:a=0.25,d=1.5", "-1e308:1e308:2,0.5:1:2"),  # x0 span overflows
+    ("holo:name=qexp", "0:1:2,1:1e308:3"),           # rho span fits, (hi - lo)*(n - 1) does not
+    ("holo:name=qexp", "0:1:9223372036854775807,0.1:1:2"),  # more nodes than an array holds
+    ("holo:name=qexp", "0:1:4611686018427387904,0.1:1:2"),  # more nodes than an array holds
 ])
 def test_spec_errors_exit_2(field, grid):
     r = run_cli("eval", "--field", field, f"--grid={grid}")
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ")
+    # one line, and the same one where a RuntimeWarning is an error (as on CI)
+    assert r.stderr.count("\n") == 1
+    strict = run_cli("eval", "--field", field, f"--grid={grid}",
+                     env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert (strict.returncode, strict.stdout, strict.stderr) == (2, "", r.stderr)
 
 
 def test_domain_errors_exit_3():
@@ -425,6 +433,55 @@ def test_every_surface_argv_exits_0_3_or_4():
     assert len(tool.ARGVS) >= 197
     for argv in tool.ARGVS:
         assert _main(argv)[0] in (0, 3, 4), argv
+
+
+FUZZ_BOUNDS = [0.0, -0.0, 5e-324, 1e-300, 1e-6, 1.0, 1e308, -1e308, 1.7e308,
+               math.inf, -math.inf, math.nan]
+# no draw builds more than 3 x 3 nodes: grid_nodes refuses every larger count
+FUZZ_COUNTS = [-1, 0, 1, 2, 3, 2 ** 60 + 1, 2 ** 62, 2 ** 63 - 1, 10 ** 20, 10 ** 400]
+FUZZ_FIELDS = ["holo:name=qexp", "moebius:a=0.25,d=1.5",
+               "separable:alpha=3,beta=1.1,b1=0.5,b2=0.5"]
+
+
+def _fuzz_axis(rng):
+    """lo, hi, n from the extreme values.  Half the axes take two distinct bounds
+    from 1e-6 up, in order, and half take 2 or 3 nodes, so that draws get past the
+    first checks and reach the last ones, or the field."""
+    if rng.random() < 0.5:
+        lo, hi = sorted(rng.sample([1e-6, 1.0, 1e308, 1.7e308], 2))
+    else:
+        lo, hi = rng.choices(FUZZ_BOUNDS, k=2)
+    return lo, hi, rng.choice(FUZZ_COUNTS if rng.random() < 0.5 else [2, 3])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grid_fuzz(seed):
+    """Random --grid argv and scan windows from extreme bounds and node counts:
+    a CLI run exits 0, 2 or 3, and at exit 0 prints rows, each cell finite; a
+    scan returns or raises a MeridianError."""
+    from meridian4.cli import parse_field_spec
+    from meridian4.errors import MeridianError
+    from meridian4.spectral import critical_points, degenerate_set, zero_divergence_scan
+
+    rng = random.Random(seed)
+    for _ in range(150):
+        axes = [":".join(map(repr, _fuzz_axis(rng))) for _ in range(2)]
+        cmd = rng.choice([["eval"], ["spectrum"], ["spectrum", "--oracle"]])
+        argv = cmd + ["--field", rng.choice(FUZZ_FIELDS), "--grid=" + ",".join(axes)]
+        code, out, _ = _main(argv)
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert rows and not any(c in ("nan", "inf", "-inf") for r in rows for c in r), argv
+    for _ in range(50):
+        (x0_lo, x0_hi, nx), (rho_lo, rho_hi, nr) = _fuzz_axis(rng), _fuzz_axis(rng)
+        window, grid = (x0_lo, x0_hi, rho_lo, rho_hi), (nx, nr)
+        scan = rng.choice([critical_points, degenerate_set, zero_divergence_scan])
+        try:
+            scan(parse_field_spec(rng.choice(FUZZ_FIELDS)), window, grid)
+        except MeridianError:
+            pass
 
 
 def _against_reference(monkeypatch, argv):

@@ -326,13 +326,17 @@ def test_window_validation():
 
 @pytest.mark.parametrize("scan", [critical_points, degenerate_set, zero_divergence_scan],
                          ids=lambda scan: scan.__name__)
-@pytest.mark.parametrize("window", [(math.nan, 1.0, 0.5, 2.0), (-1.0, 1.0, 0.5, math.inf),
-                                    (-1e308, 1e308, 0.5, 2.0)])
-def test_scans_reject_a_non_finite_window(scan, window):
+@pytest.mark.parametrize("window,grid", [
+    ((math.nan, 1.0, 0.5, 2.0), (40, 40)), ((-1.0, 1.0, 0.5, math.inf), (40, 40)),
+    ((-1e308, 1e308, 0.5, 2.0), (40, 40)),
+    ((0.0, 1.0, 1.0, 1e308), (3, 3)),    # the span fits, (hi - lo)*(n - 1) does not
+    ((0.0, 1.0, 0.5, 1.0), (10 ** 20, 3)),  # more nodes than one array can address
+], ids=[f"window{i}" for i in range(5)])
+def test_scans_reject_a_non_finite_window(scan, window, grid):
     # rejected before any field pass, so a NaN bound or an overflowing span
     # cannot pass unchecked
-    with pytest.raises(DomainError, match="non-finite bound"):
-        scan(_sin_field(), window)
+    with pytest.raises(DomainError, match="bounds must be finite|overflows|can address"):
+        scan(_sin_field(), window, grid)
 
 
 def test_zero_divergence_scan_consistency():

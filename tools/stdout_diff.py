@@ -3,8 +3,8 @@
     python tools/stdout_diff.py REV
 
 REV is checked out with `git worktree` into a temporary directory, and each
-argv of ARGVS runs as `python -m meridian4 ...` on both trees, each with its
-own src/ on PYTHONPATH.  Prints "N argv, M differ" and each differing argv;
+argv of ARGVS and REFUSALS runs as `python -m meridian4 ...` on both trees,
+each with its own src/ on PYTHONPATH.  Prints "N argv, M differ" and each differing argv;
 exits 1 on any difference.  Standard library only.
 """
 
@@ -52,12 +52,17 @@ ARGVS += [["special", "transform", "--kind", "lf", "--original", "exp", "--rate"
 ARGVS += [["eval", "--field", "holo:name=qexp,coeff=1e308", "--grid=-1:1:4,0.5:1.9:3"],
           ["special", "transform", "--kind", "ffc", "--original", "unit", "--at=1,1e308,1e308,0"],
           ["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"]]
+# grids refused with exit 2, kept apart from ARGVS, whose runs all get past the parsing:
+# an axis whose (hi - lo)*(n - 1) overflows, and node counts no array can address
+REFUSALS = [["eval", "--field", "holo:name=qexp", f"--grid={grid}"]
+            for grid in ("0:1:2,1:1e308:3", "0:1:9223372036854775807,0.1:1:2",
+                         "0:1:4611686018427387904,0.1:1:2", "0:1:99999999999999999999,0.1:1:2")]
 
 
 def outcomes(tree):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     runs = (subprocess.run([sys.executable, "-m", "meridian4", *argv], capture_output=True,
-                           text=True, env=env, cwd=tree) for argv in ARGVS)
+                           text=True, env=env, cwd=tree) for argv in ARGVS + REFUSALS)
     return [(r.returncode, r.stdout, r.stderr) for r in runs]
 
 
@@ -72,8 +77,8 @@ def main(rev):
             old = outcomes(there)
         finally:
             subprocess.run(git + ["worktree", "remove", "--force", there], check=True)
-    differ = [argv for argv, a, b in zip(ARGVS, old, outcomes(here)) if a != b]
-    print(f"{len(ARGVS)} argv, {len(differ)} differ")
+    differ = [argv for argv, a, b in zip(ARGVS + REFUSALS, old, outcomes(here)) if a != b]
+    print(f"{len(ARGVS + REFUSALS)} argv, {len(differ)} differ")
     for argv in differ:
         print("  " + " ".join(argv))
     return 1 if differ else 0
