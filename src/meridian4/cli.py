@@ -43,7 +43,6 @@ from .spectral import (closed_spectrum, eigen_closed, eigen_numeric,  # noqa: F4
 from .dynsys import flow
 from .specfun import bessel_j, bessel_y, bessel_j_quat
 from .transforms import (
-    DEFAULT_TOL,
     bessel_integral_rep,
     cheb_original,
     chebyshev_kernel,
@@ -197,12 +196,6 @@ def _reject_extras(params: dict, kind: str):
         raise SpecError(f"unknown parameter(s) for {kind}: {', '.join(sorted(params))}")
 
 
-def _check_quadrature(tol: float) -> None:
-    """A tol that can never be met would run every panel count up to the cap."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise SpecError(f"tol = {tol!r} must be finite and > 0")
-
-
 def parse_original(name: str, rate=None):
     """Original-function registry: unit | exp | cheb<n> | kernel<k>.  A rate
     (default 1) is exp's alone."""
@@ -265,12 +258,10 @@ def parse_field_spec(text: str):
         tkind = _take(params, "kind", str, required=True)
         original = _take(params, "original", str, required=True)
         rate = _take(params, "rate", float) if original == "exp" else None
-        tol = _take(params, "tol", float, default=DEFAULT_TOL)
         _reject_extras(params, kind)
-        _check_quadrature(tol)
         if tkind not in ("ffc", "ffs"):
             raise SpecError(f"transform kind must be ffc or ffs, got {tkind!r}")
-        return transform_field(tkind, parse_original(original, rate), tol)
+        return transform_field(tkind, parse_original(original, rate))
 
     raise SpecError(
         f"unknown field kind {kind!r} (holo, separable, transform, moebius)")
@@ -330,6 +321,8 @@ def parse_grid(text: str):
         try:
             return float(bits[0]), float(bits[1]), int(bits[2])
         except ValueError:
+            if len(bits[2]) > 20 and bits[2].strip().isdigit():  # past int()'s 4300 digits
+                raise SpecError(f"{label} axis has more nodes than one array can address")
             raise SpecError(f"{label} axis {part!r} has non-numeric entries")
 
     (x0_lo, x0_hi, nx), (rho_lo, rho_hi, nr) = axis(parts[0], "x0"), axis(parts[1], "rho")
@@ -567,15 +560,13 @@ def cmd_special(args) -> int:
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
         pairs = _quat_kv(bessel_j_quat(args.n, x))
     elif args.query == "transform":
-        _check_quadrature(args.tol)
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
         eta = parse_original(args.original, args.rate)
         op = {"lf": laplace_fueter, "ffc": ff_cos, "ffs": ff_sin}[args.kind]
-        pairs = _quat_kv(op(eta, x, args.tol))
+        pairs = _quat_kv(op(eta, x))
     elif args.query == "besselrep":
-        _check_quadrature(args.tol)
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
-        rep = bessel_integral_rep(args.n, args.parity, x, args.tol)
+        rep = bessel_integral_rep(args.n, args.parity, x)
         order = 2 * args.n if args.parity == "even" else 2 * args.n + 1
         series = bessel_j_quat(order, x)
         pairs = _quat_kv(rep)
@@ -662,14 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unit | exp | cheb<n> | kernel<k>")
     b.add_argument("--rate", type=float, help="decay rate of original exp (default 1)")
     b.add_argument("--at", required=True, help="x0,x1,x2,x3")
-    b.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_format(b)
 
     b = q.add_parser("besselrep", help="integral representation vs series")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--parity", choices=("even", "odd"), required=True)
     b.add_argument("--at", required=True, help="x0,x1,x2,x3")
-    b.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_format(b)
 
     p.set_defaults(fn=cmd_special)

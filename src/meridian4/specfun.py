@@ -93,9 +93,9 @@ def _order(nu: float) -> _Order:
     except OverflowError:
         gam = math.nan
     k = np.arange(1.0, _MAX_TERMS + 2.0)
-    denom = k * (nu + k)
     aw = 0.25 * np.arange(1.0, MAX_ABS_Z + 1.0) ** 2  # |w| at each bucket's edge
     with np.errstate(all="ignore"):
+        denom = k * (nu + k)
         b = np.divide.accumulate(np.concatenate(([1.0], denom[:-1])))
         # the terms at each edge (a column), and their partial sums' running scale
         terms = np.multiply.accumulate(
@@ -134,7 +134,7 @@ def _jv_terms(nu: float, z: _Num) -> Tuple[_Num, _Num, Tuple[float, ...], int, b
         scale = math.inf
     if not scale < math.inf:
         raise DomainError(f"leading term (z/2)^nu / Gamma(nu+1) overflows at "
-                          f"nu = {rec.nu!r}, |z| = {az!r}")
+                          f"nu = {float(nu)!r}, |z| = {az!r}")
     n = rec.degrees[math.ceil(az)]
     if n < 0:
         raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")

@@ -221,8 +221,9 @@ def grid_nodes(window: Window, grid: Tuple[int, int]):
     """The nodes of an nx x nr grid on a window, bounds included: the axis coordinates
     xs and rs (lists), and every node's x0 and rho as flat arrays in x0-major order.
     The one check of a window, before any node is built: each axis (named in the
-    message) needs finite bounds, n >= 2 and lo < hi (else EmptyWindow) and a finite
-    span (hi - lo)*(n - 1), its last node's; rho_lo >= RHO_MIN, nx*nr <= _MAX_NODES."""
+    message) needs finite bounds, n >= 2 and lo < hi (else EmptyWindow), n < 10**20
+    (a longer count is not echoed) and a finite span (hi - lo)*(n - 1), its last
+    node's; rho_lo >= RHO_MIN, nx*nr <= _MAX_NODES."""
     x0_lo, x0_hi, rho_lo, rho_hi = window
     nx, nr = grid
     for label, lo, hi, n in (("x0", x0_lo, x0_hi, nx), ("rho", rho_lo, rho_hi, nr)):
@@ -232,7 +233,9 @@ def grid_nodes(window: Window, grid: Tuple[int, int]):
             raise EmptyWindow(f"{label} axis needs n >= 2, got {n}")
         if not lo < hi:
             raise EmptyWindow(f"{label} axis needs lo < hi")
-        if not math.isfinite((hi - lo) * min(n - 1, _MAX_NODES)):  # a larger n fails the count
+        if n >= 10 ** 20:
+            raise DomainError(f"{label} axis has more nodes than one array can address")
+        if not math.isfinite((hi - lo) * (n - 1)):
             raise DomainError(f"{label} axis span (hi - lo)*(n - 1) overflows")
     if rho_lo < RHO_MIN:
         raise DomainError(f"rho axis starts below the domain floor {RHO_MIN:g}")

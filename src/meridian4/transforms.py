@@ -11,7 +11,7 @@ All kernels are evaluated at z = x0 + i*rho and re-embedded along the axis.
 One batched rule serves any number of points and kernels: composite 16-point
 Gauss-Legendre on [0, T(z)], (points x nodes) numpy arrays in bounded
 blocks summed row by row, with the panel count doubling until a point's last
-two sums of each kernel agree below tol.  The kernels of one pass share
+two sums of each kernel agree below TOL.  The kernels of one pass share
 their cos, sin and exponentials, and each keeps the value and panel count
 that a pass with it alone gives.  transform_detail is the one-point,
 one-kernel call.  The rule integrates an original's smooth numerator, never
@@ -64,7 +64,7 @@ __all__ = [
     "transform_field",
 ]
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10  # the rule's one tolerance, which no option changes
 _NODES_PER_PANEL = 16
 _MAX_PANELS = 4096
 _BLOCK = 1 << 13  # integrand values per block, of all kernels together
@@ -104,7 +104,6 @@ class OriginalFunction:
 @dataclass(frozen=True)
 class QuadratureSpec:
     panels: int
-    tol: float
     last_delta: float
 
 
@@ -197,15 +196,15 @@ def _panel_sums(integrand, count: int, z: np.ndarray, upper: np.ndarray,
     return outs
 
 
-def _truncation(gap: np.ndarray, tol: float) -> np.ndarray:
-    """Upper limits T >= 1 with e^{-gap T} / gap <= tol/2 (gap > 0)."""
-    arg = 2.0 / (gap * tol)
+def _truncation(gap: np.ndarray) -> np.ndarray:
+    """Upper limits T >= 1 with e^{-gap T} / gap <= TOL/2 (gap > 0)."""
+    arg = 2.0 / (gap * TOL)
     return np.maximum(1.0, np.log(np.maximum(arg, 1.0)) / gap)
 
 
-def _upper(kind: str, eta: OriginalFunction, z: np.ndarray, tol: float) -> np.ndarray:
+def _upper(kind: str, eta: OriginalFunction, z: np.ndarray) -> np.ndarray:
     """Each point's upper limit: the support, or where the point's tail drops
-    below tol/2: lf needs Re z right of the abscissa, ffc/ffs a decay faster
+    below TOL/2: lf needs Re z right of the abscissa, ffc/ffs a decay faster
     than the kernel's e^(|Im z| tau)."""
     if eta.compact():
         return np.full(z.size, eta.support_t)
@@ -217,24 +216,24 @@ def _upper(kind: str, eta: OriginalFunction, z: np.ndarray, tol: float) -> np.nd
         raise KernelGrowth(
             f"kernel grows like e^(rho tau) with rho = {abs(z.imag[i]):g}; original "
             f"decays at rate {eta.decay_rate:g} — integral not dominated")
-    return _truncation(gap, tol)
+    return _truncation(gap)
 
 
-def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndarray,
-               tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _integrals(kind: str, kernels, count: int, eta: OriginalFunction,
+               z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integrals of eta(t) k(z, t) dt for each of the count kernels k that
     kernels(z, s, t) returns, at the points of the flat complex array z, with
     each one's panel count and last difference: three arrays (kernel, point).
 
     Panel doubling at all points and for all kernels at once (the first pass
     takes 1 and 2 panels together): a (kernel, point) pair retires at the
-    first p at which its sums at p and p/2 panels agree below tol, and a
+    first p at which its sums at p and p/2 panels agree below TOL, and a
     point goes on with 2p panels while any of its kernels has not retired.
     A pair's value and panel count are those of a pass with its kernel
     alone.
     """
     num, shift, sqrt_end = eta.smooth_numerator, eta.decay_rate, eta.sqrt_end
-    upper = np.full(z.size, 0.5 * math.pi) if sqrt_end else _upper(kind, eta, z, tol)
+    upper = np.full(z.size, 0.5 * math.pi) if sqrt_end else _upper(kind, eta, z)
 
     def integrand(zc, u):
         t = np.sin(u) if sqrt_end else u
@@ -248,7 +247,7 @@ def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndar
     p = 2
     while True:
         d = np.abs(cur - prev)
-        fin = live & (d < tol)
+        fin = live & (d < TOL)
         if fin.all():  # every pair of the points left retires now, as one point mostly does
             value[:, points], panels[:, points], delta[:, points] = cur, p, d
             return value, panels, delta
@@ -265,40 +264,33 @@ def _integrals(kind: str, kernels, count: int, eta: OriginalFunction, z: np.ndar
                 cur, live = cur[:, keep], live[:, keep]
         if p == _MAX_PANELS:
             raise ConvergenceFailure(
-                f"quadrature did not reach tol {tol:g} within {_MAX_PANELS} panels")
+                f"quadrature did not reach tol {TOL:g} within {_MAX_PANELS} panels")
         p *= 2
         prev, cur = cur, _panel_sums(integrand, count, z, upper, (p,))[:, 0]
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"quadrature tol must be finite and > 0, got {tol!r}")
-
-
-def transform_detail(kind: str, eta: OriginalFunction, x: Quaternion,
-                     tol: float = DEFAULT_TOL) -> Tuple[Quaternion, QuadratureSpec]:
+def transform_detail(kind: str, eta: OriginalFunction,
+                     x: Quaternion) -> Tuple[Quaternion, QuadratureSpec]:
     """The lf, ffc or ffs transform of eta at x, with its quadrature record."""
     if kind not in _TRANSFORMS:
         raise DomainError(f"transform kind must be 'lf', 'ffc' or 'ffs', got {kind!r}")
-    _check_tol(tol)
     split = axial_split(x)
     z = np.array([complex(split.a, split.b)])
-    val, panels, delta = _integrals(kind, _TRANSFORMS[kind], 1, eta, z, tol)
-    spec = QuadratureSpec(int(panels[0, 0]), tol, float(delta[0, 0]))
+    val, panels, delta = _integrals(kind, _TRANSFORMS[kind], 1, eta, z)
+    spec = QuadratureSpec(int(panels[0, 0]), float(delta[0, 0]))
     return from_lift(complex(val[0, 0]), x), spec
 
 
-def laplace_fueter(eta: OriginalFunction, x: Quaternion,
-                   tol: float = DEFAULT_TOL) -> Quaternion:
-    return transform_detail("lf", eta, x, tol)[0]
+def laplace_fueter(eta: OriginalFunction, x: Quaternion) -> Quaternion:
+    return transform_detail("lf", eta, x)[0]
 
 
-def ff_cos(eta: OriginalFunction, x: Quaternion, tol: float = DEFAULT_TOL) -> Quaternion:
-    return transform_detail("ffc", eta, x, tol)[0]
+def ff_cos(eta: OriginalFunction, x: Quaternion) -> Quaternion:
+    return transform_detail("ffc", eta, x)[0]
 
 
-def ff_sin(eta: OriginalFunction, x: Quaternion, tol: float = DEFAULT_TOL) -> Quaternion:
-    return transform_detail("ffs", eta, x, tol)[0]
+def ff_sin(eta: OriginalFunction, x: Quaternion) -> Quaternion:
+    return transform_detail("ffs", eta, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +350,7 @@ def exp_decay_original(rate: float = 1.0) -> OriginalFunction:
     )
 
 
-def bessel_integral_rep(n: int, parity: str, x: Quaternion,
-                        tol: float = DEFAULT_TOL) -> Quaternion:
+def bessel_integral_rep(n: int, parity: str, x: Quaternion) -> Quaternion:
     """J_{2n}(x) or J_{2n+1}(x) via the Chebyshev-weighted finite cosine/sine integral.
 
     even:  J_{2n}(x)   = (2/pi)(-1)^n * ffc(cheb_original(n), x)
@@ -370,9 +361,9 @@ def bessel_integral_rep(n: int, parity: str, x: Quaternion,
     sign = -1.0 if n % 2 else 1.0
     factor = sign * 2.0 / math.pi
     if parity == "even":
-        return factor * ff_cos(cheb_original(n), x, tol)
+        return factor * ff_cos(cheb_original(n), x)
     if parity == "odd":
-        return factor * ff_sin(chebyshev_kernel(2 * n + 1), x, tol)
+        return factor * ff_sin(chebyshev_kernel(2 * n + 1), x)
     raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
@@ -380,8 +371,7 @@ def bessel_integral_rep(n: int, parity: str, x: Quaternion,
 # transform-backed meridional fields (alpha = 2)
 # ---------------------------------------------------------------------------
 
-def transform_field(kind: str, eta: OriginalFunction,
-                    tol: float = DEFAULT_TOL) -> MeridionalField:
+def transform_field(kind: str, eta: OriginalFunction) -> MeridionalField:
     """Meridional field (alpha = 2) whose potential's lift is a transform of eta.
 
     G' is the ffc or ffs transform, so V0 - i*Vrho = G'(x0 + i*rho); see the
@@ -391,11 +381,9 @@ def transform_field(kind: str, eta: OriginalFunction,
     """
     if kind not in _LIFT_KERNELS:
         raise DomainError(f"transform field kind must be 'ffc' or 'ffs', got {kind!r}")
-    _check_tol(tol)
 
     def lifts(needed, z):
         zs = np.asarray(z, dtype=complex)
-        vals = _integrals(kind, _lift_kernels(kind, needed), len(needed), eta, zs.reshape(-1),
-                          tol)[0]
+        vals = _integrals(kind, _lift_kernels(kind, needed), len(needed), eta, zs.reshape(-1))[0]
         return [v.reshape(zs.shape) if zs.ndim else complex(v[0]) for v in vals]
     return lifted_field(lifts, f"transform:{kind}:{eta.name}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meridian4.cli import _BLOCK_ROWS, _emit_table
+from meridian4.cli import _BLOCK_ROWS, SUITES, _emit_table
 from meridian4.errors import DomainError
 from meridian4.quaternion import Quaternion
 
@@ -110,12 +110,17 @@ def test_eval_is_byte_deterministic():
     ("holo:name=qexp", "0:1:2,1:1e308:3"),           # rho span fits, (hi - lo)*(n - 1) does not
     ("holo:name=qexp", "0:1:9223372036854775807,0.1:1:2"),  # more nodes than an array holds
     ("holo:name=qexp", "0:1:4611686018427387904,0.1:1:2"),  # more nodes than an array holds
+    # tol is no setting: the quadrature runs at transforms.TOL
+    ("transform:kind=ffc,original=unit,tol=1e-8", "0:1:2,0.5:1:2"),
+    # counts past int()'s 4300 digits, and at it: refused by axis, not echoed
+    pytest.param("holo:name=qexp", "0:1:" + "1" * 5000 + ",0.1:1:2", id="count-5000-digits"),
+    pytest.param("holo:name=qexp", "0:1:" + "1" * 4300 + ",0.1:1:2", id="count-4300-digits"),
 ])
 def test_spec_errors_exit_2(field, grid):
     r = run_cli("eval", "--field", field, f"--grid={grid}")
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.startswith("error: ")
+    assert r.stderr.startswith("error: ") and len(r.stderr) < 200
     # one line, and the same one where a RuntimeWarning is an error (as on CI)
     assert r.stderr.count("\n") == 1
     strict = run_cli("eval", "--field", field, f"--grid={grid}",
@@ -482,6 +487,97 @@ def test_grid_fuzz(seed):
             scan(parse_field_spec(rng.choice(FUZZ_FIELDS)), window, grid)
         except MeridianError:
             pass
+
+
+FUZZ_ORDERS = [171.0, 1e306, 1e308, -1e308]
+
+
+def _fuzz_argv(rng):
+    """One argv of any command over any field kind: each number an extreme value or,
+    half the time, a plain one, on 3 x 3 grids, with at most 5 samples, 3000 steps and
+    Chebyshev order 5."""
+    def real(*plain):
+        return repr(rng.choice(plain if rng.random() < 0.5 else FUZZ_BOUNDS + FUZZ_ORDERS))
+
+    def point():
+        return ",".join(real(v, 0.5) for v in (0.3, 0.4, -0.2, 0.5))
+
+    def original():
+        k = rng.randint(0, 5)  # cheb<n> is of order 2n
+        name = rng.choice(["unit", "exp", f"cheb{k // 2}", f"kernel{k}"])
+        return name, (real(2.0, 3.0) if name == "exp" else None)
+
+    def field():
+        kind = rng.choice(["holo", "moebius", "separable", "transform"])
+        if kind == "holo":
+            name = rng.choice(["qexp", "qcos", "qsin", "qln", "qpow"])
+            n = f",n={real(2.0, 3.0, -1.5)}" if name == "qpow" else ""
+            return f"holo:name={name}{n},coeff={real(1.0, 0.7)}"
+        if kind == "moebius":
+            return f"moebius:a={real(0.25)},d={real(1.5)}"
+        if kind == "separable":
+            return (f"separable:alpha={real(3.0, 2.5, -1.5)},beta={real(1.1, 0.7)},"
+                    f"a1={real(1.0)},a2={real(0.0, 1.0)},b1={real(0.5)},b2={real(0.5)}")
+        name, rate = original()
+        return (f"transform:kind={rng.choice(['ffc', 'ffs'])},original={name}"
+                + (f",rate={rate}" if rate else ""))
+
+    fmt = ["--format=" + rng.choice(["csv", "json"])]
+    cmd = rng.choice(["eval", "spectrum", "verify", "flow", "special"])
+    if cmd in ("eval", "spectrum"):
+        grid = f"--grid={real(-1.0)}:{real(1.0)}:3,{real(0.5)}:{real(1.9)}:3"
+        oracle = ["--oracle"] if cmd == "spectrum" and rng.random() < 0.5 else []
+        return [cmd, f"--field={field()}", grid, *oracle, *fmt]
+    if cmd == "verify":
+        suite = rng.choice(sorted(SUITES))
+        reads = SUITES[suite][1]
+        if reads == "field" or reads == "either" and rng.random() < 0.5:
+            target = [f"--field={field()}"]
+        else:
+            pot = rng.choice(["x3pow", f"x3pow:alpha={real(1.5)}", f"rhopow:e={real(-0.5)}",
+                              "rho3", "x0sq-x3sq"])
+            target = [f"--potential={pot}"] + ([f"--alpha={real(1.5)}"] if rng.random() < 0.5
+                                               else [])
+        return ["verify", suite, *target, f"--samples={rng.randint(1, 5)}",
+                f"--seed={rng.randint(0, 9)}", *fmt]
+    if cmd == "flow":
+        dt, horizon = float(real(0.01, 0.1)), float(real(0.3, 1.0))
+        if 0.0 < dt < math.inf and 3000 < horizon / dt < math.inf:
+            horizon = 3000 * dt
+        return ["flow", f"--field={field()}", f"--start={point()}", f"--dt={dt!r}",
+                f"--horizon={horizon!r}", *fmt]
+    query = rng.choice(["bessel", "besselq", "besselrep", "transform"])
+    if query == "bessel":
+        return ["special", "bessel", f"--nu={real(0.5, 2.0, -1.25)}", f"--z={real(5.0, 29.0)}",
+                "--kind=" + rng.choice(["j", "y"]), *fmt]
+    if query == "besselq":
+        return ["special", "besselq", f"--n={rng.choice([0, 3, -2, 5])}", f"--at={point()}", *fmt]
+    if query == "besselrep":
+        return ["special", "besselrep", f"--n={rng.randint(0, 2)}",
+                "--parity=" + rng.choice(["even", "odd"]), f"--at={point()}", *fmt]
+    name, rate = original()
+    return ["special", "transform", "--kind=" + rng.choice(["lf", "ffc", "ffs"]),
+            f"--original={name}", *([f"--rate={rate}"] if rate else []), f"--at={point()}", *fmt]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_fuzz(seed):
+    """Random argv of every command and field kind, with extreme values and huge
+    Bessel orders: each run exits 0, 2, 3 or 4 and raises nothing out of main; at
+    exit 0 no output token is nan or inf, and exit 3 prints one error line."""
+    import re
+
+    rng = random.Random(seed)
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code, out, err = _main(argv)
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            tokens = re.split(r"[\s,=:\[\]{}\"]+", out.lower())
+            assert not {"nan", "inf", "-inf", "infinity", "-infinity"} & set(tokens), argv
+        if code == 3:
+            assert [line[:7] for line in err.splitlines()].count("error: ") == 1, argv
 
 
 def _against_reference(monkeypatch, argv):
@@ -944,35 +1040,35 @@ def test_special_bessel_bad_inputs_exit_with_one_error_line(nu, z, code):
 @pytest.mark.parametrize("argv,order", [
     (("special", "bessel", "--nu", "1e300", "--z", "1"), "1e+300"),
     (("eval", "--field", "separable:alpha=1e300,beta=1", "--grid", "0:1:2,1:2:2"), "5e+299"),
-], ids=["special-bessel", "eval-separable"])
+    # k*(nu + k) of the series overflows too, and a negative order is named as given
+    (("special", "bessel", "--nu=1e306", "--z=2"), "1e+306"),
+    (("special", "bessel", "--nu=-1e308", "--z=2"), "-1e+308"),
+    (("flow", "--field", "separable:alpha=1e308,beta=1", "--start", "0,1,0,0", "--dt", "0.1",
+      "--horizon", "0.2"), "5e+307"),
+], ids=["special-bessel", "eval-separable", "special-bessel-1e306", "special-bessel-neg-1e308",
+        "flow-separable"])
 def test_huge_order_names_it_in_a_short_line(argv, order):
     # Gamma(nu + 1) overflows: the leading term's error names the order as
-    # a float, not its 301-digit integer
+    # a float, not its 301-digit integer, the same where a RuntimeWarning is an error
     r = run_cli(*argv)
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
     assert len(r.stderr) < 200 and f"overflows at nu = {order}," in r.stderr
+    strict = run_cli(*argv, env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert (strict.returncode, strict.stdout, strict.stderr) == (3, "", r.stderr)
 
 
 @pytest.mark.parametrize("argv", [
-    ("special", "transform", "--kind", "ffc", "--original", "unit", "--at", "1,0.5,0,0",
-     "--tol", "0"),
-    ("special", "transform", "--kind", "ffc", "--original", "unit", "--at", "1,0.5,0,0",
-     "--tol", "-1"),
-    ("special", "transform", "--kind", "ffc", "--original", "unit", "--at", "1,0.5,0,0",
-     "--tol", "nan"),
     ("special", "transform", "--kind", "ffc", "--original", "exp", "--at", "1,0.5,0,0",
      "--rate", "nan"),
     ("special", "transform", "--kind", "ffc", "--original", "exp", "--at", "1,0.5,0,0",
      "--rate", "inf"),
-    ("special", "besselrep", "--n", "0", "--parity", "even", "--at", "1,0,0,0",
-     "--tol", "0"),
     ("eval", "--field", "transform:kind=ffc,original=exp,rate=2,tol=-1",
      "--grid", "0:1:2,1:1.5:2"),
     ("eval", "--field", "transform:kind=ffc,original=exp,rate=2,tol=0",
      "--grid", "0:1:2,1:1.5:2"),
-])
+], ids=["argv3", "argv4", "argv6", "argv7"])  # fixed ids: a case keeps its id when others go
 def test_quadrature_settings_rejected_exit_2(argv):
     r = run_cli(*argv)
     assert r.returncode == 2

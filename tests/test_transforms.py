@@ -6,7 +6,6 @@ import pytest
 from meridian4.quaternion import Quaternion
 from meridian4.specfun import bessel_j, bessel_j_quat
 from meridian4.transforms import (
-    DEFAULT_TOL,
     OriginalFunction,
     bessel_integral_rep,
     cheb_original,
@@ -80,7 +79,7 @@ def test_transform_detail_refuses_an_unknown_kind():
 def test_quadrature_spec_reporting():
     _, spec = transform_detail("lf", unit_original(), Quaternion(2, 0, 1, 0))
     assert spec.panels >= 2 and spec.panels & (spec.panels - 1) == 0
-    assert spec.last_delta < spec.tol == DEFAULT_TOL
+    assert spec.last_delta < tr.TOL == 1e-10
 
 
 def test_values_are_plain_floats():
@@ -422,27 +421,30 @@ def _strip_grid(x_lo, x_hi):
     ("ffc", lambda z: _RATE / (z * z + _RATE ** 2)),
     ("ffs", lambda z: z / (z * z + _RATE ** 2)),
 ])
-def test_exp_field_matches_closed_form_over_the_strip(kind, closed, tol):
+def test_exp_field_matches_closed_form_over_the_strip(monkeypatch, kind, closed, tol):
     # G' = V0 - i*Vrho; near rho = rate the value reaches 25 and T 1150-1600
+    monkeypatch.setattr(tr, "TOL", tol)
     x0, rho = _strip_grid(-1.5, 1.5)
-    field = transform_field(kind, exp_decay_original(_RATE), tol)
+    field = transform_field(kind, exp_decay_original(_RATE))
     v0, vr = field.evaluate(["V0", "Vrho"], x0, rho)
     err = np.abs(v0 - 1j * vr - closed(x0 + 1j * rho))
     assert err.max() <= tol
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
-def test_laplace_exp_matches_closed_form_over_the_strip(tol):
+def test_laplace_exp_matches_closed_form_over_the_strip(monkeypatch, tol):
+    monkeypatch.setattr(tr, "TOL", tol)
     x0, rho = _strip_grid(0.2, 1.5)
     for a, b in zip(x0.tolist(), rho.tolist()):
-        got = laplace_fueter(exp_decay_original(_RATE), Quaternion(a, b, 0, 0), tol)
+        got = laplace_fueter(exp_decay_original(_RATE), Quaternion(a, b, 0, 0))
         assert abs(complex(got.x0, got.x1) - 1.0 / (complex(a, b) + _RATE)) <= tol
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
-def test_ffc_cheb0_is_bessel_j0_on_the_real_axis(tol):
+def test_ffc_cheb0_is_bessel_j0_on_the_real_axis(monkeypatch, tol):
+    monkeypatch.setattr(tr, "TOL", tol)
     for x in np.linspace(-6.0, 6.0, 25).tolist():
-        got = ff_cos(cheb_original(0), Quaternion(x, 0, 0, 0), tol)
+        got = ff_cos(cheb_original(0), Quaternion(x, 0, 0, 0))
         assert abs(got.x0 - 0.5 * math.pi * bessel_j(0, abs(x))) <= tol
 
 
@@ -502,9 +504,9 @@ _REF_KERNELS = {
 }
 
 
-def _single_kernel_passes(kind, eta, z, tol=DEFAULT_TOL):
+def _single_kernel_passes(kind, eta, z):
     """Values and panel counts of G, G' and G'', one pass per lift."""
-    runs = [tr._integrals(kind, lambda zc, s, t, k=k: [k(zc, s, t)], 1, eta, z, tol)
+    runs = [tr._integrals(kind, lambda zc, s, t, k=k: [k(zc, s, t)], 1, eta, z)
             for k in _REF_KERNELS[kind]]
     return np.stack([r[0][0] for r in runs]), np.stack([r[1][0] for r in runs])
 
@@ -538,17 +540,19 @@ def test_shared_pass_has_the_bits_of_one_pass_per_lift(kind, eta, shape):
 
 
 @pytest.mark.parametrize("eta,tol,grid", [
-    *[(eta, DEFAULT_TOL, _bench_grid((20, 20))) for eta in _SHARED_ORIGINALS],
+    *[(eta, tr.TOL, _bench_grid((20, 20))) for eta in _SHARED_ORIGINALS],
     # near the decay rate the points need from 2 to 512 panels, and some
     # points need more for one lift than for another
     (exp_decay_original(_RATE), 1e-12, _strip_grid(-1.5, 1.5)),
     (exp_decay_original(_RATE), 1e-8, _strip_grid(-1.5, 1.5)),
 ], ids=lambda v: getattr(v, "name", None))
 @pytest.mark.parametrize("kind", ["ffc", "ffs"])
-def test_shared_pass_panel_counts_are_those_of_one_pass_per_lift(kind, eta, tol, grid):
+def test_shared_pass_panel_counts_are_those_of_one_pass_per_lift(monkeypatch, kind, eta, tol,
+                                                                 grid):
+    monkeypatch.setattr(tr, "TOL", tol)
     z = grid[0] + 1j * grid[1]
-    value, panels, _ = tr._integrals(kind, tr._lift_kernels(kind, (0, 1, 2)), 3, eta, z, tol)
-    want_value, want_panels = _single_kernel_passes(kind, eta, z, tol)
+    value, panels, _ = tr._integrals(kind, tr._lift_kernels(kind, (0, 1, 2)), 3, eta, z)
+    want_value, want_panels = _single_kernel_passes(kind, eta, z)
     assert np.array_equal(value, want_value)
     assert np.array_equal(panels, want_panels)
 
@@ -582,9 +586,9 @@ def test_scalar_callers_integrate_no_more_than_before(monkeypatch):
 
     calls, integrals = [], tr._integrals
 
-    def spy(kind, kernels, count, eta, z, tol):
+    def spy(kind, kernels, count, eta, z):
         calls.append((count, z.size))
-        return integrals(kind, kernels, count, eta, z, tol)
+        return integrals(kind, kernels, count, eta, z)
 
     monkeypatch.setattr(tr, "_integrals", spy)
     field = transform_field("ffc", exp_decay_original(2.0))
@@ -610,9 +614,10 @@ def test_shared_pass_raises_at_the_panel_cap(monkeypatch):
 
     z = np.array([0.3 + 0.2j, -0.5 + 0.7j])
     with pytest.raises(ConvergenceFailure):
-        tr._integrals("ffc", kernels, 2, unit_original(), z, DEFAULT_TOL)
+        tr._integrals("ffc", kernels, 2, unit_original(), z)
     assert ps[-1] == tr._MAX_PANELS
-    field = transform_field("ffs", unit_original(), tol=1e-300)
+    monkeypatch.setattr(tr, "TOL", 1e-300)
+    field = transform_field("ffs", unit_original())
     with pytest.raises(ConvergenceFailure):
         field.evaluate(_QUANTITIES, np.array([0.2]), np.array([0.3]))
 
@@ -631,16 +636,7 @@ def test_non_finite_sum_raises_at_its_first_pass(monkeypatch):
 
     z = np.array([0.3 + 0.2j, -0.5 + 0.7j])
     with pytest.raises(DomainError, match=r"not finite at \(x0, rho\) = \(-0.5, 0.7\)"):
-        tr._integrals("ffc", kernels, 1, unit_original(), z, DEFAULT_TOL)
+        tr._integrals("ffc", kernels, 1, unit_original(), z)
     assert passes == [(1, 2)]
     with pytest.raises(DomainError, match=r"\(x0, rho\) = \(1, 1.41421e\+308\)"):
         transform_detail("ffc", unit_original(), Quaternion(1, 1e308, 1e308, 0))
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-def test_quadrature_tol_guard(tol):
-    x = Quaternion(1, 0.5, 0, 0)
-    with pytest.raises(DomainError):
-        transform_detail("ffc", unit_original(), x, tol)
-    with pytest.raises(DomainError):
-        transform_field("ffc", unit_original(), tol)

@@ -52,11 +52,19 @@ ARGVS += [["special", "transform", "--kind", "lf", "--original", "exp", "--rate"
 ARGVS += [["eval", "--field", "holo:name=qexp,coeff=1e308", "--grid=-1:1:4,0.5:1.9:3"],
           ["special", "transform", "--kind", "ffc", "--original", "unit", "--at=1,1e308,1e308,0"],
           ["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"]]
-# grids refused with exit 2, kept apart from ARGVS, whose runs all get past the parsing:
-# an axis whose (hi - lo)*(n - 1) overflows, and node counts no array can address
+# orders whose series denominators k*(nu + k) overflow: exit 3 with one line
+ARGVS += [["special", "bessel", "--nu=1e306", "--z=2"],
+          ["flow", "--field", "separable:alpha=1e308,beta=1", "--start", "0,1,0,0", "--dt", "0.1",
+           "--horizon", "0.2"]]
+# runs refused with exit 2, kept apart from ARGVS, whose runs all get past the parsing:
+# an axis whose (hi - lo)*(n - 1) overflows, node counts no array can address, and a
+# quadrature tolerance, which no option sets
 REFUSALS = [["eval", "--field", "holo:name=qexp", f"--grid={grid}"]
             for grid in ("0:1:2,1:1e308:3", "0:1:9223372036854775807,0.1:1:2",
                          "0:1:4611686018427387904,0.1:1:2", "0:1:99999999999999999999,0.1:1:2")]
+REFUSALS += [["eval", "--field", "transform:kind=ffc,original=unit,tol=1e-8",
+              "--grid=-1:1:4,0.5:1.9:3"],
+             ["special", "transform", "--kind", "ffc", "--original", "unit", *AT, "--tol", "1e-8"]]
 
 
 def outcomes(tree):
