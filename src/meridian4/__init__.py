@@ -13,9 +13,9 @@ from .holomorphic import (RadialFunction, MoebiusRealCoeffs, eval_lift,
 from .specfun import (SeriesTail, bessel_j, bessel_j_series, bessel_y, bessel_j_quat,
                       power_to_bessel_partial)
 from .transforms import (OriginalFunction, QuadratureSpec, chebyshev_kernel,
-                         cheb_original, unit_original, exp_decay_original,
-                         transform_detail, laplace_fueter, ff_cos, ff_sin,
-                         bessel_integral_rep, transform_field)
+                         unit_original, exp_decay_original, transform_detail,
+                         laplace_fueter, ff_cos, ff_sin, bessel_integral_rep,
+                         transform_field)
 from .fields import (RHO_MIN, MeridionalProfile, MeridionalField, SeparableParams,
                      from_holomorphic_potential, lifted_field, from_separable,
                      lift_to_r4, verify_epd, verify_stream, verify_stokes_beltrami,

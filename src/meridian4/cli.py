@@ -44,7 +44,6 @@ from .dynsys import flow
 from .specfun import bessel_j, bessel_y, bessel_j_quat
 from .transforms import (
     bessel_integral_rep,
-    cheb_original,
     chebyshev_kernel,
     exp_decay_original,
     ff_cos,
@@ -209,7 +208,7 @@ def parse_original(name: str, rate=None):
         return exp_decay_original(1.0 if rate is None else rate)
     if name.startswith("cheb"):
         try:
-            return cheb_original(int(name[4:]))
+            return chebyshev_kernel(2 * int(name[4:]))
         except ValueError:
             raise SpecError(f"bad Chebyshev original {name!r} (want cheb<n>)")
     if name.startswith("kernel"):
@@ -566,8 +565,8 @@ def cmd_special(args) -> int:
         pairs = _quat_kv(op(eta, x))
     elif args.query == "besselrep":
         x = Quaternion(*_parse_point(args.at, 4, "--at"))
-        rep = bessel_integral_rep(args.n, args.parity, x)
         order = 2 * args.n if args.parity == "even" else 2 * args.n + 1
+        rep = bessel_integral_rep(order, x)
         series = bessel_j_quat(order, x)
         pairs = _quat_kv(rep)
         pairs.append(("discrepancy", (rep - series).norm()))
@@ -671,19 +670,20 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
     except (MeridianError, OverflowError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"{type(exc).__name__}: {exc}", 3
     except MemoryError as exc:  # numpy raises a subclass with a private name
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"MemoryError: {exc}", 3
     except BrokenPipeError:
         # downstream consumer (head, ...) closed stdout; not our error
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    if len(message) > 190:  # a message may echo user text of any length
+        message = f"{message[:120]} ... {message[-60:]}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ __all__ = [
     "OriginalFunction",
     "QuadratureSpec",
     "chebyshev_kernel",
-    "cheb_original",
     "unit_original",
     "exp_decay_original",
     "transform_detail",
@@ -82,8 +81,8 @@ class OriginalFunction:
     a scalar).  smooth_numerator is eta(tau)*e^(decay_rate tau), times
     sqrt(1 - tau^2) with sqrt_end, which marks an inverse-square-root
     blow-up at tau = support_t = 1.  On the half line |eta(tau)| <=
-    e^(-decay_rate tau) is asserted: the Laplace abscissa is 0, and the
-    Fourier kernels exist for |Im z| < decay_rate.
+    e^(-decay_rate tau) is asserted: the Laplace abscissa is -decay_rate,
+    and the Fourier kernels exist for |Im z| < decay_rate.
     """
     evaluator: Callable[[np.ndarray], np.ndarray]
     smooth_numerator: Callable[[np.ndarray], np.ndarray]
@@ -203,15 +202,16 @@ def _truncation(gap: np.ndarray) -> np.ndarray:
 
 
 def _upper(kind: str, eta: OriginalFunction, z: np.ndarray) -> np.ndarray:
-    """Each point's upper limit: the support, or where the point's tail drops
-    below TOL/2: lf needs Re z right of the abscissa, ffc/ffs a decay faster
-    than the kernel's e^(|Im z| tau)."""
+    """Each point's upper limit: the support, or where the point's tail e^(-gap tau)
+    drops below TOL/2, with gap = Re z + decay_rate for lf (Re z right of the
+    abscissa -decay_rate) and decay_rate - |Im z| for ffc/ffs."""
     if eta.compact():
         return np.full(z.size, eta.support_t)
-    gap = z.real if kind == "lf" else eta.decay_rate - np.abs(z.imag)
+    gap = (z.real if kind == "lf" else -np.abs(z.imag)) + eta.decay_rate
     i = np.argmin(gap)  # the first nan, if any
     if not gap[i] > 0.0 and kind == "lf":
-        raise AbscissaViolation(f"x0 = {z.real[i]:g} not right of the abscissa s0 = 0")
+        raise AbscissaViolation(f"x0 = {z.real[i]:g} not right of the abscissa "
+                                f"s0 = {0.0 - eta.decay_rate:g}")  # 0.0 - : no "-0"
     if not gap[i] > 0.0:
         raise KernelGrowth(
             f"kernel grows like e^(rho tau) with rho = {abs(z.imag[i]):g}; original "
@@ -321,13 +321,6 @@ def chebyshev_kernel(k: int) -> OriginalFunction:
                             name=f"cheb{k}")
 
 
-def cheb_original(n: int) -> OriginalFunction:
-    """Even-order Chebyshev original cos(2n arccos tau)/sqrt(1-tau^2)."""
-    if n < 0:
-        raise DomainError("cheb_original order must be >= 0")
-    return chebyshev_kernel(2 * n)
-
-
 def unit_original() -> OriginalFunction:
     """eta = 1 on [0, 1]."""
     return OriginalFunction(lambda t: 1.0, lambda t: 1.0, name="unit")
@@ -350,21 +343,11 @@ def exp_decay_original(rate: float = 1.0) -> OriginalFunction:
     )
 
 
-def bessel_integral_rep(n: int, parity: str, x: Quaternion) -> Quaternion:
-    """J_{2n}(x) or J_{2n+1}(x) via the Chebyshev-weighted finite cosine/sine integral.
-
-    even:  J_{2n}(x)   = (2/pi)(-1)^n * ffc(cheb_original(n), x)
-    odd:   J_{2n+1}(x) = (2/pi)(-1)^n * ffs(chebyshev_kernel(2n+1), x)
-    """
-    if n < 0:
-        raise DomainError("representation order must be >= 0")
-    sign = -1.0 if n % 2 else 1.0
-    factor = sign * 2.0 / math.pi
-    if parity == "even":
-        return factor * ff_cos(cheb_original(n), x)
-    if parity == "odd":
-        return factor * ff_sin(chebyshev_kernel(2 * n + 1), x)
-    raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+def bessel_integral_rep(k: int, x: Quaternion) -> Quaternion:
+    """J_k(x) = (2/pi)(-1)^(k//2) ff(chebyshev_kernel(k), x) at integer k >= 0, ff the
+    cosine transform at even k and the sine transform at odd k (DLMF 10.9)."""
+    factor = (-1.0 if k // 2 % 2 else 1.0) * 2.0 / math.pi
+    return factor * (ff_sin if k % 2 else ff_cos)(chebyshev_kernel(k), x)
 
 
 # ---------------------------------------------------------------------------

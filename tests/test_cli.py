@@ -87,6 +87,10 @@ def test_eval_is_byte_deterministic():
     d = run_cli("eval", "--field", "transform:kind=ffc,original=exp,rate=2",
                 "--grid", "0:1:3,0.3:1:3")
     assert c.returncode == 0 and c.stdout == d.stdout
+    # cheb<n> is the Chebyshev kernel of order 2n
+    e, f = (run_cli("eval", "--field", f"transform:kind=ffc,original={o}",
+                    "--grid", "0:1:3,0.3:1:3") for o in ("cheb2", "kernel4"))
+    assert e.returncode == 0 and e.stdout == f.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +119,10 @@ def test_eval_is_byte_deterministic():
     # counts past int()'s 4300 digits, and at it: refused by axis, not echoed
     pytest.param("holo:name=qexp", "0:1:" + "1" * 5000 + ",0.1:1:2", id="count-5000-digits"),
     pytest.param("holo:name=qexp", "0:1:" + "1" * 4300 + ",0.1:1:2", id="count-4300-digits"),
+    # 5000 characters of user text: the echo is cut to one short line
+    pytest.param("holo:name=qexp", "0:1:" + "a" * 5000 + ",0.1:1:2", id="grid-5000-chars"),
+    pytest.param("holo:name=" + "a" * 5000, "0:1:2,0.1:1:2", id="name-5000-chars"),
+    pytest.param("holo:name=qexp,coeff=" + "a" * 5000, "0:1:2,0.1:1:2", id="coeff-5000-chars"),
 ])
 def test_spec_errors_exit_2(field, grid):
     r = run_cli("eval", "--field", field, f"--grid={grid}")
@@ -133,9 +141,9 @@ def test_domain_errors_exit_3():
     r = run_cli("special", "bessel", "--nu", "1", "--z", "1", "--kind", "y")
     assert r.returncode == 3
     assert "IntegerOrderUnsupported" in r.stderr
-    # Laplace transform left of the abscissa
+    # Laplace transform at the abscissa -rate
     r = run_cli("special", "transform", "--kind", "lf", "--original", "exp",
-                "--at", "0,1,0,0")
+                "--at=-1,1,0,0")
     assert r.returncode == 3
     assert "AbscissaViolation" in r.stderr
     # cosine kernel outgrowing the original's decay
@@ -143,6 +151,10 @@ def test_domain_errors_exit_3():
                 "--rate", "0.5", "--at", "1,1,0,0")
     assert r.returncode == 3
     assert "KernelGrowth" in r.stderr
+    # a negative Bessel order, refused by the Chebyshev kernel
+    r = run_cli("special", "besselrep", "--n", "-1", "--parity", "odd", "--at", "1,0.5,0,0")
+    assert r.returncode == 3
+    assert r.stderr == "error: DomainError: Chebyshev kernel order must be >= 0\n"
     # separable with a Y part at integer order
     r = run_cli("eval", "--field", "separable:alpha=3,beta=1,a2=0.5",
                 "--grid", "0:1:2,1:2:2")

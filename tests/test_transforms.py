@@ -8,7 +8,6 @@ from meridian4.specfun import bessel_j, bessel_j_quat
 from meridian4.transforms import (
     OriginalFunction,
     bessel_integral_rep,
-    cheb_original,
     chebyshev_kernel,
     exp_decay_original,
     ff_cos,
@@ -64,9 +63,11 @@ def test_laplace_embedding_follows_axis():
 
 
 def test_laplace_abscissa_violation():
-    for x0 in (0.0, -1.0):
-        with pytest.raises(AbscissaViolation):
-            laplace_fueter(exp_decay_original(1.0), Quaternion(x0, 1, 0, 0))
+    # e^(-t) moves the abscissa to -1: int e^(-(z + 1) t) dt = 1/(z + 1) at x0 = 0
+    got = laplace_fueter(exp_decay_original(1.0), Quaternion(0, 1, 0, 0))
+    assert abs(complex(got.x0, got.x1) - 1 / complex(1, 1)) < 1e-10
+    with pytest.raises(AbscissaViolation, match="s0 = -1$"):
+        laplace_fueter(exp_decay_original(1.0), Quaternion(-1, 1, 0, 0))
     # compact support has no abscissa
     laplace_fueter(unit_original(), Quaternion(-3, 1, 0, 0))
 
@@ -161,12 +162,6 @@ def test_chebyshev_kernel_guards():
             eta.evaluator(tau)
 
 
-def test_cheb_original_is_even_order():
-    assert cheb_original(2).name == "cheb4"
-    with pytest.raises(DomainError):
-        cheb_original(-1)
-
-
 def test_exp_decay_guard():
     for rate in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -202,8 +197,8 @@ _PINNED_DETAIL = {
     ("unit", "ffc", 1.3, 0.9): "0x1.a240e770b0a0dp-1 -0x1.6ad38531de636p-2 -0x0.0p+0 -0x0.0p+0 2",
     ("unit", "ffs", 0.7, 0.4): "0x1.65b1364fe98e8p-2 0x1.6d64c1b62c71bp-3 0x0.0p+0 0x0.0p+0 2",
     ("unit", "ffs", 1.3, 0.9): "0x1.5a7d5b78996d8p-1 0x1.2b5bb91acac92p-2 0x0.0p+0 0x0.0p+0 2",
-    ("exp2.2", "lf", 0.7, 0.4): "0x1.5a82d67a7946ap-2 -0x1.7e5b684085d2cp-5 -0x0.0p+0 -0x0.0p+0 8",
-    ("exp2.2", "lf", 1.3, 0.9): "0x1.126cfc78bf4fcp-2 -0x1.1a4436e298e4ap-4 -0x0.0p+0 -0x0.0p+0 4",
+    ("exp2.2", "lf", 0.7, 0.4): "0x1.5a82d67b518b6p-2 -0x1.7e5b684156ccbp-5 -0x0.0p+0 -0x0.0p+0 2",
+    ("exp2.2", "lf", 1.3, 0.9): "0x1.126cfc77f1324p-2 -0x1.1a4436e36f568p-4 -0x0.0p+0 -0x0.0p+0 2",
     ("exp2.2", "ffc", 0.7, 0.4):
         "0x1.aeb108d6af63ep-2 -0x1.7535e108b9d06p-5 -0x0.0p+0 -0x0.0p+0 2",
     ("exp2.2", "ffc", 1.3, 0.9):
@@ -271,8 +266,8 @@ _PINNED_FIELD = {
 
 def test_transform_values_keep_their_bits():
     originals = {eta.name: eta for eta in (unit_original(), exp_decay_original(2.2),
-                                           cheb_original(1), chebyshev_kernel(3),
-                                           cheb_original(2))}
+                                           chebyshev_kernel(2), chebyshev_kernel(3),
+                                           chebyshev_kernel(4))}
     for (name, kind, x0, rho), want in _PINNED_DETAIL.items():
         v, spec = transform_detail(kind, originals[name], Quaternion(x0, rho, 0, 0))
         got = " ".join(c.hex() for c in (v.x0, v.x1, v.x2, v.x3)) + f" {spec.panels}"
@@ -287,27 +282,25 @@ def test_transform_values_keep_their_bits():
 # Bessel integral representation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,parity,order", [(0, "even", 0), (1, "even", 2),
-                                            (0, "odd", 1), (1, "odd", 3)])
-def test_bessel_rep_matches_series_real_axis(n, parity, order):
+@pytest.mark.parametrize("order", range(8))
+def test_bessel_rep_matches_series_real_axis(order):
     x = Quaternion(1.7, 0, 0, 0)
-    rep = bessel_integral_rep(n, parity, x)
+    rep = bessel_integral_rep(order, x)
     assert abs(rep.x0 - bessel_j(order, 1.7)) < 1e-9
 
 
 def test_bessel_rep_matches_series_quaternionic():
     x = Quaternion(1, 0.6, 0, 0.8)
-    rep = bessel_integral_rep(0, "even", x)
-    ser = bessel_j_quat(0, x)
-    assert (rep - ser).norm() < 1e-9
+    for order in range(8):
+        rep = bessel_integral_rep(order, x)
+        assert (rep - bessel_j_quat(order, x)).norm() < 1e-9, order
 
 
 def test_bessel_rep_guards():
     x = Quaternion(1, 0, 0, 0)
-    with pytest.raises(DomainError):
-        bessel_integral_rep(-1, "even", x)
-    with pytest.raises(DomainError):
-        bessel_integral_rep(0, "both", x)
+    for order in (-1, -2):
+        with pytest.raises(DomainError, match="Chebyshev kernel order must be >= 0"):
+            bessel_integral_rep(order, x)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +354,7 @@ def test_transform_field_kind_guard():
         transform_field("laplace", exp_decay_original(2.0))
 
 
-_FIELD_ORIGINALS = [exp_decay_original(2.0), unit_original(), cheb_original(1)]
+_FIELD_ORIGINALS = [exp_decay_original(2.0), unit_original(), chebyshev_kernel(2)]
 _FIELD_POINTS = [(0.7, 0.9), (-1.3, 0.2), (0.0, 1.4), (2.1, 1e-3)]
 
 
@@ -434,7 +427,7 @@ def test_exp_field_matches_closed_form_over_the_strip(monkeypatch, kind, closed,
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
 def test_laplace_exp_matches_closed_form_over_the_strip(monkeypatch, tol):
     monkeypatch.setattr(tr, "TOL", tol)
-    x0, rho = _strip_grid(0.2, 1.5)
+    x0, rho = _strip_grid(-1.5, 1.5)  # the abscissa is -rate
     for a, b in zip(x0.tolist(), rho.tolist()):
         got = laplace_fueter(exp_decay_original(_RATE), Quaternion(a, b, 0, 0))
         assert abs(complex(got.x0, got.x1) - 1.0 / (complex(a, b) + _RATE)) <= tol
@@ -444,7 +437,7 @@ def test_laplace_exp_matches_closed_form_over_the_strip(monkeypatch, tol):
 def test_ffc_cheb0_is_bessel_j0_on_the_real_axis(monkeypatch, tol):
     monkeypatch.setattr(tr, "TOL", tol)
     for x in np.linspace(-6.0, 6.0, 25).tolist():
-        got = ff_cos(cheb_original(0), Quaternion(x, 0, 0, 0))
+        got = ff_cos(chebyshev_kernel(0), Quaternion(x, 0, 0, 0))
         assert abs(got.x0 - 0.5 * math.pi * bessel_j(0, abs(x))) <= tol
 
 
@@ -466,7 +459,7 @@ _BENCH_SHAPES = [(20, 20), (15, 15), (12, 12)]
 @pytest.mark.parametrize("kind,eta", [
     ("ffc", exp_decay_original(2.2)), ("ffs", exp_decay_original(2.2)),
     ("ffc", unit_original()), ("ffs", unit_original()),
-    ("ffc", cheb_original(2)), ("ffs", chebyshev_kernel(3)),
+    ("ffc", chebyshev_kernel(4)), ("ffs", chebyshev_kernel(3)),
 ], ids=lambda v: getattr(v, "name", v))
 def test_batched_evaluate_equals_one_point_transforms(kind, eta, shape):
     nx, nr = shape
@@ -512,7 +505,7 @@ def _single_kernel_passes(kind, eta, z):
 
 
 _SHARED_ORIGINALS = ([exp_decay_original(2.2), unit_original()]
-                     + [cheb_original(n) for n in (1, 2, 3)]
+                     + [chebyshev_kernel(2 * n) for n in (1, 2, 3)]
                      + [chebyshev_kernel(k) for k in (1, 3, 5)])
 
 

@@ -47,8 +47,11 @@ ARGVS += [["special", "besselrep", "--n", "2", "--parity", p] + AT for p in ("ev
 ARGVS += [["special", "transform", "--kind", k, "--original", o]
           + (["--rate", "2"] if o == "exp" else []) + AT
           for k in ("lf", "ffc", "ffs") for o in ("unit", "exp", "cheb1", "kernel1")]
-ARGVS += [["special", "transform", "--kind", "lf", "--original", "exp", "--rate", "2",
-           "--at=-0.5,0.4,0,0"]]
+ARGVS += [["special", "transform", "--kind", "lf", "--original", "exp", "--rate", "2", at]
+          for at in ("--at=-0.5,0.4,0,0", "--at=-2.5,0.4,0,0")]  # right of, left of s0 = -2
+# negative orders, refused with exit 3
+ARGVS += [["special", "besselrep", "--n", "-1", "--parity", "even"] + AT,
+          ["eval", "--field", "transform:kind=ffc,original=cheb-1", "--grid=-1:1:4,0.5:1.9:3"]]
 ARGVS += [["eval", "--field", "holo:name=qexp,coeff=1e308", "--grid=-1:1:4,0.5:1.9:3"],
           ["special", "transform", "--kind", "ffc", "--original", "unit", "--at=1,1e308,1e308,0"],
           ["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"]]
@@ -57,14 +60,15 @@ ARGVS += [["special", "bessel", "--nu=1e306", "--z=2"],
           ["flow", "--field", "separable:alpha=1e308,beta=1", "--start", "0,1,0,0", "--dt", "0.1",
            "--horizon", "0.2"]]
 # runs refused with exit 2, kept apart from ARGVS, whose runs all get past the parsing:
-# an axis whose (hi - lo)*(n - 1) overflows, node counts no array can address, and a
-# quadrature tolerance, which no option sets
+# an axis whose (hi - lo)*(n - 1) overflows, node counts no array can address, a
+# quadrature tolerance, which no option sets, and a name too long to echo whole
 REFUSALS = [["eval", "--field", "holo:name=qexp", f"--grid={grid}"]
             for grid in ("0:1:2,1:1e308:3", "0:1:9223372036854775807,0.1:1:2",
                          "0:1:4611686018427387904,0.1:1:2", "0:1:99999999999999999999,0.1:1:2")]
 REFUSALS += [["eval", "--field", "transform:kind=ffc,original=unit,tol=1e-8",
               "--grid=-1:1:4,0.5:1.9:3"],
-             ["special", "transform", "--kind", "ffc", "--original", "unit", *AT, "--tol", "1e-8"]]
+             ["special", "transform", "--kind", "ffc", "--original", "unit", *AT, "--tol", "1e-8"],
+             ["eval", "--field", "holo:name=" + "a" * 5000, "--grid=-1:1:4,0.5:1.9:3"]]
 
 
 def outcomes(tree):
