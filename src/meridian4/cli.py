@@ -366,7 +366,8 @@ def cmd_spectrum(args) -> int:
     _progress(f"spectrum: {len(x0)} grid points on {args.field} (oracle={args.oracle})")
 
     vrho, p01, p11 = field.evaluate(("Vrho", "dVrho_dx0", "dVrho_drho"), x0, rho)
-    q = vrho / rho
+    with np.errstate(over="ignore"):  # closed_spectrum refuses a q that is not finite
+        q = vrho / rho
     lams, inv, degenerate = closed_spectrum(field.alpha, q, p01, p11)
     columns = {"x0": x0, "rho": rho}
     columns.update((f"l{i}", lams[:, i]) for i in range(4))

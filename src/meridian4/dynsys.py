@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from .errors import DomainError
 # lift_to_r4 stays bound here for bench/tracing.py, which wraps it at this name
 from .fields import RHO_MIN, MeridionalField, lift_to_r4  # noqa: F401
-from .quaternion import Quaternion, axial_split
+from .quaternion import Quaternion, unit_axis
 from .spectral import SpectralReport, eigen_closed
 
 __all__ = ["Trajectory", "StabilityVerdict", "flow", "classify", "monotonicity_audit",
@@ -84,7 +84,7 @@ def flow(f: MeridionalField, x_init: Quaternion, dt: float,
     if x_init.rho() < RHO_MIN:
         raise DomainError(f"initial point has rho = {x_init.rho():g} below the floor")
 
-    axis = axial_split(x_init).axis
+    axis = unit_axis(x_init)
     t, x0, rho = 0.0, x_init.x0, x_init.rho()
     end = horizon - 1e-12 * horizon
     times = [0.0]

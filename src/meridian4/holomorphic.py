@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BranchCut, DomainError, OnAxis, Pole, StepTooLarge, Unsupported
-from .quaternion import Quaternion, axial_split, from_lift
+from .quaternion import Quaternion, from_lift
 
 __all__ = [
     "RadialFunction",
@@ -364,12 +364,11 @@ def moebius_potential(a: float, d: float) -> RadialFunction:
 def eval_lift(f: RadialFunction, x: Quaternion) -> Quaternion:
     """Evaluate f at the quaternion x through the complex lift.
 
-    Off the axis the value is w(x0 + i*rho) re-embedded along the axis of x.
-    On the axis the imaginary part of the lift must vanish (real limit);
+    The lift value w(x0 + i*rho) is re-embedded by from_lift along the unit
+    axis of x.  On the axis the imaginary part of w must vanish (real limit);
     otherwise the axial direction would be ambiguous and OnAxis is raised.
     """
-    split = axial_split(x)
-    return from_lift(f.lift(complex(split.a, split.b)), x)
+    return from_lift(f.lift(complex(x.x0, x.rho())), x)
 
 
 def radial_derivative(f: RadialFunction, x0: float, rho: float) -> complex:

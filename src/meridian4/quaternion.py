@@ -3,10 +3,10 @@
 A point x = (x0, x1, x2, x3) is treated as the quaternion
 x0 + x1*i + x2*j + x3*k with the Hamilton rules i^2 = j^2 = k^2 = ijk = -1,
 ij = -ji = k.  Away from the real axis every quaternion splits as
-x = a + b*I with a = x0, b = rho = |(x1,x2,x3)| and I the unit pure
-quaternion along the imaginary part; I^2 = -1, so the plane spanned by
-1 and I is a copy of C.  All the function theory in this package lives
-on that plane.
+x = a + b*I with a = x0, b = rho = |(x1,x2,x3)| and I = unit_axis(x), the
+unit pure quaternion along the imaginary part; I^2 = -1, so the plane
+spanned by 1 and I is a copy of C.  All the function theory in this
+package lives on that plane.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, OnAxis, ZeroQuaternion
+from .errors import OnAxis, ZeroQuaternion
 
 __all__ = [
     "Quaternion",
-    "AxialForm",
     "CylindricalAngles",
     "mul",
-    "axial_split",
-    "from_axial",
+    "unit_axis",
     "from_lift",
     "angles",
 ]
@@ -103,53 +101,28 @@ def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     )
 
 
-@dataclass(frozen=True)
-class AxialForm:
-    """x = a + b*I with b >= 0; axis is None exactly on the real axis."""
-    a: float
-    b: float
-    axis: Optional[Quaternion]
-
-
-def axial_split(x: Quaternion) -> AxialForm:
-    """Split x into real part a, axial distance b = rho and unit axis I.
-
-    On the real axis (rho = 0) the axis is genuinely undefined and is
-    returned as None rather than an arbitrary default.
-    """
+def unit_axis(x: Quaternion) -> Optional[Quaternion]:
+    """The unit pure quaternion I along the imaginary part of x, so that
+    x = x0 + rho*I; None on the real axis, where I is undefined."""
     b = x.rho()
     if b == 0.0:
-        return AxialForm(x.x0, 0.0, None)
+        return None
     if b < sys.float_info.min:
-        # a subnormal b has lost relative precision: rescale by a power of
+        # a subnormal rho has lost relative precision: rescale by a power of
         # two, which is exact, and normalise the rescaled imaginary part
-        u = x.scale(2.0 ** 600)
-        return AxialForm(x.x0, b, axial_split(u).axis)
-    axis = Quaternion(0.0, x.x1 / b, x.x2 / b, x.x3 / b)
-    return AxialForm(x.x0, b, axis)
-
-
-def from_axial(a: float, b: float, axis: Quaternion) -> Quaternion:
-    """Rebuild a + b*I from an axial form.  axis must be unit and pure."""
-    if b < 0.0:
-        raise DomainError("axial distance b must be >= 0")
-    if abs(axis.x0) > 1e-12:
-        raise DomainError("axis must be a pure quaternion (zero real part)")
-    if abs(axis.norm() - 1.0) > 1e-12:
-        raise DomainError("axis must have unit norm")
-    return Quaternion(a, b * axis.x1, b * axis.x2, b * axis.x3)
+        return unit_axis(x.scale(2.0 ** 600))
+    return Quaternion(0.0, x.x1 / b, x.x2 / b, x.x3 / b)
 
 
 def from_lift(w: complex, x: Quaternion) -> Quaternion:
-    """Re-embed a lift value w = u + i*v as u + v*I along the axis I of x.
+    """Re-embed a lift value w = u + i*v as u + v*I along unit_axis(x).
 
     On the real axis I is undefined, so w must be real to 1e-12 (1 + |w|)."""
-    split = axial_split(x)
-    if split.axis is None:
+    ax = unit_axis(x)
+    if ax is None:
         if abs(w.imag) > 1e-12 * (1.0 + abs(w)):
             raise OnAxis(f"value {w} has no real limit on the axis at x0 = {x.x0:g}")
         return Quaternion(w.real, 0.0, 0.0, 0.0)
-    ax = split.axis
     return Quaternion(w.real, w.imag * ax.x1, w.imag * ax.x2, w.imag * ax.x3)
 
 

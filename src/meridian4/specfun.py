@@ -32,7 +32,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, IntegerOrderUnsupported
-from .quaternion import Quaternion, axial_split, from_lift
+from .quaternion import Quaternion, from_lift
 
 __all__ = [
     "SeriesTail",
@@ -249,10 +249,9 @@ def bessel_j_array(nu, z) -> np.ndarray:
 
 def bessel_j_quat(n: Union[int, float], x: Quaternion) -> Quaternion:
     """J_n at a quaternion argument through the complex lift (entire function)."""
-    split = axial_split(x)
-    z = complex(split.a, split.b)
+    z = complex(x.x0, x.rho())
     nu = float(n)
-    if not _is_int(nu) and split.b == 0.0 and split.a < 0.0:
+    if not _is_int(nu) and z.imag == 0.0 and z.real < 0.0:
         raise DomainError("non-integer order on the negative real axis")
     return from_lift(_horner(*_jv_terms(nu, z)), x)
 
@@ -263,8 +262,7 @@ def power_to_bessel_partial(m: int, big_n: int, x: Quaternion) -> Quaternion:
         raise DomainError("power-to-Bessel expansion needs m >= 1")
     if not 0 <= big_n <= 30:
         raise DomainError("partial-sum length N must be in [0, 30]")
-    split = axial_split(x)
-    z = complex(split.a, split.b)
+    z = complex(x.x0, x.rho())
     total = 0j
     for n in range(big_n + 1):
         terms = _jv_terms(float(m + 2 * n), z)  # first: past Gamma's range, a DomainError

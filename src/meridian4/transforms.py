@@ -47,7 +47,7 @@ import numpy as np
 from .errors import (AbscissaViolation, ConvergenceFailure, DomainError,
                      KernelGrowth, Unsupported)
 from .fields import MeridionalField, lifted_field
-from .quaternion import Quaternion, axial_split, from_lift
+from .quaternion import Quaternion, from_lift
 
 __all__ = [
     "OriginalFunction",
@@ -207,7 +207,8 @@ def _upper(kind: str, eta: OriginalFunction, z: np.ndarray) -> np.ndarray:
     abscissa -decay_rate) and decay_rate - |Im z| for ffc/ffs."""
     if eta.compact():
         return np.full(z.size, eta.support_t)
-    gap = (z.real if kind == "lf" else -np.abs(z.imag)) + eta.decay_rate
+    with np.errstate(over="ignore"):  # an infinite gap takes T = 1
+        gap = (z.real if kind == "lf" else -np.abs(z.imag)) + eta.decay_rate
     i = np.argmin(gap)  # the first nan, if any
     if not gap[i] > 0.0 and kind == "lf":
         raise AbscissaViolation(f"x0 = {z.real[i]:g} not right of the abscissa "
@@ -274,8 +275,7 @@ def transform_detail(kind: str, eta: OriginalFunction,
     """The lf, ffc or ffs transform of eta at x, with its quadrature record."""
     if kind not in _TRANSFORMS:
         raise DomainError(f"transform kind must be 'lf', 'ffc' or 'ffs', got {kind!r}")
-    split = axial_split(x)
-    z = np.array([complex(split.a, split.b)])
+    z = np.array([complex(x.x0, x.rho())])
     val, panels, delta = _integrals(kind, _TRANSFORMS[kind], 1, eta, z)
     spec = QuadratureSpec(int(panels[0, 0]), float(delta[0, 0]))
     return from_lift(complex(val[0, 0]), x), spec

@@ -268,10 +268,13 @@ def test_grid_commands_report_the_field_error_at_a_non_finite_value(cmd):
      "DomainError: quadrature sum not finite at (x0, rho) = (1, 1.41421e+308)"),
     (["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"],
      "DomainError: quadrature sum not finite at (x0, rho) = (0.3, 1.41421e+308)"),
-], ids=["probe", "transform", "besselrep"])
+    (["spectrum", "--field=separable:alpha=2.5,beta=1.0,a1=1.0,a2=1.0,b1=1e+308,b2=0.5",
+      "--grid=1e-06:1.0:3,0.5:1.9:3", "--format=json"],
+     "DomainError: closed-form spectrum overflows"),
+], ids=["probe", "transform", "besselrep", "spectrum"])
 @pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]], ids=["plain", "W-error"])
 def test_overflow_exits_3_with_one_error_line(argv, error, flags):
-    # numpy overflows inside the probe or the quadrature print no warning
+    # numpy overflows inside the probe, the quadrature or V_rho / rho print no warning
     r = subprocess.run([sys.executable, *flags, "-m", "meridian4", *argv],
                        capture_output=True, text=True)
     assert (r.returncode, r.stdout, r.stderr) == (3, "", f"error: {error}\n")
@@ -573,7 +576,7 @@ def _fuzz_argv(rng):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 14, 27])
 def test_cli_fuzz(seed):
     """Random argv of every command and field kind, with extreme values and huge
     Bessel orders: each run exits 0, 2, 3 or 4 and raises nothing out of main; at

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meridian4.quaternion import (
-    Quaternion, angles, axial_split, from_axial, mul,
+    Quaternion, angles, from_lift, mul, unit_axis,
 )
-from meridian4.errors import DomainError, OnAxis, ZeroQuaternion
+from meridian4.errors import OnAxis, ZeroQuaternion
 
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
@@ -76,34 +76,19 @@ def test_conj_and_norm():
 
 def test_axial_split_345():
     x = Quaternion(3, 0, 4, 0)
-    form = axial_split(x)
-    assert form.a == 3.0
-    assert form.b == 4.0
-    assert form.axis == J
+    assert x.rho() == 4.0
+    assert unit_axis(x) == J
     assert x.norm() == 5.0
-    assert from_axial(form.a, form.b, form.axis) == x
+    assert from_lift(complex(3.0, 4.0), x) == x
 
 
 def test_axial_split_on_axis():
-    form = axial_split(Quaternion(2.5, 0, 0, 0))
-    assert form.a == 2.5
-    assert form.b == 0.0
-    assert form.axis is None
+    assert unit_axis(Quaternion(2.5, 0, 0, 0)) is None
 
 
 def test_axis_squares_to_minus_one():
-    form = axial_split(Quaternion(1, 2, -2, 1))
-    assert q_close(form.axis * form.axis, -ONE)
-
-
-@pytest.mark.parametrize("a,b,axis", [
-    (0.0, -1.0, J),                      # negative axial distance
-    (0.0, 1.0, Quaternion(0.5, 1, 0, 0)),  # non-pure axis
-    (0.0, 1.0, Quaternion(0, 2, 0, 0)),    # non-unit axis
-])
-def test_from_axial_validation(a, b, axis):
-    with pytest.raises(DomainError):
-        from_axial(a, b, axis)
+    axis = unit_axis(Quaternion(1, 2, -2, 1))
+    assert q_close(axis * axis, -ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +172,7 @@ def test_norm_multiplicative(p, q):
 @given(quats(nonzero=True))
 @settings(max_examples=200)
 def test_axial_round_trip(x):
-    form = axial_split(x)
-    if form.axis is None:
-        assert x.rho() == 0.0
-        return
-    back = from_axial(form.a, form.b, form.axis)
+    back = from_lift(complex(x.x0, x.rho()), x)
     assert (back - x).norm() <= 1e-12 * max(1.0, x.norm())
 
 
@@ -203,10 +184,9 @@ def test_axial_round_trip(x):
 ])
 def test_axial_split_tiny_components(x):
     # squaring such components underflows; the axis must still be unit
-    form = axial_split(x)
-    assert abs(form.axis.norm() - 1.0) <= 1e-15
-    assert math.isclose(form.b, math.hypot(x.x1, x.x2, x.x3))
-    back = from_axial(form.a, form.b, form.axis)
+    assert abs(unit_axis(x).norm() - 1.0) <= 1e-15
+    assert math.isclose(x.rho(), math.hypot(x.x1, x.x2, x.x3))
+    back = from_lift(complex(x.x0, x.rho()), x)
     assert (back - x).norm() <= 1e-12
 
 
@@ -254,8 +234,6 @@ def test_angles_round_trip(x):
 
 
 def test_from_lift_embeds_along_the_axis():
-    from meridian4.quaternion import from_lift
-
     got = from_lift(complex(1.5, -2.0), Quaternion(0.3, 0.0, 0.6, 0.8))
     assert got == Quaternion(1.5, 0.0, -2.0 * 0.6, -2.0 * 0.8)
     # on the real axis only a real value has a direction-free embedding

@@ -55,6 +55,14 @@ ARGVS += [["special", "besselrep", "--n", "-1", "--parity", "even"] + AT,
 ARGVS += [["eval", "--field", "holo:name=qexp,coeff=1e308", "--grid=-1:1:4,0.5:1.9:3"],
           ["special", "transform", "--kind", "ffc", "--original", "unit", "--at=1,1e308,1e308,0"],
           ["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"]]
+ARGVS += [["special", "besselq", "--n", "2", at]
+          for at in ("--at=2,0,0,0", "--at=-1,1e-320,0,0")]  # on the axis, a subnormal rho
+# overflows that once warned: V_rho / rho (exit 3) and the lf tail gap Re z + rate (exit 0)
+ARGVS += [["spectrum", "--field=separable:alpha=2.5,beta=1.0,a1=1.0,a2=1.0,b1=1e+308,b2=0.5",
+           "--grid=1e-06:1.0:3,0.5:1.9:3", "--format=json"]]
+ARGVS += [["special", "transform", "--kind=lf", "--original=exp", rate, at]
+          for rate, at in (("--rate=1.7e+308", "--at=1e+308,1e+306,0.5,0.5"),
+                           ("--rate=1e+308", "--at=1.7e+308,1e-300,0.5,1.7e+308"))]
 # orders whose series denominators k*(nu + k) overflow: exit 3 with one line
 ARGVS += [["special", "bessel", "--nu=1e306", "--z=2"],
           ["flow", "--field", "separable:alpha=1e308,beta=1", "--start", "0,1,0,0", "--dt", "0.1",
