@@ -194,6 +194,18 @@ def bessel_y(nu: float, z: float) -> float:
     return y_by_reflection(nu, bessel_j(nu, z), bessel_j(-nu, z))
 
 
+@functools.lru_cache(maxsize=64)
+def _order_tables(nus: Tuple[float, ...]):
+    """The records of the orders nus and, as read-only arrays, their degree
+    tables (order, bucket), their b_k (order, k) and their signs (order, 1)."""
+    orders = [_order(nu) for nu in nus]
+    tables = (np.array([rec.degrees for rec in orders]), np.array([rec.b for rec in orders]),
+              np.array([[-1.0 if rec.odd else 1.0] for rec in orders]))
+    for table in tables:
+        table.setflags(write=False)
+    return (orders, *tables)
+
+
 def bessel_j_array(nu, z) -> np.ndarray:
     """J_nu at each element of a float array z >= 0.  nu is one order, or a
     sequence of orders: then the result has a leading axis over the orders,
@@ -207,7 +219,8 @@ def bessel_j_array(nu, z) -> np.ndarray:
     An element with z > MAX_ABS_Z, or whose leading term overflows, is NaN
     where bessel_j raises DomainError.
     """
-    orders = [_order(order) for order in np.atleast_1d(np.asarray(nu, dtype=float)).tolist()]
+    orders, degrees, coeffs, signs = _order_tables(
+        tuple(np.atleast_1d(np.asarray(nu, dtype=float)).tolist()))
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise DomainError("real-branch J_nu needs z >= 0")
@@ -224,10 +237,10 @@ def bessel_j_array(nu, z) -> np.ndarray:
         # (z/2)^nu / Gamma(nu+1); inf or NaN where it overflows
         c0 = np.array([half ** rec.nu / rec.gamma for rec in orders])
         bad = ~(np.abs(c0) < math.inf)  # the leading term overflows
-        n = np.where(bad, 0, np.array([rec.degrees for rec in orders])[:, bucket])
+        n = np.where(bad, 0, degrees[:, bucket])
         if np.any(n < 0):
             raise ConvergenceFailure(f"J series did not settle in {_MAX_TERMS} terms")
-        table = np.array([rec.b[:1 + n.max(initial=0)] for rec in orders])
+        table = coeffs[:, :1 + n.max(initial=0)]
         q = np.empty(c0.shape)
         step = max(1, _BLOCK_PAIRS // len(orders))
         for lo in range(0, half.size, step):
@@ -243,7 +256,7 @@ def bessel_j_array(nu, z) -> np.ndarray:
             q[:, lo:lo + step] = acc * wb
         vals = c0 + c0 * q
     vals[bad] = math.nan
-    out[:, live] = np.array([[-1.0 if rec.odd else 1.0] for rec in orders]) * vals
+    out[:, live] = signs * vals
     return out if np.ndim(nu) else out[0]
 
 

@@ -22,6 +22,7 @@ takes a whole stack of Jacobians at once.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -248,11 +249,17 @@ def grid_nodes(window: Window, grid: Tuple[int, int]):
 
 
 def _distinct(points) -> List[Tuple[float, float]]:
-    """The points in order, each kept when it lies 1e-8 or more (L1) from all kept before."""
+    """The points in order, each kept when it lies 1e-8 or more (L1) from all
+    kept before.  Only kept points within 1e-8 in x0 can be nearer: those in
+    the window x0 +- 2e-8 of a copy sorted by x0 (bisect) are compared."""
     kept: List[Tuple[float, float]] = []
+    by_x0: List[Tuple[float, float]] = []
     for x, r in points:
-        if all(abs(x - a) + abs(r - b) >= 1e-8 for a, b in kept):
+        lo = bisect.bisect_left(by_x0, (x - 2e-8,))
+        hi = bisect.bisect_right(by_x0, (x + 2e-8, math.inf))
+        if all(abs(x - a) + abs(r - b) >= 1e-8 for a, b in by_x0[lo:hi]):
             kept.append((x, r))
+            bisect.insort(by_x0, (x, r))
     return kept
 
 

@@ -11,11 +11,12 @@ All kernels are evaluated at z = x0 + i*rho and re-embedded along the axis.
 One batched rule serves any number of points and kernels: composite 16-point
 Gauss-Legendre on [0, T(z)], (points x nodes) numpy arrays in bounded
 blocks summed row by row, with the panel count doubling until a point's last
-two sums of each kernel agree below TOL.  The kernels of one pass share
-their cos, sin and exponentials, and each keeps the value and panel count
-that a pass with it alone gives.  transform_detail is the one-point,
-one-kernel call.  The rule integrates an original's smooth numerator, never
-eta itself: eta(tau)*e^(rate tau) for an original that decays at rate, whose
+two sums of each kernel agree below TOL.  The ffc and ffs kernels of one
+pass share one real cos/sin pair of x0 t and one exp/expm1 pair of rho t
+(_trig), and each keeps the value and panel count that a pass with it
+alone gives.  transform_detail is the one-point, one-kernel call.  The
+rule integrates an original's smooth numerator, never eta itself:
+eta(tau)*e^(rate tau) for an original that decays at rate, whose
 e^(-rate tau) the rule folds into the kernel's exponent, where it cancels
 the growth of cos and sin; and eta(tau)*sqrt(1-tau^2) for an original with
 an inverse-square-root blow-up at tau = 1 (the Chebyshev family), which
@@ -69,6 +70,7 @@ _MAX_PANELS = 4096
 _BLOCK = 1 << 13  # integrand values per block, of all kernels together
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,24 @@ class QuadratureSpec:
 
 def _trig(z, s, t, cos: bool, sin: bool):
     """e^(-s t) cos(z t) and e^(-s t) sin(z t), each only when asked for
-    (else None).  With s > 0 the factors e^(+-Im z t) of cos and sin are
-    folded into e^(-s t), so that none overflows while |Im z| < s; the two
-    exponentials are shared."""
-    if not s:
-        return (np.cos(z * t) if cos else None), (np.sin(z * t) if sin else None)
-    ep, em = np.exp((1j * z - s) * t), np.exp((-1j * z - s) * t)
-    return (0.5 * (ep + em) if cos else None), (-0.5j * (ep - em) if sin else None)
+    (else None), at Im z >= 0, from the real cos and sin of a = Re z t and
+    h = e^((Im z - s) t - ln 2), e = expm1(-2u) of u = Im z t: with
+    d = h e = -e^(-s t) sinh u, which keeps its digits near the axis, and
+    p = h (e + 2) = e^(-s t) cosh u, they are cos a p + i sin a d and
+    sin a p - i cos a d.  h holds e^(-s t) and the 1/2 of cosh and sinh, so
+    it overflows only with cosh u, and h <= 1/2 while Im z < s."""
+    a = z.real * t
+    c, sn = np.cos(a), np.sin(a)
+    h = np.exp((z.imag - s) * t - _LN2)
+    e = np.expm1(-2.0 * z.imag * t)
+    d, p = h * e, h * (e + 2.0)
+
+    def lift(re, im):
+        out = np.empty(re.shape, complex)
+        np.multiply(re, p, out=out.real)
+        np.multiply(im, d, out=out.imag)
+        return out
+    return (lift(c, sn) if cos else None), (lift(sn, -c) if sin else None)
 
 
 # kind -> kernels of G, G' and G'' from u, the factor of G' (e^(-s t) cos(z t)
@@ -188,9 +201,8 @@ def _panel_sums(integrand, count: int, z: np.ndarray, upper: np.ndarray,
                 vals = k * fw
                 for row, start, end in zip(out, (0,) + ends, ends):
                     row[lo:hi] = np.add.reduce(vals[:, start:end], axis=-1)
-    bad = ~np.isfinite(outs).all(axis=(0, 1))
-    if bad.any():
-        z0 = z[bad][0]
+    if not np.isfinite(outs).all():
+        z0 = z[~np.isfinite(outs).all(axis=(0, 1))][0]
         raise DomainError(f"quadrature sum not finite at (x0, rho) = ({z0.real:g}, {z0.imag:g})")
     return outs
 
@@ -301,9 +313,9 @@ def _cheb_t(k: int, tau):
     """Chebyshev T_k(tau) by the stable three-term recurrence (tau float or array)."""
     if k == 0:
         return 1.0
-    tkm1, tk = 1.0, tau
+    tkm1, tk, two_tau = 1.0, tau, 2.0 * tau
     for _ in range(k - 1):
-        tkm1, tk = tk, 2.0 * tau * tk - tkm1
+        tkm1, tk = tk, two_tau * tk - tkm1
     return tk
 
 

@@ -415,9 +415,9 @@ VERIFIER_PINNED = {
         "0x1.8000000000000p-53 0x1.3585320000000p-32 0x1.c740000000000p-44 0x1.2ac0000000000p-42",
         "0x1.0000000000000p-54 0x1.e574ea0000000p-34 0x1.b0ec000000000p-42 0x1.31e8000000000p-39"),
     "transform:kind=ffc,original=exp,rate=2": (
-        "0x0.0p+0 0x1.87a46a8ccccccp-30 0x1.48ba000000000p-36 0x1.9553800000000p-39",
-        "0x0.0p+0 0x1.39a7240000000p-30 0x1.4e15800000000p-36 0x1.11d0000000000p-40",
-        "0x0.0p+0 0x1.3d5db21200000p-31 0x1.af70000000000p-41 0x1.d440000000000p-41"),
+        "0x0.0p+0 0x1.8ec3551999999p-31 0x1.36d2800000000p-36 0x1.55e7000000000p-40",
+        "0x0.0p+0 0x1.4221479999999p-30 0x1.50cc000000000p-36 0x1.2590000000000p-42",
+        "0x0.0p+0 0x1.f438212800000p-32 0x1.10e9000000000p-38 0x1.50f0000000000p-44"),
 }
 # the same through one cloud of the three points, where it differs: the
 # Stokes-Beltrami weight rho^(-1/2) is libm's pow at a float, numpy's at an array

@@ -360,6 +360,38 @@ def test_zero_divergence_alpha_zero():
         zero_divergence_scan(f, (-1.0, 1.0, 0.5, 2.0))
 
 
+def _distinct_all_pairs(points):
+    """The rule of spectral._distinct, each point against every kept one."""
+    kept = []
+    for x, r in points:
+        if all(abs(x - a) + abs(r - b) >= 1e-8 for a, b in kept):
+            kept.append((x, r))
+    return kept
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e8])
+def test_distinct_keeps_what_the_all_pairs_rule_keeps(scale):
+    # exact repeats, and neighbours at L1 distance 1e-8 give or take a few
+    # ulps, split between x0 and rho in any proportion
+    rng = random.Random(35)
+    for _ in range(20):
+        points = []
+        for _ in range(150):
+            draw = rng.random()
+            if points and draw < 0.2:
+                points.append(rng.choice(points))
+            elif points and draw < 0.8:
+                a, b = rng.choice(points)
+                x = a + rng.choice((-1, 1)) * rng.random() * 1e-8
+                r = b + rng.choice((-1, 1)) * (1e-8 - abs(x - a))
+                for _ in range(rng.randint(0, 3)):
+                    r = math.nextafter(r, rng.choice((-math.inf, math.inf)))
+                points.append((x, r))
+            else:
+                points.append((rng.uniform(-scale, scale), rng.uniform(0.0, 2.0)))
+        assert spectral._distinct(points) == _distinct_all_pairs(points)
+
+
 def _illinois_edge(fn, pa, pb, fa, fb, tol=1e-10, max_iter=200):
     """Reference Illinois false position along the segment pa-pb for a sign
     change of fn: the next point at s = fa/(fa - fb) (the midpoint where s is

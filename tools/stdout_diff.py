@@ -25,6 +25,12 @@ FIELDS = ["holo:name=qexp", "holo:name=qpow,n=3,coeff=0.7", "holo:name=qln",
 AT = ["--at", "0.3,0.4,-0.2,0.5"]
 ARGVS = [cmd + ["--field", f, "--grid=-1:1:4,0.5:1.9:3", "--format", fmt] for f in FIELDS
          for cmd in (["eval"], ["spectrum", "--oracle"]) for fmt in ("csv", "json")]
+# the Fourier kernels' edges: near the axis, and up to 0.99 of the decay rate
+ARGVS += [cmd + ["--field", f, g] for f, g in (
+              ("transform:kind=ffc,original=exp,rate=2", "--grid=-1:1:4,1e-06:0.3:3"),
+              ("transform:kind=ffs,original=kernel3", "--grid=-1:1:4,1e-06:0.3:3"),
+              ("transform:kind=ffc,original=exp,rate=2", "--grid=-1:1:4,1.5:1.98:3"))
+          for cmd in (["eval"], ["spectrum", "--oracle"])]
 ARGVS += [["verify", s, "--field", f, "--samples", "12"] for f in FIELDS
           for s in ("epd", "stokes", "system", "symmetry", "criterion")]
 ARGVS += [["verify", s, "--potential", p, "--alpha", "1.5", "--samples", "12"]
@@ -54,6 +60,8 @@ ARGVS += [["special", "besselrep", "--n", "-1", "--parity", "even"] + AT,
           ["eval", "--field", "transform:kind=ffc,original=cheb-1", "--grid=-1:1:4,0.5:1.9:3"]]
 ARGVS += [["eval", "--field", "holo:name=qexp,coeff=1e308", "--grid=-1:1:4,0.5:1.9:3"],
           ["special", "transform", "--kind", "ffc", "--original", "unit", "--at=1,1e308,1e308,0"],
+          # e^(rho t) overflows in the sums: "quadrature sum not finite", exit 3
+          ["special", "transform", "--kind", "ffc", "--original", "unit", "--at=0.1,713.9,0,0"],
           ["special", "besselrep", "--n", "2", "--parity", "even", "--at=0.3,1e308,-1e308,0.5"]]
 ARGVS += [["special", "besselq", "--n", "2", at]
           for at in ("--at=2,0,0,0", "--at=-1,1e-320,0,0")]  # on the axis, a subnormal rho
